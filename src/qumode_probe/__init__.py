@@ -1,6 +1,5 @@
 """Continuous-variable qumode probe simulation and thermodynamic inference."""
 
-from .jacobi import ConvergenceError, jacobi_eigh
 from .models import (
     ParamFamily,
     RegimePreset,
@@ -12,13 +11,13 @@ from .models import (
     regime_presets,
 )
 from .operators import (
+    ConvergenceError,
     EigenDecomposition,
     HermitianOperator,
     SpectralLine,
     Spectrum,
     SystemState,
     commutator_norm,
-    eigendecompose,
     evenly_spaced_spectrum,
     sigma_x,
     sigma_z,

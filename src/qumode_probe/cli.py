@@ -18,8 +18,8 @@ import sys
 import numpy as np
 
 from . import models, reconstruct, thermo
-from .jacobi import ConvergenceError
 from .operators import (
+    ConvergenceError,
     HermitianOperator,
     Spectrum,
     SystemState,

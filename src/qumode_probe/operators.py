@@ -11,17 +11,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jacobi import jacobi_eigh
-
 DIMENSION_CAP = 1024
 HERMITICITY_TOL = 1e-12
 DEGENERACY_MERGE_TOL = 1e-8
+
+
+class ConvergenceError(RuntimeError):
+    """Raised when a numerical routine fails to converge within its budget."""
 
 
 def _as_square(entries) -> np.ndarray:
     a = np.asarray(entries, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    # NaN fails every comparison and inf passes allclose, so reject both first
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
     return a
 
 
@@ -66,7 +71,11 @@ class HermitianOperator:
 
     def eig(self) -> EigenDecomposition:
         if self._eig is None:
-            vals, vecs = jacobi_eigh(self.entries)
+            try:
+                vals, vecs = np.linalg.eigh(self.entries)
+            except np.linalg.LinAlgError as exc:
+                # LinAlgError is a ValueError; report it as a numerical failure
+                raise ConvergenceError(f"LAPACK eigensolver failed: {exc}") from exc
             self._eig = EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
         return self._eig
 
@@ -90,7 +99,7 @@ class SystemState:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(a).real - 1.0) > 1e-10 or abs(np.trace(a).imag) > 1e-10:
             raise ValueError(f"density matrix trace {np.trace(a)} != 1")
-        # validation only; the spectral pipeline itself uses jacobi_eigh
+        # validation only; spectral lines come from the operator's eigenbasis
         if np.linalg.eigvalsh(a).min() < -1e-10:
             raise ValueError("density matrix has a negative eigenvalue")
         a = 0.5 * (a + a.conj().T)
@@ -198,10 +207,6 @@ def site_sum(single: HermitianOperator, n_sites: int) -> HermitianOperator:
     return HermitianOperator(total)
 
 
-def eigendecompose(op: HermitianOperator) -> EigenDecomposition:
-    return op.eig()
-
-
 def thermal_state(H: HermitianOperator, beta: float) -> SystemState:
     """Gibbs state exp(-beta H)/Z; spectrum shifted by E_min to avoid underflow."""
     if not np.isfinite(beta) or beta < 0:
@@ -219,14 +224,16 @@ def spectrum_of(state: SystemState, H: HermitianOperator,
                 merge_tol: float = DEGENERACY_MERGE_TOL) -> Spectrum:
     """Spectral lines of H with populations taken from ``state``.
 
-    Eigenvalues closer than ``merge_tol`` are reported as one degenerate
-    line carrying the summed population.
+    Eigenvalues within ``merge_tol`` of the first eigenvalue of their
+    group are reported as one degenerate line carrying the summed
+    population, so no line spans more than ``merge_tol``.
     """
     if state.dim != H.dim:
         raise ValueError(f"dimension mismatch: state {state.dim} vs operator {H.dim}")
     dec = H.eig()
-    populations = np.real(np.einsum("ij,jk,ki->i", dec.eigenvectors.conj().T,
-                                    state.rho, dec.eigenvectors))
+    v = dec.eigenvectors
+    # diag(V^H rho V) with a single matrix product
+    populations = np.real(np.sum(v.conj() * (state.rho @ v), axis=0))
     populations = np.clip(populations, 0.0, None)
     populations /= populations.sum()
 
@@ -236,7 +243,7 @@ def spectrum_of(state: SystemState, H: HermitianOperator,
     n = len(vals)
     while i < n:
         j = i + 1
-        while j < n and vals[j] - vals[j - 1] <= merge_tol:
+        while j < n and vals[j] - vals[i] <= merge_tol:
             j += 1
         block = slice(i, j)
         lines.append(SpectralLine(E=float(vals[block].mean()),

@@ -15,8 +15,7 @@ from typing import Union
 import numpy as np
 from scipy.special import ndtr
 
-from .jacobi import ConvergenceError
-from .operators import HermitianOperator, Spectrum, SystemState, spectrum_of
+from .operators import ConvergenceError, HermitianOperator, Spectrum, SystemState, spectrum_of
 
 POINT_MERGE_TOL = 1e-12
 

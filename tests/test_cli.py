@@ -1,9 +1,12 @@
 import json
+import time
+from math import comb
 
 import numpy as np
 import pytest
 
-from qumode_probe.cli import main
+from qumode_probe.cli import EXIT_CONFIG, EXIT_NUMERICAL, main
+from qumode_probe.operators import DIMENSION_CAP
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -52,6 +55,21 @@ class TestSpectrumCommand:
         _, rows = parse_rows(text)
         assert [r["E"] for r in rows] == pytest.approx([-2.0, 0.0, 2.0], abs=1e-12)
         assert [r["g"] for r in rows] == [1.0, 2.0, 1.0]
+
+    def test_dimension_cap(self, tmp_path):
+        start = time.monotonic()
+        config = {"system": {"model": "rabi", "n_sites": 10},
+                  "state": {"thermal_beta": 1.0}}
+        code, text = run(tmp_path, "spectrum", config)
+        elapsed = time.monotonic() - start
+        assert code == 0
+        _, rows = parse_rows(text)
+        assert 2 ** 10 == DIMENSION_CAP
+        assert [r["E"] for r in rows] == pytest.approx(np.arange(-10.0, 11.0, 2.0), abs=1e-9)
+        assert [r["g"] for r in rows] == [comb(10, k) for k in range(11)]
+        weights = np.array([comb(10, k) * np.exp(10.0 - 2 * k) for k in range(11)])
+        assert [r["P"] for r in rows] == pytest.approx(weights / weights.sum(), rel=1e-9, abs=1e-15)
+        assert elapsed < 60.0
 
     def test_csv_format(self, tmp_path):
         code, text = run(tmp_path, "spectrum", QUBIT, extra=["--format", "csv"])
@@ -242,6 +260,28 @@ class TestExitCodes:
         code, _ = run(tmp_path, "overlap", config)
         assert code == 4
         assert "contract violation" in capsys.readouterr().err
+
+    def test_non_finite_system_matrix(self, tmp_path, capsys):
+        config = {"system": {"diagonal": [0.0, float("nan")]}}
+        code, _ = run(tmp_path, "spectrum", config)
+        assert code == EXIT_CONFIG
+        assert "matrix has non-finite entries" in capsys.readouterr().err
+
+    def test_non_finite_state_matrix(self, tmp_path, capsys):
+        entries = [[float("inf"), 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+        config = {"system": {"diagonal": [0.0, 1.0]},
+                  "state": {"matrix": {"dim": 2, "entries": entries}}}
+        code, _ = run(tmp_path, "spectrum", config)
+        assert code == EXIT_CONFIG
+        assert "matrix has non-finite entries" in capsys.readouterr().err
+
+    def test_lapack_failure_is_numerical(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        code, _ = run(tmp_path, "spectrum", QUBIT)
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_non_thermal_populations_contract(self, tmp_path, capsys):
         config = {"system": {"diagonal": [0.0, 0.5, 3.0]},

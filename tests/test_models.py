@@ -10,7 +10,7 @@ from qumode_probe.models import (
     rabi_interaction,
     regime_presets,
 )
-from qumode_probe.operators import eigendecompose, sigma_x
+from qumode_probe.operators import sigma_x
 from qumode_probe.probe import ProbeConfig, Squeezed
 from qumode_probe.reconstruct import resolution_params
 
@@ -19,15 +19,15 @@ class TestRabiInteraction:
     def test_single_site_is_sigma_x(self):
         op = rabi_interaction(1)
         assert np.allclose(op.entries, sigma_x().entries)
-        assert np.allclose(eigendecompose(op).eigenvalues, [-1.0, 1.0])
+        assert np.allclose(op.eig().eigenvalues, [-1.0, 1.0])
 
     def test_two_sites(self):
-        vals = eigendecompose(rabi_interaction(2)).eigenvalues
+        vals = rabi_interaction(2).eig().eigenvalues
         assert np.allclose(vals, [-2.0, 0.0, 0.0, 2.0], atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_binomial_degeneracies(self, n):
-        vals = eigendecompose(rabi_interaction(n)).eigenvalues
+        vals = rabi_interaction(n).eig().eigenvalues
         # brute-force oracle: numpy diagonalization of the Kronecker sum
         sx = sigma_x().entries
         explicit = np.zeros((2 ** n, 2 ** n), dtype=complex)
@@ -50,13 +50,13 @@ class TestDickeInteraction:
         assert np.allclose(dicke_interaction(1).entries, [[0.0, 0.5], [0.5, 0.0]])
 
     def test_two_atoms_spin_one(self):
-        vals = eigendecompose(dicke_interaction(2)).eigenvalues
+        vals = dicke_interaction(2).eig().eigenvalues
         assert np.allclose(vals, [-1.0, 0.0, 1.0], atol=1e-12)
 
     def test_hundred_atoms_collective_ladder(self):
         op = dicke_interaction(100)
         assert op.dim == 101
-        vals = eigendecompose(op).eigenvalues
+        vals = op.eig().eigenvalues
         assert np.allclose(vals, np.arange(-50.0, 51.0), atol=1e-8)
 
     def test_rejects_zero_atoms(self):

@@ -8,7 +8,6 @@ from qumode_probe.operators import (
     Spectrum,
     SystemState,
     commutator_norm,
-    eigendecompose,
     evenly_spaced_spectrum,
     sigma_x,
     sigma_z,
@@ -30,11 +29,11 @@ class TestSpinX:
         assert np.allclose(spin_x(1).entries, [[0.0, 0.5], [0.5, 0.0]])
 
     def test_pauli_normalization(self):
-        vals = eigendecompose(spin_x(1, pauli=True)).eigenvalues
+        vals = spin_x(1, pauli=True).eig().eigenvalues
         assert np.allclose(vals, [-1.0, 1.0])
 
     def test_spin_one_spectrum(self):
-        vals = eigendecompose(spin_x(2)).eigenvalues
+        vals = spin_x(2).eig().eigenvalues
         assert np.allclose(vals, [-1.0, 0.0, 1.0], atol=1e-12)
 
     def test_trivial_dimension(self):
@@ -58,10 +57,10 @@ class TestSiteSum:
         explicit = np.kron(sx, np.eye(2)) + np.kron(np.eye(2), sx)
         assert np.allclose(total.entries, explicit)
         assert np.allclose(np.linalg.eigvalsh(explicit), [-2.0, 0.0, 0.0, 2.0], atol=1e-12)
-        assert np.allclose(eigendecompose(total).eigenvalues, [-2.0, 0.0, 0.0, 2.0], atol=1e-12)
+        assert np.allclose(total.eig().eigenvalues, [-2.0, 0.0, 0.0, 2.0], atol=1e-12)
 
     def test_three_sites_max_eigenvalue(self):
-        vals = eigendecompose(site_sum(sigma_x(), 3)).eigenvalues
+        vals = site_sum(sigma_x(), 3).eig().eigenvalues
         assert np.isclose(vals[-1], 3.0, atol=1e-12)
 
     def test_dimension_cap(self):
@@ -142,6 +141,14 @@ class TestSpectrumOf:
         spec = spectrum_of(SystemState(np.eye(3) / 3), h, merge_tol=1e-8)
         assert [l.g for l in spec.lines] == [2, 1]
 
+    def test_merge_is_not_transitive(self):
+        h = HermitianOperator(np.diag([0.0, 5e-9, 1e-8, 1.5e-8, 1.0]))
+        spec = spectrum_of(SystemState(np.eye(5) / 5), h, merge_tol=1e-8)
+        assert [l.g for l in spec.lines] == [3, 1, 1]
+        # the first line spans [0, 1e-8]; 1.5e-8 starts a line of its own
+        assert np.allclose(spec.energies, [5e-9, 1.5e-8, 1.0], rtol=0.0, atol=1e-15)
+        assert np.allclose(spec.populations, [0.6, 0.2, 0.2])
+
 
 class TestCommutatorNorm:
     def test_self_commutes(self):
@@ -163,6 +170,16 @@ class TestValidation:
     def test_operator_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             HermitianOperator([[0.0, 1.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_operator_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="matrix has non-finite entries"):
+            HermitianOperator(np.diag([0.0, bad]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_state_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="matrix has non-finite entries"):
+            SystemState(np.array([[1.0, bad], [bad, 0.0]]))
 
     def test_state_rejects_bad_trace(self):
         with pytest.raises(ValueError):

@@ -33,7 +33,13 @@ from .probe import (
     distribution_for,
 )
 from .sampling import sample_measurements
-from .serialize import probe_from_dict, probe_to_dict, record_from_text, record_to_text
+from .serialize import (
+    matrix_from_payload,
+    probe_from_dict,
+    probe_to_dict,
+    record_from_text,
+    record_to_text,
+)
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -44,23 +50,13 @@ class ConfigError(ValueError):
     pass
 
 
-def _matrix_from_config(payload) -> np.ndarray:
-    if isinstance(payload, dict) and "entries" in payload:
-        dim = int(payload["dim"])
-        flat = np.array([complex(re, im) for re, im in payload["entries"]])
-        if flat.size != dim * dim:
-            raise ConfigError(f"expected {dim * dim} matrix entries, got {flat.size}")
-        return flat.reshape(dim, dim)
-    raise ConfigError("matrix literal must be {dim, entries: [[re, im], ...]}")
-
-
 def build_system(config: dict) -> HermitianOperator:
     spec = config.get("system")
     if not isinstance(spec, dict):
         raise ConfigError("config requires a 'system' section")
     try:
         if "matrix" in spec:
-            return HermitianOperator(_matrix_from_config(spec["matrix"]))
+            return HermitianOperator(matrix_from_payload(spec["matrix"]))
         if "diagonal" in spec:
             return HermitianOperator(np.diag(np.asarray(spec["diagonal"], dtype=float)))
         if "model" in spec:
@@ -83,7 +79,7 @@ def build_state(config: dict, H: HermitianOperator) -> SystemState:
         if "thermal_beta" in spec:
             return thermal_state(H, float(spec["thermal_beta"]))
         if "matrix" in spec:
-            return SystemState(_matrix_from_config(spec["matrix"]))
+            return SystemState(matrix_from_payload(spec["matrix"]))
         if "maximally_mixed" in spec:
             return SystemState(np.eye(H.dim) / H.dim)
         if "ground_of" in spec:
@@ -251,8 +247,8 @@ def _family_from_config(options: dict) -> models.ParamFamily:
     if name == "dicke":
         return models.dicke_family(int(options.get("n_atoms", 2)))
     if name == "linear":
-        base = HermitianOperator(_matrix_from_config(options["base"]))
-        coupling = HermitianOperator(_matrix_from_config(options["coupling"]))
+        base = HermitianOperator(matrix_from_payload(options.get("base")))
+        coupling = HermitianOperator(matrix_from_payload(options.get("coupling")))
         return models.linear_family("linear", base, coupling)
     raise ConfigError(f"unknown family {name!r}")
 

@@ -30,6 +30,14 @@ def _as_square(entries) -> np.ndarray:
     return a
 
 
+def _check_hermitian_unit_trace(a: np.ndarray) -> None:
+    tol = HERMITICITY_TOL * max(1.0, np.abs(a).max(initial=0.0))
+    if not np.allclose(a, a.conj().T, rtol=0.0, atol=tol):
+        raise ValueError("density matrix is not Hermitian")
+    if abs(np.trace(a).real - 1.0) > 1e-10 or abs(np.trace(a).imag) > 1e-10:
+        raise ValueError(f"density matrix trace {np.trace(a)} != 1")
+
+
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Ascending eigenvalues and the unitary of column eigenvectors."""
@@ -91,17 +99,35 @@ class SystemState:
     """Density matrix of the probed system."""
 
     rho: np.ndarray
+    # (H, p) when rho = V diag(p) V^H was built from H's eigenbasis V
+    _eigen_populations: tuple[HermitianOperator, np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
 
     def __init__(self, rho):
         a = _as_square(rho)
-        tol = HERMITICITY_TOL * max(1.0, np.abs(a).max(initial=0.0))
-        if not np.allclose(a, a.conj().T, rtol=0.0, atol=tol):
-            raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(a).real - 1.0) > 1e-10 or abs(np.trace(a).imag) > 1e-10:
-            raise ValueError(f"density matrix trace {np.trace(a)} != 1")
-        # validation only; spectral lines come from the operator's eigenbasis
+        _check_hermitian_unit_trace(a)
         if np.linalg.eigvalsh(a).min() < -1e-10:
             raise ValueError("density matrix has a negative eigenvalue")
+        self._store(a)
+        self._eigen_populations = None
+
+    @classmethod
+    def _in_eigenbasis(cls, H: HermitianOperator, populations: np.ndarray) -> "SystemState":
+        """rho = V diag(populations) V^H over H's eigenvectors V.
+
+        The populations are nonnegative, so rho needs no eigenvalue
+        check, and ``spectrum_of(state, H)`` reads them back exactly
+        instead of recovering them from rho.
+        """
+        v = H.eig().eigenvectors
+        a = (v * populations) @ v.conj().T
+        state = cls.__new__(cls)
+        _check_hermitian_unit_trace(a)
+        state._store(a)
+        state._eigen_populations = (H, populations)
+        return state
+
+    def _store(self, a: np.ndarray) -> None:
         a = 0.5 * (a + a.conj().T)
         a.setflags(write=False)
         self.rho = a
@@ -211,13 +237,10 @@ def thermal_state(H: HermitianOperator, beta: float) -> SystemState:
     """Gibbs state exp(-beta H)/Z; spectrum shifted by E_min to avoid underflow."""
     if not np.isfinite(beta) or beta < 0:
         raise ValueError(f"beta must be finite and nonnegative, got {beta}")
-    dec = H.eig()
-    shifted = dec.eigenvalues - dec.eigenvalues.min()
-    weights = np.exp(-beta * shifted)
+    vals = H.eig().eigenvalues
+    weights = np.exp(-beta * (vals - vals.min()))
     weights /= weights.sum()
-    v = dec.eigenvectors
-    rho = (v * weights) @ v.conj().T
-    return SystemState(rho)
+    return SystemState._in_eigenbasis(H, weights)
 
 
 def spectrum_of(state: SystemState, H: HermitianOperator,
@@ -231,11 +254,16 @@ def spectrum_of(state: SystemState, H: HermitianOperator,
     if state.dim != H.dim:
         raise ValueError(f"dimension mismatch: state {state.dim} vs operator {H.dim}")
     dec = H.eig()
-    v = dec.eigenvectors
-    # diag(V^H rho V) with a single matrix product
-    populations = np.real(np.sum(v.conj() * (state.rho @ v), axis=0))
-    populations = np.clip(populations, 0.0, None)
-    populations /= populations.sum()
+    known = state._eigen_populations
+    if known is not None and known[0] is H:
+        # exact where rho only holds them to absolute precision
+        populations = known[1]
+    else:
+        v = dec.eigenvectors
+        # diag(V^H rho V) with a single matrix product
+        populations = np.real(np.sum(v.conj() * (state.rho @ v), axis=0))
+        populations = np.clip(populations, 0.0, None)
+        populations /= populations.sum()
 
     lines = []
     i = 0

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .probe import Bin, ProbeConfig, Squeezed, map_p_to_E
 from .sampling import MeasurementRecord
@@ -119,6 +118,65 @@ class ReconstructedSpectrum:
         return np.array([line.P_hat for line in self.lines])
 
 
+def _prominent_peaks(x: np.ndarray, min_prominence: float) -> np.ndarray:
+    """Indices of local maxima of ``x`` whose prominence is >= ``min_prominence``.
+
+    Same indices as SciPy's ``find_peaks(x, prominence=min_prominence)``:
+    a flat top reports its middle sample (rounded left), a top touching
+    either border is no peak, and a peak's prominence is its height above
+    the higher of its two bases, each base being the lowest sample between
+    the peak and the nearest strictly higher sample (or the border).
+
+    The scan works on runs of equal values.  The nearest strictly higher
+    sample beside a peak always lies on the slope of a higher peak (or of
+    the border run), so a monotonic stack over the peaks alone, fed the
+    minima of the valleys between neighbouring peaks, finds both bases in
+    time linear in ``len(x)``.
+    """
+    x = np.asarray(x, dtype=float)
+    if len(x) < 3:
+        return np.empty(0, dtype=np.intp)
+    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    vals = x[starts]
+    # neighbouring runs differ, so a run not rising to the next one falls
+    rises = vals[1:] > vals[:-1]
+    # run 0, then every peak run: the bounds of the valleys between them
+    bounds = np.flatnonzero(np.concatenate(([True], rises[:-1] & ~rises[1:])))
+    if len(bounds) == 1:
+        return np.empty(0, dtype=np.intp)
+    # valleys[i] is the minimum between peak i - 1 and peak i, the outer
+    # two reaching the borders; a peak never lowers its own valley
+    valleys = np.minimum.reduceat(vals, bounds).tolist()
+    runs = bounds[1:].tolist()
+    heights = vals[bounds[1:]].tolist()
+    left = _bases(heights, valleys[:-1])
+    right = _bases(heights[::-1], valleys[:0:-1])[::-1]
+    # a peak run is never the last run, so the next run's start ends it
+    s = starts.tolist()
+    return np.array([(s[r] + s[r + 1] - 1) // 2
+                     for r, h, a, b in zip(runs, heights, left, right)
+                     if h - max(a, b) >= min_prominence], dtype=np.intp)
+
+
+def _bases(heights: list[float], valleys: list[float]) -> list[float]:
+    """Lowest value between each peak and the nearest strictly higher one before it.
+
+    ``valleys[i]`` is the minimum between peak i and peak i - 1 (or the
+    border).  Each stack entry carries its height and the minimum between
+    it and the entry below, so every peak is pushed and popped at most once.
+    """
+    bases = []
+    stack: list[tuple[float, float]] = []
+    for h, low in zip(heights, valleys):
+        while stack and stack[-1][0] <= h:
+            popped = stack.pop()[1]
+            if popped < low:
+                low = popped
+        bases.append(low)
+        stack.append((h, low))
+    return bases
+
+
 def _split_cluster(cluster: list[int], counts: np.ndarray,
                    smooth_bins: int) -> list[list[int]]:
     """Split one contiguous cluster at significant valleys.
@@ -137,7 +195,7 @@ def _split_cluster(cluster: list[int], counts: np.ndarray,
     smooth = np.convolve(segment, np.ones(w) / w, mode="same")
     top = smooth.max()
     prominence = 5.0 * np.sqrt(top / w) + 0.02 * top
-    peaks, _ = find_peaks(smooth, prominence=prominence)
+    peaks = _prominent_peaks(smooth, prominence)
     if len(peaks) < 2:
         return [cluster]
     cuts = [lo + a + int(np.argmin(smooth[a:b + 1]))

@@ -27,6 +27,8 @@ class MeasurementRecord:
         if self.detector_bin < 0:
             raise ValueError("detector bin width must be nonnegative")
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
+        if not np.isfinite(self.samples).all():
+            raise ValueError("record has non-finite samples")
 
     @property
     def n(self) -> int:

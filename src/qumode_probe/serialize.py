@@ -35,12 +35,26 @@ def _matrix_payload(a: np.ndarray) -> dict:
     }
 
 
-def _matrix_from_payload(payload: dict) -> np.ndarray:
-    dim = int(payload["dim"])
-    flat = np.array([complex(re, im) for re, im in payload["entries"]])
-    if flat.size != dim * dim:
-        raise ValueError(f"expected {dim * dim} entries, got {flat.size}")
-    return flat.reshape(dim, dim)
+def matrix_from_payload(payload) -> np.ndarray:
+    """Square complex matrix from ``{dim, entries: [[re, im], ...]}``, row-major."""
+    if not isinstance(payload, dict) or "dim" not in payload or "entries" not in payload:
+        raise ValueError("matrix literal must be {dim, entries: [[re, im], ...]}")
+    try:
+        dim = int(payload["dim"])
+    except (TypeError, ValueError):
+        raise ValueError(f"matrix dim must be an integer, got {payload['dim']!r}") from None
+    if dim < 1:
+        raise ValueError(f"matrix dim must be at least 1, got {dim}")
+    try:
+        pairs = np.array(payload["entries"], dtype=float, order="C")
+    except (TypeError, ValueError):
+        pairs = None
+    if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("matrix entries must be [re, im] pairs of numbers")
+    if len(pairs) != dim * dim:
+        raise ValueError(f"expected {dim * dim} matrix entries, got {len(pairs)}")
+    # a C-ordered (n, 2) float array is n complex numbers in memory
+    return pairs.view(complex).reshape(dim, dim)
 
 
 def operator_to_text(op: HermitianOperator) -> str:
@@ -48,7 +62,7 @@ def operator_to_text(op: HermitianOperator) -> str:
 
 
 def operator_from_text(text: str) -> HermitianOperator:
-    return HermitianOperator(_matrix_from_payload(json.loads(text)))
+    return HermitianOperator(matrix_from_payload(json.loads(text)))
 
 
 def state_to_text(state: SystemState) -> str:
@@ -56,7 +70,7 @@ def state_to_text(state: SystemState) -> str:
 
 
 def state_from_text(text: str) -> SystemState:
-    return SystemState(_matrix_from_payload(json.loads(text)))
+    return SystemState(matrix_from_payload(json.loads(text)))
 
 
 def spectrum_to_text(spec: Spectrum) -> str:

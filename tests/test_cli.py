@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from math import comb
 
 import numpy as np
 import pytest
 
+import qumode_probe
 from qumode_probe.cli import EXIT_CONFIG, EXIT_NUMERICAL, main
 from qumode_probe.operators import DIMENSION_CAP
 
@@ -283,9 +287,61 @@ class TestExitCodes:
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["reconstruct", "thermo"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_record_sample(self, tmp_path, capsys, recwarn, command, bad):
+        record = tmp_path / "rec.txt"
+        record.write_text("# seed=0\n# detector_bin=0.0\n# columns=index p\n"
+                          f"0 0.0\n1 {bad}\n2 1.0\n")
+        code, _ = run(tmp_path, command, QUBIT, extra=["--record", str(record)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "config error: record has non-finite samples\n"
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("matrix, message", [
+        ({"dim": 0, "entries": []}, "matrix dim must be at least 1, got 0"),
+        ({"dim": -1, "entries": [[1.0, 0.0]]}, "matrix dim must be at least 1, got -1"),
+        ({"dim": 1, "entries": [[1.0]]}, "matrix entries must be [re, im] pairs"),
+        ({"dim": 1, "entries": [1.0]}, "matrix entries must be [re, im] pairs"),
+        ({"dim": 2, "entries": [[1.0, 0.0], [0.0, 0.0], 3, [1.0, 0.0]]},
+         "matrix entries must be [re, im] pairs"),
+        ({"dim": 1, "entries": [[1.0, 0.0, 0.0]]}, "matrix entries must be [re, im] pairs"),
+        ({"dim": 2, "entries": [[1.0, 0.0]]}, "expected 4 matrix entries, got 1"),
+        ({"entries": [[1.0, 0.0]]}, "matrix literal must be {dim, entries"),
+    ])
+    @pytest.mark.parametrize("section", ["system", "state", "linear_family"])
+    def test_bad_matrix_literal(self, tmp_path, capsys, matrix, message, section):
+        identity = {"dim": 1, "entries": [[1.0, 0.0]]}
+        if section == "system":
+            config, command = {"system": {"matrix": matrix}}, "spectrum"
+        elif section == "state":
+            config = {"system": {"diagonal": [0.0]}, "state": {"matrix": matrix}}
+            command = "spectrum"
+        else:
+            config = {"sweep": {"kind": "lambda", "family": "linear", "values": [0.0],
+                                "base": identity, "coupling": matrix}}
+            command = "sweep"
+        code, _ = run(tmp_path, command, config)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+
     def test_non_thermal_populations_contract(self, tmp_path, capsys):
         config = {"system": {"diagonal": [0.0, 0.5, 3.0]},
                   "state": {"random_populations": 12},
                   "thermo": {"beta_grid": [1.0]}}
         code, _ = run(tmp_path, "thermo", config)
         assert code == 4
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    """Every CLI call pays the package import; scipy.signal alone costs most of it."""
+    src = os.path.dirname(os.path.dirname(qumode_probe.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import qumode_probe.cli, sys; print('scipy.signal' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

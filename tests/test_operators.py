@@ -102,6 +102,30 @@ class TestThermalState:
         with pytest.raises(ValueError):
             thermal_state(h, np.inf)
 
+    def test_skips_the_eigenvalue_check(self, monkeypatch):
+        h = random_hermitian(6, 2)
+        h.eig()
+
+        def fail(*args, **kwargs):
+            raise AssertionError("thermal_state re-checked rho's eigenvalues")
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        assert np.isclose(np.trace(thermal_state(h, 1.3).rho).real, 1.0)
+
+    def test_spectrum_reads_the_gibbs_weights(self):
+        h = random_hermitian(4, 177)
+        vals = h.eig().eigenvalues
+        weights = np.exp(-5.0 * (vals - vals.min()))
+        weights /= weights.sum()
+        spec = spectrum_of(thermal_state(h, 5.0), h)
+        assert spec.populations.tolist() == weights.tolist()
+
+    def test_other_operator_reads_populations_from_rho(self):
+        h = random_hermitian(4, 177)
+        twin = HermitianOperator(h.entries)
+        exact = spectrum_of(thermal_state(h, 1.0), h)
+        from_rho = spectrum_of(thermal_state(h, 1.0), twin)
+        assert np.allclose(from_rho.populations, exact.populations, rtol=0, atol=1e-12)
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 1000), beta=st.floats(0.01, 20.0))
     def test_boltzmann_ordering(self, seed, beta):

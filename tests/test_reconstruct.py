@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.signal import find_peaks
 
 from qumode_probe.operators import (
     HermitianOperator,
@@ -17,6 +21,7 @@ from qumode_probe.probe import (
     distribution_squeezed,
 )
 from qumode_probe.reconstruct import (
+    _prominent_peaks,
     detect_peaks,
     histogram,
     moments,
@@ -147,6 +152,80 @@ class TestDetectPeaks:
         recon = detect_peaks(histogram(rec, 0.1), probe, min_mass=0.05)
         assert len(recon.lines) == 1
         assert recon.residual_mass == pytest.approx(0.01)
+
+
+def assert_same_peaks(x, p):
+    """The numpy scan must return exactly SciPy's peaks, not close ones."""
+    expected = find_peaks(x, prominence=p)[0]
+    got = _prominent_peaks(x, p)
+    assert got.tolist() == expected.tolist()
+
+
+def smoothed_poisson(seed, n, w, rate):
+    """Smoothed Poisson counts of two overlapping lines, built as _split_cluster does."""
+    rng = np.random.default_rng(seed)
+    grid = np.arange(n)
+    shape = (np.exp(-0.5 * ((grid - 0.35 * n) / (0.1 * n + 1)) ** 2)
+             + 0.6 * np.exp(-0.5 * ((grid - 0.6 * n) / (0.08 * n + 1)) ** 2))
+    segment = rng.poisson(rate * shape).astype(float)
+    w = min(w, n)
+    return np.convolve(segment, np.ones(w) / w, mode="same")
+
+
+def split_prominence(smooth, w):
+    top = smooth.max()
+    return 5.0 * np.sqrt(top / w) + 0.02 * top
+
+
+class TestProminentPeaks:
+    @settings(max_examples=300, deadline=None)
+    @given(x=arrays(np.float64, st.integers(0, 40),
+                    elements=st.integers(0, 4).map(float)),
+           p=st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 4.0]))
+    def test_integer_values_flat_tops(self, x, p):
+        assert_same_peaks(x, p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 300),
+           p=st.floats(0.0, 4.0))
+    def test_gaussian_noise(self, seed, n, p):
+        assert_same_peaks(np.random.default_rng(seed).normal(size=n), p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 400),
+           w=st.integers(1, 12), rate=st.floats(1.0, 1e4))
+    def test_smoothed_poisson_counts(self, seed, n, w, rate):
+        smooth = smoothed_poisson(seed, n, w, rate)
+        assert_same_peaks(smooth, split_prominence(smooth, min(w, n)))
+        assert_same_peaks(smooth, 0.0)
+
+    @pytest.mark.parametrize("x", [[], [1.0], [1.0, 2.0], [2.0, 1.0], [3.0] * 10])
+    def test_short_and_constant_inputs_have_no_peak(self, x):
+        assert_same_peaks(np.array(x), 0.0)
+        assert len(_prominent_peaks(np.array(x), 0.0)) == 0
+
+    @pytest.mark.parametrize("x", [[2, 2, 2, 1, 0], [0, 1, 2, 2, 2], [3, 3, 1, 2, 2],
+                                   [5, 1, 2, 1, 4, 4]])
+    def test_plateau_on_a_border_is_no_peak(self, x):
+        x = np.array(x, dtype=float)
+        assert_same_peaks(x, 0.0)
+        assert np.all(x[_prominent_peaks(x, 0.0)] < x.max())
+
+    def test_zero_prominence_keeps_every_flat_top(self):
+        x = np.array([0, 1, 0, 1, 1, 0, 2, 2, 2, 0, 3, 3, 3, 3, 1, 1, 0], dtype=float)
+        assert_same_peaks(x, 0.0)
+        assert _prominent_peaks(x, 0.0).tolist() == [1, 3, 7, 11]
+
+    def test_prominence_threshold_is_inclusive(self):
+        x = np.array([0.0, 2.0, 1.0, 3.0, 0.0])
+        assert_same_peaks(x, 1.0)
+        assert _prominent_peaks(x, 1.0).tolist() == [1, 3]
+        assert _prominent_peaks(x, 1.5).tolist() == [3]
+
+    def test_noisy_large_cluster(self):
+        smooth = smoothed_poisson(7, 100_000, 4, 50.0)
+        assert_same_peaks(smooth, split_prominence(smooth, 4))
+        assert_same_peaks(smooth, 0.0)
 
 
 class TestMoments:

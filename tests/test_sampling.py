@@ -14,6 +14,7 @@ from qumode_probe.probe import (
     distribution_squeezed,
 )
 from qumode_probe.sampling import (
+    MeasurementRecord,
     sample_measurements,
     sample_measurements_partitioned,
 )
@@ -104,3 +105,9 @@ def test_record_metadata():
     assert rec.seed == 4
     assert rec.detector_bin == 0.25
     assert rec.n == 10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_record_rejects_non_finite_samples(bad):
+    with pytest.raises(ValueError, match="record has non-finite samples"):
+        MeasurementRecord(samples=np.array([0.0, bad, 1.0]), seed=0)

@@ -73,6 +73,14 @@ class TestEstimateBeta:
         spec = spectrum_of(thermal_state(h, beta), h)
         assert estimate_beta(spec.lines[0], spec.lines[1]) == pytest.approx(beta, abs=1e-10)
 
+    def test_pipeline_consistency_every_seed_at_large_beta(self):
+        # at beta = 5 the excited populations are ~e^-18; seed 177 is one
+        # that misses 1e-10 when they are recovered from rho
+        for seed in range(501):
+            h = random_hermitian(4, seed)
+            spec = spectrum_of(thermal_state(h, 5.0), h)
+            assert estimate_beta(spec.lines[0], spec.lines[1]) == pytest.approx(5.0, abs=1e-10)
+
 
 class TestRecoverDegeneracies:
     def test_three_level_thermal(self):

@@ -199,6 +199,11 @@ def _lines_for_thermo(config: dict, record_text: str | None) -> Spectrum:
         (e, p, 1) for e, p in zip(recon.energies, pops))
 
 
+def _thermo_rows(report: thermo.ThermoReport) -> list[tuple]:
+    return [(b, z, f, c, s) for (b, z), (_, f), (_, c), (_, s) in
+            zip(report.Z_grid, report.F_grid, report.C_grid, report.S_grid)]
+
+
 def cmd_thermo(config: dict, fmt: str, record_text: str | None) -> str:
     options = config.get("thermo", {})
     spec = _lines_for_thermo(config, record_text)
@@ -208,15 +213,17 @@ def cmd_thermo(config: dict, fmt: str, record_text: str | None) -> str:
     anchor_g = int(options.get("anchor_g", 1))
     if len(spec.lines) < 2:
         raise ConfigError("thermometry needs at least two spectral lines")
+    for key, index in (("line0", i0), ("line1", i1)):
+        if not 0 <= index < len(spec.lines):
+            raise ConfigError(f"thermo.{key} index {index} out of range "
+                              f"for {len(spec.lines)} lines")
     beta_hat = thermo.estimate_beta(spec.lines[i0], spec.lines[i1])
     with_g = thermo.recover_degeneracies(
         Spectrum.from_lines((l.E, l.P, anchor_g if i == anchor else 1)
                             for i, l in enumerate(spec.lines)),
         beta_hat, anchor=anchor)
     report = thermo.thermo_report(with_g, beta_hat, _beta_grid_from_config(config))
-    rows = [(b, z, f, c, s) for (b, z), (_, f), (_, c), (_, s) in
-            zip(report.Z_grid, report.F_grid, report.C_grid, report.S_grid)]
-    body = _emit_table(config, rows, ["beta", "Z", "F", "C", "S"], fmt)
+    body = _emit_table(config, _thermo_rows(report), ["beta", "Z", "F", "C", "S"], fmt)
     return body + f"# beta_hat={report.beta_hat!r}\n"
 
 
@@ -262,14 +269,12 @@ def cmd_sweep(config: dict, fmt: str) -> str:
         H = build_system(config)
         mixed = SystemState(np.eye(H.dim) / H.dim)
         spec = spectrum_of(mixed, H)  # populations unused; E and g drive the grid
-        grid = np.asarray(options.get("values", thermo.default_beta_grid()), dtype=float)
-        rows = []
-        for b in grid:
-            z = float(np.exp(thermo.log_partition_function(spec, b)))
-            rows.append((float(b), z, thermo.free_energy(z, b),
-                         thermo.heat_capacity(spec, b), thermo.entropy(spec, b)))
-        return _emit_table(config, rows, ["beta", "Z", "F", "C", "S"], fmt)
+        # the grid is given, so there is no estimated beta to report
+        report = thermo.thermo_report(spec, float("nan"), options.get("values"))
+        return _emit_table(config, _thermo_rows(report), ["beta", "Z", "F", "C", "S"], fmt)
     if kind == "lambda":
+        if "values" not in options:
+            raise ConfigError("sweep kind 'lambda' requires 'values'")
         family = _family_from_config(options)
         lam_ref = float(options.get("lambda_ref", 0.0))
         values = np.asarray(options["values"], dtype=float)

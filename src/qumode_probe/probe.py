@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import ndtr
 
 from .operators import ConvergenceError, HermitianOperator, Spectrum, SystemState, spectrum_of
 
@@ -369,6 +368,7 @@ def apply_detector_binning(dist: MomentumDistribution, bin_width: float,
             overlap = np.clip(np.minimum(edges[1:], b) - np.maximum(edges[:-1], a), 0, None)
             masses += m * overlap / width
     else:
+        from scipy.special import ndtr  # lazy: scipy.special is most of a CLI call's start-up
         for mu, sd, weight in dist.components:
             cdf = ndtr((edges - mu) / sd)
             masses += weight * np.diff(cdf)

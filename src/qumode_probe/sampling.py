@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .probe import GaussianMixture, MomentumDistribution, PiecewiseUniform, PointMasses
 
@@ -72,6 +71,7 @@ def _inverse_cdf(dist: MomentumDistribution, u_comp: np.ndarray,
         stds = np.array([sd for _, sd, _ in dist.components])
         idx = np.searchsorted(np.cumsum(weights), u_comp, side="left")
         idx = np.clip(idx, 0, len(weights) - 1)
+        from scipy.special import ndtri  # lazy: scipy.special is most of a CLI call's start-up
         return means[idx] + stds[idx] * ndtri(u_within)
     raise TypeError(f"unsupported distribution type {type(dist).__name__}")
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .operators import (
     HermitianOperator,
@@ -71,12 +70,18 @@ def recover_degeneracies(spec: Spectrum, beta: float, anchor: int = 0,
     return Spectrum(tuple(lines))
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))), shifted by max(a) so no term overflows."""
+    a_max = a.max()
+    return float(np.log(np.sum(np.exp(a - a_max))) + a_max)
+
+
 def log_partition_function(spec: Spectrum, beta: float) -> float:
     """log Z(beta) = logsumexp(log g_n - beta E_n), stable at large beta."""
     e = spec.energies
     g = spec.degeneracies
     shift = e.min()
-    return float(logsumexp(-beta * (e - shift) + np.log(g)) - beta * shift)
+    return float(_logsumexp(-beta * (e - shift) + np.log(g)) - beta * shift)
 
 
 def partition_function(spec: Spectrum, beta_grid) -> list[tuple[float, float]]:
@@ -193,7 +198,7 @@ def quench_work(H0_int: HermitianOperator, H1_int: HermitianOperator,
 
     def exact_free_energy(H: HermitianOperator) -> float:
         e = H.eig().eigenvalues
-        return float(-(logsumexp(-beta * (e - e.min())) - beta * e.min()) / beta)
+        return float(-(_logsumexp(-beta * (e - e.min())) - beta * e.min()) / beta)
 
     df = exact_free_energy(H1_int) - exact_free_energy(H0_int)
     return QuenchReport(W_avg=float(w_avg), dF=float(df), W_irr=float(w_avg - df))

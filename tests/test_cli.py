@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import qumode_probe
+from qumode_probe import models, thermo
 from qumode_probe.cli import EXIT_CONFIG, EXIT_NUMERICAL, main
-from qumode_probe.operators import DIMENSION_CAP
+from qumode_probe.operators import DIMENSION_CAP, SystemState, spectrum_of
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -229,6 +230,37 @@ class TestSweepCommand:
         for row in rows:
             assert row["Z"] == pytest.approx(1 + np.exp(-row["beta"]))
 
+    def test_beta_sweep_matches_the_thermo_loop(self, tmp_path):
+        # rabi n_sites=2: E = -2, 0, 2 with g = 1, 2, 1
+        config = {"system": {"model": "rabi", "n_sites": 2},
+                  "sweep": {"kind": "beta", "values": [0.1, 0.5, 1.0, 3.7, 10.0]}}
+        code, text = run(tmp_path, "sweep", config)
+        assert code == 0
+        spec = spectrum_of(SystemState(np.eye(4) / 4), models.rabi_interaction(2))
+        assert [line.g for line in spec.lines] == [1, 2, 1]
+        lines = ["# config=" + json.dumps(config, sort_keys=True), "beta Z F C S"]
+        for b in config["sweep"]["values"]:
+            z = float(np.exp(thermo.log_partition_function(spec, b)))
+            row = (float(b), z, thermo.free_energy(z, b),
+                   thermo.heat_capacity(spec, b), thermo.entropy(spec, b))
+            lines.append(" ".join(repr(float(v)) for v in row))
+        assert text == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("beta", [0.0, -0.5])
+    def test_beta_sweep_rejects_non_positive_beta(self, tmp_path, capsys, beta):
+        config = {"system": {"diagonal": [0.0, 1.0]},
+                  "sweep": {"kind": "beta", "values": [1.0, beta]}}
+        code, text = run(tmp_path, "sweep", config)
+        assert code == EXIT_CONFIG
+        assert text == ""
+        assert "requires beta > 0" in capsys.readouterr().err
+
+    def test_lambda_sweep_without_values(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "sweep", {"sweep": {"kind": "lambda"}})
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "'values'" in err
+
     def test_lambda_sweep_overlap_decays(self, tmp_path):
         config = {"sweep": {"kind": "lambda", "family": "dicke", "n_atoms": 4,
                             "lambda_ref": 1.0, "values": [1.0, 2.0, 3.0]}}
@@ -327,6 +359,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
 
+    @pytest.mark.parametrize("key", ["line0", "line1"])
+    @pytest.mark.parametrize("index", [2, 5, -1, -3])
+    def test_thermo_line_index_out_of_range(self, tmp_path, capsys, key, index):
+        config = dict(QUBIT, thermo={key: index, "beta_grid": [1.0]})
+        code, text = run(tmp_path, "thermo", config)
+        assert code == EXIT_CONFIG
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err == f"config error: thermo.{key} index {index} out of range for 2 lines\n"
+
     def test_non_thermal_populations_contract(self, tmp_path, capsys):
         config = {"system": {"diagonal": [0.0, 0.5, 3.0]},
                   "state": {"random_populations": 12},
@@ -345,3 +387,62 @@ def test_cli_import_leaves_scipy_signal_unloaded():
          "import qumode_probe.cli, sys; print('scipy.signal' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+SCIPY_PROBE = """
+import json, sys
+from qumode_probe import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+loaded = {"import": scipy_modules()}
+for name, argv in json.loads(sys.argv[1]):
+    if cli.main(argv) != 0:
+        sys.exit(f"{name} failed")
+    loaded[name] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_calls_leave_scipy_unloaded_unless_a_squeezed_probe_is_sampled(tmp_path):
+    """Only sampling or detector-binning a squeezed probe needs scipy.special."""
+    two_lines = {"system": {"diagonal": [0.0, 1.0]}, "state": {"thermal_beta": 1.0},
+                 "sampling": {"n": 20_000, "seed": 3}, "thermo": {"beta_grid": [1.0]}}
+    bin_probe = dict(two_lines, probe={"p0": 0.0, "g": 1.0, "tau": 1.0,
+                                       "mode": {"kind": "bin", "L": 0.1}})
+    ideal_binned = dict(two_lines, probe={"p0": 0.0, "g": 1.0, "tau": 1.0,
+                                          "mode": {"kind": "ideal"}},
+                        sampling={"n": 1000, "seed": 3, "detector_bin": 0.05})
+    squeezed = dict(two_lines, probe={"p0": 0.0, "g": 1.0, "tau": 1.0,
+                                      "mode": {"kind": "squeezed", "s": 20.0}},
+                    sampling={"n": 1000, "seed": 3})
+    quench = dict(two_lines, quench={"system2": {"diagonal": [1.0, 0.0]}})
+    overlap = dict(two_lines, overlap={"system_b": {"diagonal": [0.0, 2.0]}})
+    record = ["--record", str(tmp_path / "rec.txt")]
+    steps = [
+        ("spectrum", two_lines, []),
+        ("sample", bin_probe, []),
+        ("sample-detector-binned", ideal_binned, []),
+        ("reconstruct", bin_probe, record),
+        ("thermo", two_lines, []),
+        ("thermo-record", bin_probe, record),
+        ("quench", quench, []),
+        ("overlap", overlap, []),
+        ("sample-squeezed", squeezed, []),
+    ]
+    argvs = []
+    for name, config, extra in steps:
+        out = tmp_path / ("rec.txt" if name == "sample" else f"{name}.txt")
+        argvs.append((name, [name.split("-")[0], "--out", str(out), "--config",
+                             write_config(tmp_path, config, f"{name}.json"), *extra]))
+    src = os.path.dirname(os.path.dirname(qumode_probe.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(argvs)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    loaded = json.loads(out.stdout)
+    squeezed_modules = loaded.pop("sample-squeezed")
+    assert loaded == {name: [] for name in loaded}
+    assert "scipy.special" in squeezed_modules

@@ -16,6 +16,7 @@ from qumode_probe.operators import (
 from qumode_probe.thermo import (
     DegenerateGroundStateError,
     NonThermalSpectrumError,
+    _logsumexp,
     entropy,
     estimate_beta,
     free_energy,
@@ -129,6 +130,27 @@ class TestPartitionFunction:
         spec = Spectrum.from_lines([(0.0, 1.0, 1)])
         with pytest.raises(ValueError):
             partition_function(spec, [])
+
+
+class TestLogSumExp:
+    """The numpy max-shift form against SciPy's logsumexp, imported here only."""
+
+    @pytest.mark.parametrize("x", [-750.0, -1.5, 0.0, 3.25, 800.0])
+    def test_single_element_is_exact(self, x):
+        assert _logsumexp(np.array([x])) == x
+
+    @pytest.mark.parametrize("beta", [1e-3, 0.02, 1.0, 5.0, 1e3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 256, 1024])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_scipy_on_weighted_energies(self, seed, n, beta):
+        from scipy.special import logsumexp
+
+        rng = np.random.default_rng([seed, n])
+        e = rng.uniform(-10.0, 10.0, size=n)
+        g = rng.integers(1, 50, size=n)
+        a = -beta * (e - e.min()) + np.log(g)
+        ref = float(logsumexp(a))
+        assert abs(_logsumexp(a) - ref) <= 1e-14 * max(1.0, abs(ref))
 
 
 class TestFreeEnergy:

@@ -173,6 +173,20 @@ def cmd_reconstruct(config: dict, fmt: str, record_text: str) -> str:
     return body + meta
 
 
+def _grid_from_config(payload, key: str) -> np.ndarray:
+    """A grid given in the config as a non-empty, flat list of numbers."""
+    message = f"{key} must be a non-empty list of numbers"
+    if not isinstance(payload, list) or not payload:
+        raise ConfigError(message)
+    try:
+        grid = np.asarray(payload, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(message) from exc
+    if grid.ndim != 1:
+        raise ConfigError(message)
+    return grid
+
+
 def _beta_grid_from_config(config: dict) -> np.ndarray:
     payload = config.get("thermo", {}).get("beta_grid", None)
     if payload is None:
@@ -181,7 +195,7 @@ def _beta_grid_from_config(config: dict) -> np.ndarray:
         return thermo.default_beta_grid(float(payload.get("lo", 0.1)),
                                         float(payload.get("hi", 10.0)),
                                         int(payload.get("num", 50)))
-    return np.asarray(payload, dtype=float)
+    return _grid_from_config(payload, "thermo.beta_grid")
 
 
 def _lines_for_thermo(config: dict, record_text: str | None) -> Spectrum:
@@ -269,15 +283,17 @@ def cmd_sweep(config: dict, fmt: str) -> str:
         H = build_system(config)
         mixed = SystemState(np.eye(H.dim) / H.dim)
         spec = spectrum_of(mixed, H)  # populations unused; E and g drive the grid
+        values = options.get("values")
+        grid = None if values is None else _grid_from_config(values, "sweep.values")
         # the grid is given, so there is no estimated beta to report
-        report = thermo.thermo_report(spec, float("nan"), options.get("values"))
+        report = thermo.thermo_report(spec, float("nan"), grid)
         return _emit_table(config, _thermo_rows(report), ["beta", "Z", "F", "C", "S"], fmt)
     if kind == "lambda":
         if "values" not in options:
             raise ConfigError("sweep kind 'lambda' requires 'values'")
         family = _family_from_config(options)
         lam_ref = float(options.get("lambda_ref", 0.0))
-        values = np.asarray(options["values"], dtype=float)
+        values = _grid_from_config(options["values"], "sweep.values")
         H_ref = family.build(lam_ref)
         rows = [(float(lam), thermo.ground_state_overlap(H_ref, family.build(float(lam))))
                 for lam in values]

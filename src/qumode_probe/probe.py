@@ -238,14 +238,19 @@ def _oracle_squeezed(spec: Spectrum, probe: ProbeConfig, mode: Squeezed,
                      p_grid: np.ndarray) -> np.ndarray:
     """Direct trapezoid quadrature of |int G(x) exp(-iux) dx|^2 per line.
 
-    The envelope drops below 1e-12 by |x| = 7.5 s, fixing the truncation
-    window; amplitudes at |u| > 12/s are below the exp(-72) floor and
-    are skipped.
+    Every grid scale comes from the squeezing s.  The envelope drops
+    below 1e-12 by |x| = 7.5 s, fixing the truncation window X;
+    amplitudes at |u| > 12/s are below the exp(-72) floor and are
+    skipped.  The first step is X/256 (about s/34, 513 points): for a
+    Gaussian of width s the trapezoid error falls like
+    exp(-s^2 (2 pi/dx - |u|)^2 / 2), far below the 1e-8 agreement test
+    already at that step, so the halving loop normally stops after one
+    refinement.
     """
     s = mode.s
     X = 7.5 * s
     window = 12.0 / s
-    dx = min(0.25, X / 256)
+    dx = X / 256
     prev = None
     for _ in range(8):
         n = int(np.ceil(2 * X / dx))
@@ -262,7 +267,8 @@ def _oracle_squeezed(spec: Spectrum, probe: ProbeConfig, mode: Squeezed,
             ua = u[active]
             amp = np.zeros(ua.size, dtype=complex)
             # chunk the quadrature so the phase matrix stays bounded in
-            # memory even for the very wide ideal-surrogate windows
+            # memory when a dense p grid meets a late refinement level
+            # (up to 2^16 + 1 x points)
             chunk = max(1, (1 << 22) // max(1, ua.size))
             for lo in range(0, x.size, chunk):
                 phases = np.exp(-1j * np.outer(ua, x[lo:lo + chunk]))
@@ -281,7 +287,12 @@ def _oracle_binned(spec: Spectrum, probe: ProbeConfig, mode: Bin,
 
     The 1/x envelope never reaches the truncation floor, so the window
     is fixed at X = 1e5; this leaves O(1/(pi X d)) ringing at distance d
-    from a plateau edge.
+    from a plateau edge.  The n-point FFT samples the amplitude at
+    u_k = pi k / X, k = -n/2 .. n/2 - 1, and the p grid's offsets are
+    interpolated linearly between them.  n starts at the smallest power
+    of two (at least 4096) whose range pi n / (2X) covers 1.2 times the
+    largest |u| on the p grid; each refinement doubles n, which halves
+    dx and widens the u range at the same u step.
     """
     X = 1e5
     offsets = _line_offsets(spec, probe, p_grid)
@@ -292,11 +303,12 @@ def _oracle_binned(spec: Spectrum, probe: ProbeConfig, mode: Bin,
         dx = 2 * X / n
         x = -X + dx * np.arange(n)
         env = _envelope(mode, x)
-        amp_fft = dx * np.fft.fft(env)
-        u_grid = 2 * np.pi * np.fft.fftfreq(n, d=dx)
-        order = np.argsort(u_grid)
-        u_grid = u_grid[order]
-        amp_fft = amp_fft[order] * np.exp(1j * u_grid * X)
+        amp_fft = np.fft.fftshift(dx * np.fft.fft(env))
+        u_grid = 2 * np.pi * np.fft.fftshift(np.fft.fftfreq(n, d=dx))
+        # shifting the grid origin back to x = -X multiplies by
+        # exp(i u_k X) = (-1)^k; n/2 is even, so the signs alternate
+        # from +1 at the first entry
+        amp_fft[1::2] *= -1
         density = np.zeros_like(p_grid)
         for pop, u in offsets:
             re = np.interp(u, u_grid, amp_fft.real)

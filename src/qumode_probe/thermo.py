@@ -21,9 +21,6 @@ from .operators import (
     thermal_state,
 )
 
-FREE_ENERGY_UNDEFINED = float("-inf")
-
-
 class NonThermalSpectrumError(ValueError):
     """Populations are inconsistent with a Gibbs state at the claimed beta."""
 
@@ -158,15 +155,20 @@ def default_beta_grid(lo: float = 0.1, hi: float = 10.0, num: int = 50) -> np.nd
 
 
 def thermo_report(spec: Spectrum, beta_hat: float, beta_grid=None) -> ThermoReport:
-    """Z, F, C, S curves from a spectrum with known degeneracies."""
+    """Z, F, C, S curves from a spectrum with known degeneracies.
+
+    F and S are undefined at beta <= 0, so every grid point must be
+    positive.
+    """
     if beta_grid is None:
         beta_grid = default_beta_grid()
+    if not np.all(np.asarray(beta_grid, dtype=float) > 0):
+        raise ValueError("thermo report requires beta > 0 at every grid point")
     z = partition_function(spec, beta_grid)
     return ThermoReport(
         beta_hat=float(beta_hat),
         Z_grid=tuple(z),
-        F_grid=tuple((b, free_energy(zz, b)) if b > 0 else (b, FREE_ENERGY_UNDEFINED)
-                     for b, zz in z),
+        F_grid=tuple((b, free_energy(zz, b)) for b, zz in z),
         C_grid=tuple((b, heat_capacity(spec, b)) for b, _ in z),
         S_grid=tuple((b, entropy(spec, b)) for b, _ in z),
     )

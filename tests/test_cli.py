@@ -369,6 +369,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"config error: thermo.{key} index {index} out of range for 2 lines\n"
 
+    @pytest.mark.parametrize("command, config, key", [
+        pytest.param("sweep", {"system": {"diagonal": [0.0, 1.0]},
+                               "sweep": {"kind": "beta", "values": [[1, 2], [3, 4]]}},
+                     "sweep.values", id="beta-sweep-2d"),
+        pytest.param("sweep", {"system": {"diagonal": [0.0, 1.0]},
+                               "sweep": {"kind": "beta", "values": 1.0}},
+                     "sweep.values", id="beta-sweep-scalar"),
+        pytest.param("sweep", {"system": {"diagonal": [0.0, 1.0]},
+                               "sweep": {"kind": "beta", "values": []}},
+                     "sweep.values", id="beta-sweep-empty"),
+        pytest.param("thermo", dict(QUBIT, thermo={"beta_grid": [[1, 2]]}),
+                     "thermo.beta_grid", id="thermo-2d"),
+        pytest.param("thermo", dict(QUBIT, thermo={"beta_grid": [[1], [2, 3]]}),
+                     "thermo.beta_grid", id="thermo-ragged"),
+        pytest.param("thermo", dict(QUBIT, thermo={"beta_grid": "1.0"}),
+                     "thermo.beta_grid", id="thermo-string"),
+        pytest.param("sweep", {"sweep": {"kind": "lambda", "values": 1.0}},
+                     "sweep.values", id="lambda-sweep-scalar"),
+        pytest.param("sweep", {"sweep": {"kind": "lambda", "values": [[1.0, 2.0]]}},
+                     "sweep.values", id="lambda-sweep-2d"),
+        pytest.param("sweep", {"sweep": {"kind": "lambda", "values": []}},
+                     "sweep.values", id="lambda-sweep-empty"),
+        pytest.param("sweep", {"sweep": {"kind": "lambda", "values": None}},
+                     "sweep.values", id="lambda-sweep-null"),
+    ])
+    def test_grid_must_be_a_flat_list(self, tmp_path, capsys, command, config, key):
+        code, text = run(tmp_path, command, config)
+        assert code == EXIT_CONFIG
+        assert text == ""
+        assert capsys.readouterr().err == (
+            f"config error: {key} must be a non-empty list of numbers\n")
+
     def test_non_thermal_populations_contract(self, tmp_path, capsys):
         config = {"system": {"diagonal": [0.0, 0.5, 3.0]},
                   "state": {"random_populations": 12},

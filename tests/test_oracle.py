@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from qumode_probe.operators import HermitianOperator, SystemState, spectrum_of, thermal_state
+from qumode_probe import probe as probe_module
+from qumode_probe.operators import (
+    ConvergenceError,
+    HermitianOperator,
+    SystemState,
+    spectrum_of,
+    thermal_state,
+)
 from qumode_probe.probe import (
+    IDEAL_SURROGATE_SQUEEZING,
     Bin,
     Ideal,
     ProbeConfig,
@@ -59,6 +67,54 @@ def test_ideal_surrogate_concentrates_at_points():
         local = np.linspace(p - 6e-4, p + 6e-4, 121)
         density = distribution_numeric_oracle(state, h, probe, local)
         assert np.trapezoid(density, local) == pytest.approx(mass, abs=1e-4)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_ideal_surrogate_matches_closed_form_pointwise(seed):
+    rng = np.random.default_rng(seed)
+    h, state = random_system(int(rng.integers(2, 5)), seed)
+    probe = ProbeConfig(rng.uniform(-1, 1), 1.0, rng.uniform(0.5, 2.0), Ideal())
+    spec = spectrum_of(state, h)
+    points = [p for p, _ in distribution_ideal(spec, probe).points]
+    # +-6e-4 spans the surrogate's +-8.5 std around every line
+    grid = np.concatenate([np.linspace(p - 6e-4, p + 6e-4, 121) for p in points])
+    oracle = distribution_numeric_oracle(state, h, probe, grid)
+    surrogate = ProbeConfig(probe.p0, probe.g, probe.tau, Squeezed(IDEAL_SURROGATE_SQUEEZING))
+    closed = distribution_squeezed(spec, surrogate).density(grid)
+    assert np.max(np.abs(oracle - closed)) < 1e-6
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_squeezed_matches_closed_form_at_high_squeezing(seed):
+    # at s = 20 the first quadrature step X/256 is 0.59, wider than the
+    # 0.25 that once capped it
+    h, state = random_system(3, seed)
+    probe = ProbeConfig(0.3, 1.0, 1.0, Squeezed(20.0))
+    spec = spectrum_of(state, h)
+    grid = np.linspace(0.3 - spec.energies.max() - 0.3, 0.3 - spec.energies.min() + 0.3, 2001)
+    oracle = distribution_numeric_oracle(state, h, probe, grid)
+    closed = distribution_squeezed(spec, probe).density(grid)
+    assert np.max(np.abs(oracle - closed)) < 1e-6
+
+
+@pytest.mark.parametrize("mode", [Squeezed(1.0), Squeezed(20.0), Ideal(), Bin(1.0)],
+                         ids=["squeezed-1", "squeezed-20", "ideal", "bin"])
+def test_unsettled_envelope_exhausts_refinement(monkeypatch, mode):
+    h, state = random_system(2, 4)
+    probe = ProbeConfig(0.0, 1.0, 1.0, mode)
+    envelope = probe_module._envelope
+    calls = []
+
+    def drifting(mode, x):
+        # every refinement level sees an envelope 1e-3 larger than the last
+        calls.append(x.size)
+        return envelope(mode, x) * (1 + 1e-3 * len(calls))
+
+    monkeypatch.setattr(probe_module, "_envelope", drifting)
+    point = -spectrum_of(state, h).lines[0].E  # p0 = 0, g tau = 1
+    with pytest.raises(ConvergenceError, match="refinement exhausted"):
+        distribution_numeric_oracle(state, h, probe, np.linspace(point - 1e-4, point + 1e-4, 5))
+    assert len(calls) == (4 if isinstance(mode, Bin) else 8)
 
 
 def test_mixed_state_with_coherences():

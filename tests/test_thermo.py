@@ -325,3 +325,10 @@ def test_thermo_report_grids_consistent():
         assert c >= -1e-12
         assert s >= -1e-12
         assert f == pytest.approx(-np.log(z) / b)
+
+
+@pytest.mark.parametrize("beta", [0.0, -0.5, float("nan")])
+def test_thermo_report_rejects_non_positive_beta(beta):
+    spec = Spectrum.from_lines([(0.0, 0.5, 1), (1.0, 0.5, 1)])
+    with pytest.raises(ValueError, match="^thermo report requires beta > 0 at every grid point$"):
+        thermo_report(spec, beta_hat=1.0, beta_grid=[1.0, beta])

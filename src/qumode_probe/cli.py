@@ -32,18 +32,21 @@ from .probe import (
     apply_detector_binning,
     distribution_for,
 )
-from .sampling import sample_measurements
+from .sampling import MAX_SAMPLES, sample_measurements
 from .serialize import (
     matrix_from_payload,
     probe_from_dict,
-    probe_to_dict,
+    record_body,
     record_from_text,
-    record_to_text,
+    record_header,
 )
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_CONTRACT = 4
+
+# draws per streamed record chunk; even, so every chunk starts on a Philox block
+SAMPLE_CHUNK = 2 ** 20
 
 
 class ConfigError(ValueError):
@@ -136,21 +139,47 @@ def cmd_spectrum(config: dict, fmt: str) -> str:
     return _emit_table(config, _spectrum_rows(spec), ["E", "P", "g"], fmt)
 
 
-def cmd_sample(config: dict, fmt: str) -> str:
+def _sampling_int(sampling: dict, key: str, default: int, lo: int, hi: int) -> int:
+    raw = sampling.get(key, default)
+    try:
+        value = int(raw)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if value is None or not lo <= value <= hi:
+        raise ConfigError(f"sampling.{key} must be an integer from {lo} to {hi}, got {raw!r}")
+    return value
+
+
+def cmd_sample(config: dict, fmt: str):
+    """The record as an iterator of text pieces, drawn SAMPLE_CHUNK draws at a time.
+
+    Everything the config can get wrong is checked before the first piece.
+    """
     H = build_system(config)
     state = build_state(config, H)
     probe = build_probe(config)
     sampling = config.get("sampling", {})
-    n = int(sampling.get("n", 1000))
-    seed = int(sampling.get("seed", 0))
+    if not isinstance(sampling, dict):
+        raise ConfigError("sampling must be an object")
+    n = _sampling_int(sampling, "n", 1000, 1, MAX_SAMPLES)
+    seed = _sampling_int(sampling, "seed", 0, 0, 2 ** 128 - 1)  # Philox key range
     detector_bin = float(sampling.get("detector_bin", 0.0))
+    if not detector_bin >= 0:
+        raise ConfigError(f"sampling.detector_bin must be nonnegative, got {detector_bin!r}")
 
     spec = spectrum_of(state, H)
     dist = distribution_for(spec, probe)
     if detector_bin > 0:
         dist = apply_detector_binning(dist, detector_bin)
-    record = sample_measurements(dist, n, seed, detector_bin=detector_bin)
-    return _resolved_header(config) + "\n" + record_to_text(record, probe)
+    header = _resolved_header(config) + "\n" + record_header(seed, detector_bin, probe)
+    return _record_pieces(header, dist, n, seed, detector_bin)
+
+
+def _record_pieces(header: str, dist, n: int, seed: int, detector_bin: float):
+    yield header
+    for start in range(0, n, SAMPLE_CHUNK):
+        yield record_body(sample_measurements(dist, min(SAMPLE_CHUNK, n - start), seed,
+                                              detector_bin=detector_bin, start=start).samples)
 
 
 def cmd_reconstruct(config: dict, fmt: str, record_text: str) -> str:
@@ -321,6 +350,31 @@ def _load_config(path: str) -> dict:
     return config
 
 
+def _read_record(path: str) -> str:
+    # undecodable bytes survive as surrogates, so the record parser can
+    # name the malformed body rather than the codec
+    try:
+        with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read record {path}: {exc}") from exc
+
+
+def _write_output(path: str | None, pieces) -> None:
+    """Write text pieces to ``path``, or to stdout when no path is given.
+
+    ``writelines`` drops each piece once written, before drawing the next.
+    """
+    if path is None:
+        sys.stdout.writelines(pieces)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.writelines(pieces)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc}") from exc
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="qumode-probe",
                                      description="qumode probe simulation pipeline")
@@ -340,10 +394,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config.setdefault("sampling", {})["seed"] = args.seed
 
-        record_text = None
-        if args.record is not None:
-            with open(args.record) as fh:
-                record_text = fh.read()
+        record_text = None if args.record is None else _read_record(args.record)
 
         if args.command == "spectrum":
             output = cmd_spectrum(config, args.format)
@@ -361,6 +412,7 @@ def main(argv=None) -> int:
             output = cmd_overlap(config, args.format)
         else:
             output = cmd_sweep(config, args.format)
+        _write_output(args.out, [output] if isinstance(output, str) else output)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -374,12 +426,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(output)
-    else:
-        sys.stdout.write(output)
     return 0
 
 

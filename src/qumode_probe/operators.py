@@ -196,6 +196,8 @@ def spin_x(two_j: int, pauli: bool = False) -> HermitianOperator:
         raise ValueError("two_j must be nonnegative")
     j = two_j / 2.0
     dim = two_j + 1
+    if dim > DIMENSION_CAP:  # before the dense matrix is allocated
+        raise ValueError(f"dimension {dim} exceeds cap {DIMENSION_CAP}")
     m = j - np.arange(dim)  # m = j, j-1, ..., -j
     # <j, m+1| J+ |j, m> = sqrt(j(j+1) - m(m+1))
     upper = 0.5 * np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))

@@ -16,6 +16,8 @@ import numpy as np
 from .probe import Bin, ProbeConfig, Squeezed, map_p_to_E
 from .sampling import MeasurementRecord
 
+MAX_BINS = 2 ** 24  # bins one histogram may span, occupied or not
+
 
 @dataclass(frozen=True)
 class ResolutionParams:
@@ -80,13 +82,23 @@ class Histogram:
 
 def histogram(record: MeasurementRecord, bin_width: float,
               origin: float = 0.0) -> Histogram:
-    """Counts per half-open bin [origin + k*w, origin + (k+1)*w)."""
-    if bin_width <= 0:
+    """Counts per half-open bin [origin + k*w, origin + (k+1)*w).
+
+    The bins run from the lowest sample's to the highest's, so a record
+    whose samples span more than ``MAX_BINS`` bins is rejected before any
+    array of that length is allocated.
+    """
+    if not bin_width > 0:
         raise ValueError("bin width must be positive")
     if record.n == 0:
         raise ValueError("record is empty")
-    idx = np.floor((record.samples - origin) / bin_width).astype(int)
+    idx = np.floor((record.samples - origin) / bin_width)
     k_lo, k_hi = idx.min(), idx.max()
+    if not k_hi - k_lo < MAX_BINS:
+        raise ValueError(f"histogram of the record spans {k_hi - k_lo + 1:.6g} bins of "
+                         f"width {float(bin_width)!r}, over the cap of {MAX_BINS}")
+    k_lo, k_hi = int(k_lo), int(k_hi)
+    idx = idx.astype(int)
     counts = np.bincount(idx - k_lo, minlength=k_hi - k_lo + 1)
     edges = origin + bin_width * np.arange(k_lo, k_hi + 2)
     return Histogram(counts=counts, edges=edges)

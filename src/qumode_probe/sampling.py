@@ -2,7 +2,11 @@
 
 Draw j consumes uniforms 2j and 2j+1 of a Philox stream keyed by the
 seed, so a record is reproducible and independent of how the draws are
-partitioned across workers.
+partitioned across workers or chunks: ``sample_measurements(..., start=s)``
+draws j in [s, s + n) without generating the draws before s.
+
+``MAX_SAMPLES`` (10**7) is the largest ``sampling.n`` the command line
+accepts; its record is 170 MB of text.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .probe import GaussianMixture, MomentumDistribution, PiecewiseUniform, PointMasses
+
+MAX_SAMPLES = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -23,7 +29,7 @@ class MeasurementRecord:
     detector_bin: float = 0.0
 
     def __post_init__(self):
-        if self.detector_bin < 0:
+        if not self.detector_bin >= 0:
             raise ValueError("detector bin width must be nonnegative")
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
         if not np.isfinite(self.samples).all():
@@ -77,11 +83,16 @@ def _inverse_cdf(dist: MomentumDistribution, u_comp: np.ndarray,
 
 
 def sample_measurements(dist: MomentumDistribution, n: int, seed: int,
-                        detector_bin: float = 0.0) -> MeasurementRecord:
-    """Draw n i.i.d. momentum outcomes; deterministic in (dist, n, seed)."""
+                        detector_bin: float = 0.0, start: int = 0) -> MeasurementRecord:
+    """Draw n i.i.d. momentum outcomes, draws j in [start, start + n) of the stream.
+
+    Deterministic in (dist, n, seed, start); ``start`` must be even, and
+    consecutive calls that tile [0, N) concatenate to the single call
+    with n = N.
+    """
     if n < 1:
         raise ValueError("need at least one sample")
-    u_comp, u_within = _uniform_pairs(seed, 0, n)
+    u_comp, u_within = _uniform_pairs(seed, start, n)
     return MeasurementRecord(samples=_inverse_cdf(dist, u_comp, u_within),
                              seed=seed, detector_bin=detector_bin)
 
@@ -96,10 +107,7 @@ def sample_measurements_partitioned(dist: MomentumDistribution, n: int, seed: in
         raise ValueError("need at least one partition")
     bounds = np.linspace(0, n, n_partitions + 1).astype(int)
     bounds[1:-1] -= bounds[1:-1] % 2  # align to the Philox block contract
-    parts = []
-    for a, b in zip(bounds, bounds[1:]):
-        if b > a:
-            u_comp, u_within = _uniform_pairs(seed, int(a), int(b - a))
-            parts.append(_inverse_cdf(dist, u_comp, u_within))
+    parts = [sample_measurements(dist, int(b - a), seed, start=int(a)).samples
+             for a, b in zip(bounds, bounds[1:]) if b > a]
     return MeasurementRecord(samples=np.concatenate(parts), seed=seed,
                              detector_bin=detector_bin)

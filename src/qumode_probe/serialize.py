@@ -2,8 +2,9 @@
 measurement records, and reports.
 
 Matrices are stored as {dim, entries} with entries a row-major list of
-[re, im] pairs; distributions are JSON records tagged by kind; sample
-records are two-column tables with `# key=value` header metadata.  All
+[re, im] pairs; distributions are JSON records tagged by kind; a sample
+record is a `# key=value` header followed by one line per sample, the
+16 hex digits of the sample's float64 bits (see ``record_body``).  All
 emitters are deterministic (sorted keys, repr floats) so identical
 inputs produce byte-identical files.
 """
@@ -136,35 +137,111 @@ def distribution_from_text(text: str) -> MomentumDistribution:
     raise ValueError(f"unknown distribution kind {kind!r}")
 
 
-def record_to_text(record: MeasurementRecord, probe: ProbeConfig | None = None) -> str:
-    lines = [f"# seed={record.seed}", f"# detector_bin={record.detector_bin!r}"]
+_LINE = 17  # 16 hex digits and "\n"
+_DECODE_LINES = 2 ** 16  # lines decoded per block, so the temporaries stay small
+_BAD_BODY = "record body must be lines of 16 hex digits"
+
+
+def record_header(seed: int, detector_bin: float, probe: ProbeConfig | None = None) -> str:
+    """The ``# key=value`` lines that open a record, ending with ``# columns=p_bits``."""
+    lines = [f"# seed={seed}", f"# detector_bin={detector_bin!r}"]
     if probe is not None:
         lines.append("# probe=" + json.dumps(probe_to_dict(probe), sort_keys=True))
-    lines.append("# columns=index p")
-    lines.extend(f"{i} {float(p)!r}" for i, p in enumerate(record.samples))
+    lines.append("# columns=p_bits")
     return "\n".join(lines) + "\n"
 
 
-def record_from_text(text: str) -> tuple[MeasurementRecord, ProbeConfig | None]:
-    seed = 0
-    detector_bin = 0.0
-    probe = None
+def record_body(samples: np.ndarray) -> str:
+    """One line per sample: the 16 lowercase hex digits of its float64 bits, big-endian."""
+    if len(samples) == 0:
+        return ""
+    return np.asarray(samples, dtype=">f8").tobytes().hex("\n", 8) + "\n"
+
+
+def record_to_text(record: MeasurementRecord, probe: ProbeConfig | None = None) -> str:
+    return record_header(record.seed, record.detector_bin, probe) + record_body(record.samples)
+
+
+def _octet_table() -> np.ndarray:
+    """The byte two hex digits spell, indexed by the digit pair read as one
+    little-endian uint16; 256 or more where either character is no digit.
+
+    Built per call (0.5 ms), so importing the module allocates nothing.
+    """
+    nibble = np.full(256, 256, dtype=np.uint16)
+    nibble[np.frombuffer(b"0123456789abcdef", dtype=np.uint8)] = np.arange(16)
+    pairs = np.arange(2 ** 16, dtype=np.uint16)
+    return (nibble[pairs & 255] << 4) | nibble[pairs >> 8]
+
+
+def _samples_from_hex(text: str, pos: int) -> np.ndarray:
+    """Decode the ``p_bits`` body that starts at ``text[pos]``, _DECODE_LINES at a time."""
+    n, partial = divmod(len(text) - pos, _LINE)
+    if partial:
+        raise ValueError(_BAD_BODY)
+    octet = _octet_table()
+    samples = np.empty(n)
+    for a in range(0, n, _DECODE_LINES):
+        b = min(n, a + _DECODE_LINES)
+        try:
+            raw = text[pos + a * _LINE:pos + b * _LINE].encode("ascii")
+        except UnicodeEncodeError:
+            raise ValueError(_BAD_BODY) from None
+        if raw[_LINE - 1::_LINE] != b"\n" * (b - a):
+            raise ValueError(_BAD_BODY)
+        # the eight digit pairs of every line, read in place
+        pairs = np.ndarray((b - a, 8), dtype="<u2", buffer=raw, strides=(_LINE, 2))
+        octets = octet[pairs]
+        if (octets > 255).any():
+            raise ValueError(_BAD_BODY)
+        samples[a:b] = octets.astype(np.uint8).view(">f8").ravel()
+    return samples
+
+
+def _samples_from_rows(body: str) -> np.ndarray:
+    """Samples of the ``index p`` table that records held before ``p_bits``."""
     samples = []
-    for raw in text.splitlines():
+    for raw in body.splitlines():
         raw = raw.strip()
-        if not raw:
-            continue
-        if raw.startswith("#"):
-            body = raw.lstrip("# ")
-            if body.startswith("seed="):
-                seed = int(body[len("seed="):])
-            elif body.startswith("detector_bin="):
-                detector_bin = float(body[len("detector_bin="):])
-            elif body.startswith("probe="):
-                probe = probe_from_dict(json.loads(body[len("probe="):]))
-            continue
-        _, value = raw.split()
-        samples.append(float(value))
-    record = MeasurementRecord(samples=np.array(samples), seed=seed,
-                               detector_bin=detector_bin)
+        if raw and not raw.startswith("#"):
+            _, value = raw.split()
+            samples.append(float(value))
+    return np.array(samples, dtype=float)
+
+
+def _header_value(meta: dict, key: str, parse, default):
+    if key not in meta:
+        return default
+    try:
+        return parse(meta[key])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"bad record {key} header: {exc}") from exc
+
+
+def record_from_text(text: str) -> tuple[MeasurementRecord, ProbeConfig | None]:
+    """Record and embedded probe from ``record_to_text`` output.
+
+    The leading ``#`` lines are the header; ``# columns=`` picks the body
+    format, and a header without it (or with ``index p``) is read as the
+    older two-column table.
+    """
+    meta = {}
+    pos = 0
+    while text.startswith("#", pos):
+        end = text.find("\n", pos)
+        end = len(text) if end < 0 else end
+        key, _, value = text[pos:end].strip().lstrip("# ").partition("=")
+        meta[key] = value
+        pos = min(end + 1, len(text))
+    columns = meta.get("columns", "index p")
+    if columns == "p_bits":
+        samples = _samples_from_hex(text, pos)
+    elif columns == "index p":
+        samples = _samples_from_rows(text[pos:])
+    else:
+        raise ValueError(f"unknown record columns {columns!r}")
+    probe = _header_value(meta, "probe", lambda v: probe_from_dict(json.loads(v)), None)
+    record = MeasurementRecord(samples=samples,
+                               seed=_header_value(meta, "seed", int, 0),
+                               detector_bin=_header_value(meta, "detector_bin", float, 0.0))
     return record, probe

@@ -10,8 +10,17 @@ import pytest
 
 import qumode_probe
 from qumode_probe import models, thermo
-from qumode_probe.cli import EXIT_CONFIG, EXIT_NUMERICAL, main
-from qumode_probe.operators import DIMENSION_CAP, SystemState, spectrum_of
+from qumode_probe.cli import EXIT_CONFIG, EXIT_NUMERICAL, SAMPLE_CHUNK, main
+from qumode_probe.operators import (
+    DIMENSION_CAP,
+    HermitianOperator,
+    SystemState,
+    spectrum_of,
+    thermal_state,
+)
+from qumode_probe.probe import distribution_for
+from qumode_probe.sampling import MAX_SAMPLES, sample_measurements
+from qumode_probe.serialize import probe_from_dict, record_from_text, record_to_text
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -125,8 +134,7 @@ class TestSampleAndReconstruct:
             config["sampling"]["n"] = 20_000
             code, text = run(tmp_path, "sample", config, out_name=f"s{s}.txt")
             assert code == 0
-            samples = np.array([float(l.split()[1]) for l in text.splitlines()
-                                if l and not l.startswith("#")])
+            samples = record_from_text(text)[0].samples
             # spread around the dominant (ground) line at p = 0
             near = samples[np.abs(samples) < 0.45]
             return near.std()
@@ -478,3 +486,185 @@ def test_cli_calls_leave_scipy_unloaded_unless_a_squeezed_probe_is_sampled(tmp_p
     squeezed_modules = loaded.pop("sample-squeezed")
     assert loaded == {name: [] for name in loaded}
     assert "scipy.special" in squeezed_modules
+
+
+SQUEEZED_PAIR = {"system": {"diagonal": [0.0, 1.0]}, "state": {"thermal_beta": 1.0},
+                 "probe": {"p0": 0.0, "g": 1.0, "tau": 1.0,
+                           "mode": {"kind": "squeezed", "s": 20.0}},
+                 "sampling": {"n": 20_000, "seed": 5}, "thermo": {"beta_grid": [0.5, 1.0]}}
+BAD_BODY = "config error: record body must be lines of 16 hex digits\n"
+
+
+def record_file(tmp_path, body: bytes, name="rec.txt"):
+    path = tmp_path / name
+    path.write_bytes(b"# seed=0\n# detector_bin=0.0\n# columns=p_bits\n" + body)
+    return str(path)
+
+
+class TestRecordFormat:
+    def test_streamed_chunks_match_one_draw(self, tmp_path):
+        config = dict(SQUEEZED_PAIR, sampling={"n": SAMPLE_CHUNK + 3, "seed": 11})
+        code, text = run(tmp_path, "sample", config)
+        assert code == 0
+        H = HermitianOperator(np.diag([0.0, 1.0]))
+        probe = probe_from_dict(config["probe"])
+        dist = distribution_for(spectrum_of(thermal_state(H, 1.0), H), probe)
+        record = sample_measurements(dist, SAMPLE_CHUNK + 3, seed=11)
+        expected = ("# config=" + json.dumps(config, sort_keys=True) + "\n"
+                    + record_to_text(record, probe))
+        assert text == expected
+
+    def test_two_column_record_gives_identical_reports(self, tmp_path):
+        code, text = run(tmp_path, "sample", SQUEEZED_PAIR, out_name="new.txt")
+        assert code == 0
+        record, _ = record_from_text(text)
+        header = text[:text.index("# columns=p_bits\n")]
+        # the two-column writer that produced records before the p_bits body
+        old = header + "# columns=index p\n" + "".join(
+            f"{i} {float(p)!r}\n" for i, p in enumerate(record.samples))
+        (tmp_path / "old.txt").write_text(old)
+        for command in ("reconstruct", "thermo"):
+            reports = [run(tmp_path, command, SQUEEZED_PAIR, out_name=f"{command}-{name}",
+                           extra=["--record", str(tmp_path / name)])
+                       for name in ("new.txt", "old.txt")]
+            assert reports[0][0] == 0
+            assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("body", [
+        pytest.param(b"3ff0000000000000\n3ff00000000000\n", id="truncated-last-line"),
+        pytest.param(b"3ff0000000000000\n3ff000000000000g\n", id="non-hex"),
+        pytest.param(b"3FF0000000000000\n", id="uppercase"),
+        pytest.param(b"3ff0000000000000\n3ff0000000000000", id="missing-newline"),
+        pytest.param(b"3ff0000000000000 3ff000000000000\n", id="newline-moved"),
+        pytest.param("3ff000000000000é\n".encode(), id="non-ascii-utf8"),
+        pytest.param(b"3ff00000000000\xff\xfe\n", id="non-ascii-bytes"),
+    ])
+    @pytest.mark.parametrize("command", ["reconstruct", "thermo"])
+    def test_malformed_body_exits_2(self, tmp_path, capsys, command, body):
+        code, text = run(tmp_path, command, SQUEEZED_PAIR,
+                         extra=["--record", record_file(tmp_path, body)])
+        assert code == EXIT_CONFIG
+        assert text == ""
+        assert capsys.readouterr().err == BAD_BODY
+
+    @pytest.mark.parametrize("bits", [b"7ff0000000000000", b"fff0000000000000",
+                                      b"7ff8000000000000"])
+    def test_non_finite_bits_exit_2(self, tmp_path, capsys, bits):
+        path = record_file(tmp_path, b"3ff0000000000000\n" + bits + b"\n")
+        code, _ = run(tmp_path, "reconstruct", SQUEEZED_PAIR, extra=["--record", path])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: record has non-finite samples\n"
+
+    def test_bad_probe_header_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "rec.txt"
+        path.write_text("# seed=0\n# probe=[1]\n# columns=p_bits\n3ff0000000000000\n")
+        code, _ = run(tmp_path, "reconstruct", SQUEEZED_PAIR, extra=["--record", str(path)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: bad record probe header: ")
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize("command", ["reconstruct", "thermo"])
+    @pytest.mark.parametrize("target", ["missing.txt", "."])
+    def test_unreadable_record(self, tmp_path, capsys, command, target):
+        path = str(tmp_path / target)
+        code, _ = run(tmp_path, command, SQUEEZED_PAIR, extra=["--record", path])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: cannot read record {path}: ")
+
+    @pytest.mark.parametrize("command", ["sample", "spectrum"])
+    @pytest.mark.parametrize("target", ["no-such-dir/out.txt", "."])
+    def test_unwritable_out(self, tmp_path, capsys, command, target):
+        path = str(tmp_path / target)
+        argv = [command, "--config", write_config(tmp_path, SQUEEZED_PAIR), "--out", path]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: cannot write output {path}: ")
+
+
+class TestSamplingKeys:
+    @pytest.mark.parametrize("key, value", [
+        ("n", 0), ("n", MAX_SAMPLES + 1), ("n", 1e10), ("n", None), ("n", "many"),
+        ("n", float("inf")), ("seed", -1), ("seed", 2 ** 128), ("seed", [1]),
+    ])
+    def test_integer_keys_checked(self, tmp_path, capsys, key, value):
+        config = dict(SQUEEZED_PAIR, sampling=dict(SQUEEZED_PAIR["sampling"], **{key: value}))
+        code, text = run(tmp_path, "sample", config)
+        assert code == EXIT_CONFIG
+        assert text == ""
+        assert capsys.readouterr().err.startswith(f"config error: sampling.{key} must be an "
+                                                  "integer from ")
+
+    @pytest.mark.parametrize("value", [-0.1, float("nan")])
+    def test_detector_bin_checked(self, tmp_path, capsys, value):
+        config = dict(SQUEEZED_PAIR, sampling={"n": 10, "detector_bin": value})
+        code, text = run(tmp_path, "sample", config)
+        assert code == EXIT_CONFIG
+        assert text == ""
+        assert capsys.readouterr().err.startswith("config error: sampling.detector_bin must "
+                                                  "be nonnegative")
+
+
+CLI_CHILD = """
+import resource, sys
+cap = int(sys.argv.pop(1))
+if cap:
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from qumode_probe.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def cli_child(tmp_path, argv, address_space=0):
+    """Run the CLI in a child; its exit code, stderr and peak RSS in MiB.
+
+    A nonzero ``address_space`` caps the child's virtual memory
+    (RLIMIT_AS), in the child only, so an oversized allocation fails
+    fast there.
+    """
+    src = os.path.dirname(os.path.dirname(qumode_probe.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with open(tmp_path / "stderr.txt", "wb") as err:
+        proc = subprocess.Popen([sys.executable, "-c", CLI_CHILD, str(address_space), *argv],
+                                env=env, stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+    return (os.waitstatus_to_exitcode(status), (tmp_path / "stderr.txt").read_text(),
+            usage.ru_maxrss / 1024)
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 and RLIMIT_AS")
+class TestBoundedChildren:
+    ADDRESS_SPACE = 2 * 2 ** 30
+
+    @pytest.mark.parametrize("command, config, message", [
+        pytest.param("sample", dict(SQUEEZED_PAIR, sampling={"n": 1e10}),
+                     "sampling.n must be an integer from 1 to 10000000", id="sampling-n"),
+        pytest.param("spectrum", {"system": {"model": "dicke", "n_atoms": 100_000}},
+                     "dimension 100001 exceeds cap 1024", id="dicke-n-atoms"),
+        pytest.param("reconstruct", QUBIT, "over the cap of 16777216", id="histogram-span"),
+    ])
+    def test_oversized_input_exits_2(self, tmp_path, command, config, message):
+        record = record_file(tmp_path, b"0000000000000000\n41cdcd6500000000\n")  # 0.0, 1e9
+        argv = [command, "--config", write_config(tmp_path, config),
+                "--out", str(tmp_path / "out.txt"), "--record", record]
+        code, err, _ = cli_child(tmp_path, argv, address_space=self.ADDRESS_SPACE)
+        assert "MemoryError" not in err
+        assert code == EXIT_CONFIG, err
+        assert message in err
+
+    def test_sample_memory_does_not_grow_with_n(self, tmp_path):
+        """The record is written as it is drawn, SAMPLE_CHUNK draws at a time."""
+        peaks = []
+        for n in (2 ** 20, 2 ** 22):
+            config = dict(QUBIT, probe={"p0": 0.0, "g": 1.0, "tau": 1.0,
+                                        "mode": {"kind": "ideal"}},
+                          sampling={"n": n, "seed": 1})
+            out = tmp_path / "rec.txt"
+            code, err, rss = cli_child(tmp_path, ["sample", "--config",
+                                                  write_config(tmp_path, config),
+                                                  "--out", str(out)])
+            assert code == 0, err
+            assert out.stat().st_size > 17 * n
+            peaks.append(rss)
+        # holding the 2**22 draws at once would add 32 MiB of samples and 68 MiB of text
+        assert peaks[1] - peaks[0] < 40, peaks

@@ -10,7 +10,7 @@ from qumode_probe.models import (
     rabi_interaction,
     regime_presets,
 )
-from qumode_probe.operators import sigma_x
+from qumode_probe.operators import DIMENSION_CAP, sigma_x
 from qumode_probe.probe import ProbeConfig, Squeezed
 from qumode_probe.reconstruct import resolution_params
 
@@ -62,6 +62,16 @@ class TestDickeInteraction:
     def test_rejects_zero_atoms(self):
         with pytest.raises(ValueError):
             dicke_interaction(0)
+
+    def test_dimension_cap_checked_before_building(self, monkeypatch):
+        assert dicke_interaction(DIMENSION_CAP - 1).dim == DIMENSION_CAP
+
+        def no_dense_matrix(*args, **kwargs):
+            raise AssertionError("dense matrix built past the cap")
+
+        monkeypatch.setattr(np, "zeros", no_dense_matrix)
+        with pytest.raises(ValueError, match=f"dimension 100001 exceeds cap {DIMENSION_CAP}"):
+            dicke_interaction(100_000)
 
 
 class TestRegimePresets:

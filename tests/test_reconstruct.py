@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.signal import find_peaks
 
+from qumode_probe import reconstruct
 from qumode_probe.operators import (
     HermitianOperator,
     Spectrum,
@@ -99,6 +100,25 @@ class TestHistogram:
         rec = MeasurementRecord(samples=np.array([]), seed=0)
         with pytest.raises(ValueError):
             histogram(rec, 0.1)
+
+    @pytest.mark.parametrize("width", [0.0, -0.1, float("nan")])
+    def test_bin_width_must_be_positive(self, width):
+        rec = MeasurementRecord(samples=np.array([0.0]), seed=0)
+        with pytest.raises(ValueError, match="bin width must be positive"):
+            histogram(rec, width)
+
+    def test_bin_span_capped(self, monkeypatch):
+        monkeypatch.setattr(reconstruct, "MAX_BINS", 10)
+        rec = MeasurementRecord(samples=np.array([0.0, 0.95]), seed=0)
+        assert len(histogram(rec, 0.1).counts) == 10
+        rec = MeasurementRecord(samples=np.array([0.0, 1.0]), seed=0)
+        with pytest.raises(ValueError, match="spans 11 bins of width 0.1, over the cap of 10"):
+            histogram(rec, 0.1)
+
+    def test_outlier_rejected_at_the_real_cap(self):
+        rec = MeasurementRecord(samples=np.array([0.0, 1e9]), seed=0)
+        with pytest.raises(ValueError, match=f"over the cap of {2 ** 24}"):
+            histogram(rec, 1e-6)
 
 
 class TestDetectPeaks:

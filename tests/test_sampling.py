@@ -111,3 +111,23 @@ def test_record_metadata():
 def test_record_rejects_non_finite_samples(bad):
     with pytest.raises(ValueError, match="record has non-finite samples"):
         MeasurementRecord(samples=np.array([0.0, bad, 1.0]), seed=0)
+
+
+@pytest.mark.parametrize("chunk", [2, 4_096, 5_000])
+def test_chunks_from_start_tile_the_single_draw(chunk):
+    dist = two_peak_mixture()
+    whole = sample_measurements(dist, 10_001, seed=9)
+    parts = [sample_measurements(dist, min(chunk, 10_001 - start), seed=9, start=start)
+             for start in range(0, 10_001, chunk)]
+    assert np.array_equal(np.concatenate([p.samples for p in parts]), whole.samples)
+
+
+def test_odd_start_rejected():
+    with pytest.raises(ValueError, match="partition start must be even"):
+        sample_measurements(two_peak_mixture(), 10, seed=1, start=3)
+
+
+@pytest.mark.parametrize("width", [-0.5, np.nan])
+def test_record_rejects_bad_detector_bin(width):
+    with pytest.raises(ValueError, match="detector bin width must be nonnegative"):
+        MeasurementRecord(samples=np.array([0.0]), seed=0, detector_bin=width)

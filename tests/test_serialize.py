@@ -139,3 +139,61 @@ class TestRecordRoundTrip:
     def test_deterministic_bytes(self):
         rec = MeasurementRecord(samples=np.linspace(-1, 1, 57), seed=9)
         assert record_to_text(rec) == record_to_text(rec)
+
+    def test_body_is_big_endian_float64_bits_in_hex(self):
+        rec = MeasurementRecord(samples=np.array([1.0, -2.5]), seed=5)
+        assert record_to_text(rec) == ("# seed=5\n# detector_bin=0.0\n# columns=p_bits\n"
+                                       "3ff0000000000000\nc004000000000000\n")
+
+    def test_bit_exact_round_trip(self):
+        special = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                   1.7976931348623157e308, -1.7976931348623157e308]
+        rng = np.random.default_rng(4)
+        bits = rng.integers(0, 2 ** 63, size=1000, dtype=np.uint64)
+        bits = bits[(bits >> 52) & 0x7FF != 0x7FF]  # drop inf and NaN patterns
+        samples = np.concatenate([special, bits.view(float), rng.normal(size=1000)])
+        back, _ = record_from_text(record_to_text(MeasurementRecord(samples=samples, seed=0)))
+        assert back.samples.tobytes() == samples.tobytes()
+
+    @pytest.mark.parametrize("bits", ["7ff0000000000000", "fff0000000000000",
+                                      "7ff8000000000000", "fff0000000000001"])
+    def test_non_finite_bit_patterns_rejected(self, bits):
+        text = f"# seed=0\n# columns=p_bits\n3ff0000000000000\n{bits}\n"
+        with pytest.raises(ValueError, match="record has non-finite samples"):
+            record_from_text(text)
+
+    def test_decoding_spans_blocks(self):
+        # more lines than one decode block, with a bad digit only in the last
+        samples = np.arange(70_001, dtype=float)
+        text = record_to_text(MeasurementRecord(samples=samples, seed=0))
+        back, _ = record_from_text(text)
+        assert np.array_equal(back.samples, samples)
+        with pytest.raises(ValueError, match="record body must be lines of 16 hex digits"):
+            record_from_text(text[:-2] + "g\n")
+
+    def test_two_column_records_still_read(self):
+        samples = np.array([0.1, -3.25, 1e-300])
+        old = ("# seed=7\n# detector_bin=0.5\n# columns=index p\n"
+               + "".join(f"{i} {float(p)!r}\n" for i, p in enumerate(samples)))
+        back, probe = record_from_text(old)
+        assert np.array_equal(back.samples, samples)
+        assert (back.seed, back.detector_bin, probe) == (7, 0.5, None)
+        # records older still carry no columns line at all
+        back, _ = record_from_text(old.replace("# columns=index p\n", ""))
+        assert np.array_equal(back.samples, samples)
+
+    def test_unknown_columns_rejected(self):
+        with pytest.raises(ValueError, match="unknown record columns 'p_hex'"):
+            record_from_text("# columns=p_hex\n3ff0000000000000\n")
+
+    @pytest.mark.parametrize("key, value", [("probe", "[1]"), ("probe", "{"),
+                                            ("probe", '{"mode": {"kind": "bin"}}'),
+                                            ("seed", "x"), ("detector_bin", "wide")])
+    def test_bad_header_names_its_key(self, key, value):
+        with pytest.raises(ValueError, match=f"bad record {key} header"):
+            record_from_text(f"# {key}={value}\n# columns=p_bits\n3ff0000000000000\n")
+
+    @pytest.mark.parametrize("text", ["# seed=1\n# columns=p_bits\n", "# seed=1\n# columns=p_bits"])
+    def test_header_only_record_is_empty(self, text):
+        back, _ = record_from_text(text)
+        assert back.n == 0 and back.seed == 1

@@ -139,14 +139,36 @@ def cmd_spectrum(config: dict, fmt: str) -> str:
     return _emit_table(config, _spectrum_rows(spec), ["E", "P", "g"], fmt)
 
 
-def _sampling_int(sampling: dict, key: str, default: int, lo: int, hi: int) -> int:
-    raw = sampling.get(key, default)
+def _section(config: dict, key: str) -> dict:
+    """The config's ``key`` section, an object; empty when absent."""
+    options = config.get(key, {})
+    if not isinstance(options, dict):
+        raise ConfigError(f"{key} must be an object")
+    return options
+
+
+def _config_int(options: dict, name: str, key: str, default: int, lo: int, hi: int) -> int:
+    raw = options.get(key, default)
     try:
         value = int(raw)
     except (TypeError, ValueError, OverflowError):
         value = None
     if value is None or not lo <= value <= hi:
-        raise ConfigError(f"sampling.{key} must be an integer from {lo} to {hi}, got {raw!r}")
+        raise ConfigError(f"{name}.{key} must be an integer from {lo} to {hi}, got {raw!r}")
+    return value
+
+
+def _config_positive(options: dict, name: str, key: str, default: float | None) -> float | None:
+    """A finite number > 0, or ``default`` when the key is absent."""
+    raw = options.get(key)
+    if raw is None:
+        return default
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        value = float("nan")
+    if not (np.isfinite(value) and value > 0):
+        raise ConfigError(f"{name}.{key} must be a finite number > 0, got {raw!r}")
     return value
 
 
@@ -158,11 +180,9 @@ def cmd_sample(config: dict, fmt: str):
     H = build_system(config)
     state = build_state(config, H)
     probe = build_probe(config)
-    sampling = config.get("sampling", {})
-    if not isinstance(sampling, dict):
-        raise ConfigError("sampling must be an object")
-    n = _sampling_int(sampling, "n", 1000, 1, MAX_SAMPLES)
-    seed = _sampling_int(sampling, "seed", 0, 0, 2 ** 128 - 1)  # Philox key range
+    sampling = _section(config, "sampling")
+    n = _config_int(sampling, "sampling", "n", 1000, 1, MAX_SAMPLES)
+    seed = _config_int(sampling, "sampling", "seed", 0, 0, 2 ** 128 - 1)  # Philox key range
     detector_bin = float(sampling.get("detector_bin", 0.0))
     if not detector_bin >= 0:
         raise ConfigError(f"sampling.detector_bin must be nonnegative, got {detector_bin!r}")
@@ -187,10 +207,10 @@ def cmd_reconstruct(config: dict, fmt: str, record_text: str) -> str:
     record, embedded_probe = record_from_text(record_text)
     if embedded_probe is not None:
         probe = embedded_probe
-    options = config.get("reconstruct", {})
+    options = _section(config, "reconstruct")
     recon = reconstruct.reconstruct_record(
         record, probe,
-        bin_width=options.get("bin_width"),
+        bin_width=_config_positive(options, "reconstruct", "bin_width", None),
         min_mass=options.get("min_mass"))
     res = reconstruct.resolution_params(probe)
     rows = [(line.E_hat, line.P_hat, line.count) for line in recon.lines]
@@ -216,14 +236,18 @@ def _grid_from_config(payload, key: str) -> np.ndarray:
     return grid
 
 
-def _beta_grid_from_config(config: dict) -> np.ndarray:
-    payload = config.get("thermo", {}).get("beta_grid", None)
+def _beta_grid_from_config(options: dict) -> np.ndarray:
+    payload = options.get("beta_grid")
     if payload is None:
         return thermo.default_beta_grid()
     if isinstance(payload, dict):
-        return thermo.default_beta_grid(float(payload.get("lo", 0.1)),
-                                        float(payload.get("hi", 10.0)),
-                                        int(payload.get("num", 50)))
+        name = "thermo.beta_grid"
+        lo = _config_positive(payload, name, "lo", 0.1)
+        hi = _config_positive(payload, name, "hi", 10.0)
+        if lo > hi:
+            raise ConfigError(f"{name} needs lo <= hi, got lo={lo!r}, hi={hi!r}")
+        num = _config_int(payload, name, "num", 50, 1, thermo.MAX_BETA_GRID)
+        return thermo.default_beta_grid(lo, hi, num)
     return _grid_from_config(payload, "thermo.beta_grid")
 
 
@@ -248,7 +272,8 @@ def _thermo_rows(report: thermo.ThermoReport) -> list[tuple]:
 
 
 def cmd_thermo(config: dict, fmt: str, record_text: str | None) -> str:
-    options = config.get("thermo", {})
+    options = _section(config, "thermo")
+    beta_grid = _beta_grid_from_config(options)
     spec = _lines_for_thermo(config, record_text)
     i0 = int(options.get("line0", 0))
     i1 = int(options.get("line1", 1))
@@ -265,7 +290,7 @@ def cmd_thermo(config: dict, fmt: str, record_text: str | None) -> str:
         Spectrum.from_lines((l.E, l.P, anchor_g if i == anchor else 1)
                             for i, l in enumerate(spec.lines)),
         beta_hat, anchor=anchor)
-    report = thermo.thermo_report(with_g, beta_hat, _beta_grid_from_config(config))
+    report = thermo.thermo_report(with_g, beta_hat, beta_grid)
     body = _emit_table(config, _thermo_rows(report), ["beta", "Z", "F", "C", "S"], fmt)
     return body + f"# beta_hat={report.beta_hat!r}\n"
 
@@ -392,7 +417,7 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config)
         if args.seed is not None:
-            config.setdefault("sampling", {})["seed"] = args.seed
+            config["sampling"] = dict(_section(config, "sampling"), seed=args.seed)
 
         record_text = None if args.record is None else _read_record(args.record)
 

@@ -21,9 +21,23 @@ class ConvergenceError(RuntimeError):
 
 
 def _as_square(entries) -> np.ndarray:
-    a = np.asarray(entries, dtype=complex)
+    """A finite, nonempty square matrix: float64 when every entry is real,
+    complex128 otherwise.
+
+    A complex array whose imaginary parts are all exactly zero counts as
+    real, so LAPACK runs the real symmetric solver on it.
+    """
+    a = np.asarray(entries)
+    if np.iscomplexobj(a):
+        a = a.astype(complex, copy=False)
+        if not a.imag.any():
+            a = np.ascontiguousarray(a.real)
+    else:
+        a = a.astype(float, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] == 0:
+        raise ValueError("matrix must be at least 1×1")
     # NaN fails every comparison and inf passes allclose, so reject both first
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
@@ -53,6 +67,11 @@ class EigenDecomposition:
 @dataclass
 class HermitianOperator:
     """Dense Hermitian matrix with a lazily cached eigendecomposition.
+
+    ``entries`` is float64 when the given matrix is real, including a
+    complex one whose imaginary parts are all exactly zero, and
+    complex128 otherwise; ``np.linalg.eigh`` then runs the real symmetric
+    solver on real input, and the eigenvectors share that dtype.
 
     The cache is populated at most once; share instances across threads
     only after calling :meth:`eig` (single-writer initialization).
@@ -90,18 +109,22 @@ class HermitianOperator:
     def spectral_norm(self) -> float:
         return float(np.max(np.abs(self.eig().eigenvalues), initial=0.0))
 
-    def __matmul__(self, other: "HermitianOperator") -> np.ndarray:
-        return self.entries @ other.entries
 
-
-@dataclass
 class SystemState:
-    """Density matrix of the probed system."""
+    """Density matrix of the probed system.
 
-    rho: np.ndarray
-    # (H, p) when rho = V diag(p) V^H was built from H's eigenbasis V
-    _eigen_populations: tuple[HermitianOperator, np.ndarray] | None = field(
-        default=None, repr=False, compare=False)
+    ``SystemState(rho)`` takes a user-supplied rho and checks it at once:
+    finite, square, Hermitian, unit trace and positive semidefinite. A
+    Gibbs state from :func:`thermal_state` keeps H and its eigenstate
+    populations instead, and builds rho = V diag(p) V^H only on the
+    first read of :attr:`rho`; ``spectrum_of(state, H)`` reads the
+    populations and never builds it. rho is float64 when real and
+    complex128 otherwise, by the rule of :class:`HermitianOperator`.
+    """
+
+    _rho: np.ndarray | None
+    # (H, p) for a Gibbs state, whose rho = V diag(p) V^H over H's eigenbasis V
+    _eigen_populations: tuple[HermitianOperator, np.ndarray] | None
 
     def __init__(self, rho):
         a = _as_square(rho)
@@ -113,28 +136,41 @@ class SystemState:
 
     @classmethod
     def _in_eigenbasis(cls, H: HermitianOperator, populations: np.ndarray) -> "SystemState":
-        """rho = V diag(populations) V^H over H's eigenvectors V.
+        """The state with ``populations`` on H's eigenvectors; rho is built on first read.
 
-        The populations are nonnegative, so rho needs no eigenvalue
-        check, and ``spectrum_of(state, H)`` reads them back exactly
-        instead of recovering them from rho.
+        The populations are checked here, in O(d), because rho may never
+        be built: finite, nonnegative and summing to 1 within 1e-10.
         """
-        v = H.eig().eigenvectors
-        a = (v * populations) @ v.conj().T
+        if not np.isfinite(populations).all() or (populations < 0).any():
+            raise ValueError("populations must be finite and nonnegative")
+        if abs(populations.sum() - 1.0) > 1e-10:
+            raise ValueError(f"populations sum to {populations.sum()}, not 1")
         state = cls.__new__(cls)
-        _check_hermitian_unit_trace(a)
-        state._store(a)
+        state._rho = None
         state._eigen_populations = (H, populations)
         return state
 
     def _store(self, a: np.ndarray) -> None:
         a = 0.5 * (a + a.conj().T)
         a.setflags(write=False)
-        self.rho = a
+        self._rho = a
+
+    @property
+    def rho(self) -> np.ndarray:
+        """The density matrix, read-only; a Gibbs state builds and caches it here."""
+        if self._rho is None:
+            H, populations = self._eigen_populations
+            v = H.eig().eigenvectors
+            a = (v * populations) @ v.conj().T
+            _check_hermitian_unit_trace(a)
+            self._store(a)
+        return self._rho
 
     @property
     def dim(self) -> int:
-        return self.rho.shape[0]
+        if self._rho is None:
+            return self._eigen_populations[0].dim
+        return self._rho.shape[0]
 
 
 @dataclass(frozen=True)

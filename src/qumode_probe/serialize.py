@@ -37,7 +37,11 @@ def _matrix_payload(a: np.ndarray) -> dict:
 
 
 def matrix_from_payload(payload) -> np.ndarray:
-    """Square complex matrix from ``{dim, entries: [[re, im], ...]}``, row-major."""
+    """Square complex matrix from ``{dim, entries: [[re, im], ...]}``, row-major.
+
+    A payload whose imaginary parts are all zero is a real matrix: the
+    ``HermitianOperator`` or ``SystemState`` built from it stores float64.
+    """
     if not isinstance(payload, dict) or "dim" not in payload or "entries" not in payload:
         raise ValueError("matrix literal must be {dim, entries: [[re, im], ...]}")
     try:

@@ -150,7 +150,15 @@ class ThermoReport:
     S_grid: tuple[tuple[float, float], ...]
 
 
+# Most points a beta grid may have. Each point costs about 0.1 ms of
+# Z, F, C and S on a two-line spectrum and one output row, so a grid
+# at the cap takes seconds and a few MB.
+MAX_BETA_GRID = 10 ** 5
+
+
 def default_beta_grid(lo: float = 0.1, hi: float = 10.0, num: int = 50) -> np.ndarray:
+    """``num`` geometrically spaced betas from ``lo`` to ``hi``; the CLI
+    holds ``num`` to at most ``MAX_BETA_GRID``."""
     return np.geomspace(lo, hi, num)
 
 

@@ -409,6 +409,60 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"config error: {key} must be a non-empty list of numbers\n")
 
+    def test_empty_system(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "spectrum", {"system": {"diagonal": []}})
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: bad system section: matrix must be at least 1×1\n")
+
+    @pytest.mark.parametrize("command, config, message", [
+        pytest.param("sample", dict(QUBIT, sampling=[1]), "sampling must be an object",
+                     id="sampling-list"),
+        pytest.param("thermo", dict(QUBIT, thermo=[1]), "thermo must be an object",
+                     id="thermo-list"),
+        pytest.param("reconstruct", dict(QUBIT, reconstruct={"bin_width": "wide"}),
+                     "reconstruct.bin_width must be a finite number > 0, got 'wide'",
+                     id="bin-width-string"),
+        pytest.param("reconstruct", dict(QUBIT, reconstruct={"bin_width": 0}),
+                     "reconstruct.bin_width must be a finite number > 0, got 0",
+                     id="bin-width-zero"),
+        pytest.param("reconstruct", dict(QUBIT, reconstruct={"bin_width": float("inf")}),
+                     "reconstruct.bin_width must be a finite number > 0, got inf",
+                     id="bin-width-inf"),
+    ])
+    def test_mistyped_section_names_the_key(self, tmp_path, capsys, command, config, message):
+        record = record_file(tmp_path, b"0000000000000000\n3ff0000000000000\n")  # 0.0, 1.0
+        code, text = run(tmp_path, command, config, extra=["--seed", "3", "--record", record])
+        assert code == EXIT_CONFIG
+        assert text == ""
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_beta_grid_object(self, tmp_path):
+        config = dict(QUBIT, thermo={"beta_grid": {"lo": 0.5, "hi": 2.0, "num": 3}})
+        code, text = run(tmp_path, "thermo", config)
+        assert code == 0
+        _, rows = parse_rows(text)
+        assert [r["beta"] for r in rows] == pytest.approx([0.5, 1.0, 2.0], rel=1e-15)
+
+    @pytest.mark.parametrize("grid, message", [
+        ({"num": 0}, "thermo.beta_grid.num must be an integer from 1 to 100000, got 0"),
+        ({"num": thermo.MAX_BETA_GRID + 1},
+         "thermo.beta_grid.num must be an integer from 1 to 100000, got 100001"),
+        ({"num": "many"}, "thermo.beta_grid.num must be an integer from 1 to 100000, "
+                          "got 'many'"),
+        ({"lo": 0}, "thermo.beta_grid.lo must be a finite number > 0, got 0"),
+        ({"lo": -1.0, "hi": -0.5}, "thermo.beta_grid.lo must be a finite number > 0, got -1.0"),
+        ({"hi": float("inf")}, "thermo.beta_grid.hi must be a finite number > 0, got inf"),
+        ({"lo": [1]}, "thermo.beta_grid.lo must be a finite number > 0, got [1]"),
+        ({"lo": 2.0, "hi": 1.0}, "thermo.beta_grid needs lo <= hi, got lo=2.0, hi=1.0"),
+    ], ids=["num-zero", "num-over-cap", "num-string", "lo-zero", "negative", "hi-inf",
+            "lo-list", "lo-above-hi"])
+    def test_beta_grid_object_checked(self, tmp_path, capsys, grid, message):
+        code, text = run(tmp_path, "thermo", dict(QUBIT, thermo={"beta_grid": grid}))
+        assert code == EXIT_CONFIG
+        assert text == ""
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_non_thermal_populations_contract(self, tmp_path, capsys):
         config = {"system": {"diagonal": [0.0, 0.5, 3.0]},
                   "state": {"random_populations": 12},
@@ -642,6 +696,9 @@ class TestBoundedChildren:
         pytest.param("spectrum", {"system": {"model": "dicke", "n_atoms": 100_000}},
                      "dimension 100001 exceeds cap 1024", id="dicke-n-atoms"),
         pytest.param("reconstruct", QUBIT, "over the cap of 16777216", id="histogram-span"),
+        pytest.param("thermo", dict(QUBIT, thermo={"beta_grid": {"num": 1e11}}),
+                     "thermo.beta_grid.num must be an integer from 1 to 100000",
+                     id="beta-grid-num"),
     ])
     def test_oversized_input_exits_2(self, tmp_path, command, config, message):
         record = record_file(tmp_path, b"0000000000000000\n41cdcd6500000000\n")  # 0.0, 1e9

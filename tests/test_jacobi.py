@@ -161,8 +161,21 @@ def test_operator_eig_matches_oracle(dim):
     h = random_hermitian(dim, seed=1000 + dim)
     vals, vecs = jacobi_eigh(h)
     dec = HermitianOperator(h).eig()
+    assert dec.eigenvectors.dtype == np.complex128
     assert np.max(np.abs(dec.eigenvalues - vals)) <= 1e-10
     # random spectra are simple, so each eigenvector agrees up to a phase
+    overlaps = np.abs(np.sum(vecs.conj() * dec.eigenvectors, axis=0))
+    assert np.max(1.0 - overlaps) <= 1e-10
+
+
+@pytest.mark.parametrize("dim", [2, 5, 16, 64])
+def test_real_operator_eig_matches_oracle(dim):
+    """A real symmetric matrix runs LAPACK's real solver; the oracle is unchanged."""
+    h = random_hermitian(dim, seed=2000 + dim).real
+    vals, vecs = jacobi_eigh(h)
+    dec = HermitianOperator(h).eig()
+    assert dec.eigenvectors.dtype == np.float64
+    assert np.max(np.abs(dec.eigenvalues - vals)) <= 1e-10
     overlaps = np.abs(np.sum(vecs.conj() * dec.eigenvectors, axis=0))
     assert np.max(1.0 - overlaps) <= 1e-10
 

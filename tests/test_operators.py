@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qumode_probe.operators import (
+    DIMENSION_CAP,
     HermitianOperator,
     Spectrum,
     SystemState,
@@ -126,6 +129,47 @@ class TestThermalState:
         from_rho = spectrum_of(thermal_state(h, 1.0), twin)
         assert np.allclose(from_rho.populations, exact.populations, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("h", [random_hermitian(6, 5),
+                                   HermitianOperator(np.diag([0.0, 0.3, 0.3, 1.0]))],
+                             ids=["complex", "real"])
+    def test_lazy_rho_is_the_gibbs_density_matrix(self, h):
+        state = thermal_state(h, 0.7)
+        dec = h.eig()
+        weights = np.exp(-0.7 * (dec.eigenvalues - dec.eigenvalues.min()))
+        weights /= weights.sum()
+        v = dec.eigenvectors
+        rho = state.rho
+        assert state.rho is rho
+        assert rho.dtype == h.entries.dtype
+        assert not rho.flags.writeable
+        assert np.allclose(rho, (v * weights) @ v.conj().T, rtol=0, atol=1e-15)
+        assert np.array_equal(rho, rho.conj().T)
+        assert abs(np.trace(rho) - 1.0) <= 1e-12
+
+    def test_gibbs_spectrum_builds_no_density_matrix(self):
+        """rho alone would be 8 MiB at the dimension cap."""
+        h = HermitianOperator(np.diag(np.linspace(0.0, 100.0, DIMENSION_CAP)))
+        h.eig()
+        tracemalloc.start()
+        try:
+            spec = spectrum_of(thermal_state(h, 0.02), h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(spec.lines) == DIMENSION_CAP
+        assert peak < 4 * 2 ** 20, peak
+
+    @pytest.mark.parametrize("populations, message", [
+        ([0.5, np.nan, 0.5], "finite and nonnegative"),
+        ([0.5, np.inf, 0.5], "finite and nonnegative"),
+        ([1.2, -0.2, 0.0], "finite and nonnegative"),
+        ([0.5, 0.25, 0.25 + 1e-9], "not 1"),
+    ])
+    def test_bad_gibbs_populations_raise(self, populations, message):
+        h = HermitianOperator(np.diag([0.0, 1.0, 2.0]))
+        with pytest.raises(ValueError, match=message):
+            SystemState._in_eigenbasis(h, np.array(populations))
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 1000), beta=st.floats(0.01, 20.0))
     def test_boltzmann_ordering(self, seed, beta):
@@ -188,6 +232,34 @@ class TestCommutatorNorm:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             commutator_norm(sigma_x(), random_hermitian(3, 0))
+
+
+class TestStorageDtype:
+    def test_real_input_is_stored_real(self):
+        rng = np.random.default_rng(8)
+        m = rng.normal(size=(7, 7))
+        real = HermitianOperator(m + m.T)
+        typed_complex = HermitianOperator((m + m.T).astype(complex))
+        for op in (real, typed_complex):
+            assert op.entries.dtype == np.float64
+            assert op.eig().eigenvectors.dtype == np.float64
+        assert np.array_equal(real.eig().eigenvalues, typed_complex.eig().eigenvalues)
+        assert np.array_equal(real.eig().eigenvectors, typed_complex.eig().eigenvectors)
+
+    def test_complex_input_stays_complex(self):
+        h = random_hermitian(5, 4)
+        assert h.entries.dtype == np.complex128
+        assert h.eig().eigenvectors.dtype == np.complex128
+
+    def test_state_follows_the_same_rule(self):
+        assert SystemState(np.eye(3, dtype=complex) / 3).rho.dtype == np.float64
+        pure = np.array([1.0, 1j]) / np.sqrt(2)
+        assert SystemState(np.outer(pure, pure.conj())).rho.dtype == np.complex128
+
+    @pytest.mark.parametrize("build", [HermitianOperator, SystemState])
+    def test_empty_matrix_rejected(self, build):
+        with pytest.raises(ValueError, match="matrix must be at least 1×1"):
+            build(np.zeros((0, 0)))
 
 
 class TestValidation:

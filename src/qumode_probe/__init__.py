@@ -28,20 +28,14 @@ from .operators import (
 )
 from .probe import (
     Bin,
-    GaussianMixture,
     Ideal,
-    MomentumDistribution,
-    PiecewiseUniform,
-    PointMasses,
+    LineMixture,
     ProbeConfig,
     Squeezed,
     apply_detector_binning,
     dephasing_function,
-    distribution_binned,
     distribution_for,
-    distribution_ideal,
     distribution_numeric_oracle,
-    distribution_squeezed,
     map_p_to_E,
 )
 from .reconstruct import (
@@ -56,11 +50,7 @@ from .reconstruct import (
     required_samples,
     resolution_params,
 )
-from .sampling import (
-    MeasurementRecord,
-    sample_measurements,
-    sample_measurements_partitioned,
-)
+from .sampling import MeasurementRecord, sample_measurements
 from .thermo import (
     DegenerateGroundStateError,
     NonThermalSpectrumError,

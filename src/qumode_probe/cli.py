@@ -26,12 +26,7 @@ from .operators import (
     spectrum_of,
     thermal_state,
 )
-from .probe import (
-    Ideal,
-    ProbeConfig,
-    apply_detector_binning,
-    distribution_for,
-)
+from .probe import ProbeConfig, apply_detector_binning, distribution_for
 from .sampling import MAX_SAMPLES, sample_measurements
 from .serialize import (
     matrix_from_payload,
@@ -135,7 +130,8 @@ def _spectrum_rows(spec: Spectrum) -> list[tuple]:
 def cmd_spectrum(config: dict, fmt: str) -> str:
     H = build_system(config)
     state = build_state(config, H)
-    spec = spectrum_of(state, H, merge_tol=float(config.get("merge_tol", 1e-8)))
+    merge_tol = _config_positive(config, "", "merge_tol", 1e-8, zero_ok=True)
+    spec = spectrum_of(state, H, merge_tol=merge_tol)
     return _emit_table(config, _spectrum_rows(spec), ["E", "P", "g"], fmt)
 
 
@@ -158,8 +154,12 @@ def _config_int(options: dict, name: str, key: str, default: int, lo: int, hi: i
     return value
 
 
-def _config_positive(options: dict, name: str, key: str, default: float | None) -> float | None:
-    """A finite number > 0, or ``default`` when the key is absent."""
+def _config_positive(options: dict, name: str, key: str, default: float | None,
+                     zero_ok: bool = False) -> float | None:
+    """A finite number > 0 (>= 0 if ``zero_ok``), or ``default`` when the key is absent.
+
+    ``name`` is the key's section, empty for a top-level key.
+    """
     raw = options.get(key)
     if raw is None:
         return default
@@ -167,8 +167,9 @@ def _config_positive(options: dict, name: str, key: str, default: float | None) 
         value = float(raw)
     except (TypeError, ValueError):
         value = float("nan")
-    if not (np.isfinite(value) and value > 0):
-        raise ConfigError(f"{name}.{key} must be a finite number > 0, got {raw!r}")
+    if not (np.isfinite(value) and (value > 0 or zero_ok and value == 0)):
+        need = "nonnegative and finite" if zero_ok else "a finite number > 0"
+        raise ConfigError(f"{name}{'.' if name else ''}{key} must be {need}, got {raw!r}")
     return value
 
 
@@ -183,14 +184,15 @@ def cmd_sample(config: dict, fmt: str):
     sampling = _section(config, "sampling")
     n = _config_int(sampling, "sampling", "n", 1000, 1, MAX_SAMPLES)
     seed = _config_int(sampling, "sampling", "seed", 0, 0, 2 ** 128 - 1)  # Philox key range
-    detector_bin = float(sampling.get("detector_bin", 0.0))
-    if not detector_bin >= 0:
-        raise ConfigError(f"sampling.detector_bin must be nonnegative, got {detector_bin!r}")
+    detector_bin = _config_positive(sampling, "sampling", "detector_bin", 0.0, zero_ok=True)
 
     spec = spectrum_of(state, H)
     dist = distribution_for(spec, probe)
     if detector_bin > 0:
-        dist = apply_detector_binning(dist, detector_bin)
+        try:
+            dist = apply_detector_binning(dist, detector_bin)
+        except ValueError as exc:
+            raise ConfigError(f"sampling.detector_bin: {exc}") from exc
     header = _resolved_header(config) + "\n" + record_header(seed, detector_bin, probe)
     return _record_pieces(header, dist, n, seed, detector_bin)
 
@@ -211,7 +213,7 @@ def cmd_reconstruct(config: dict, fmt: str, record_text: str) -> str:
     recon = reconstruct.reconstruct_record(
         record, probe,
         bin_width=_config_positive(options, "reconstruct", "bin_width", None),
-        min_mass=options.get("min_mass"))
+        min_mass=_config_positive(options, "reconstruct", "min_mass", None))
     res = reconstruct.resolution_params(probe)
     rows = [(line.E_hat, line.P_hat, line.count) for line in recon.lines]
     body = _emit_table(config, rows, ["E_hat", "P_hat", "count"], fmt)
@@ -274,11 +276,11 @@ def _thermo_rows(report: thermo.ThermoReport) -> list[tuple]:
 def cmd_thermo(config: dict, fmt: str, record_text: str | None) -> str:
     options = _section(config, "thermo")
     beta_grid = _beta_grid_from_config(options)
+    # line indices are range-checked once the spectrum is known
+    i0, i1, anchor = (_config_int(options, "thermo", key, default, -sys.maxsize, sys.maxsize)
+                      for key, default in (("line0", 0), ("line1", 1), ("anchor", 0)))
+    anchor_g = _config_int(options, "thermo", "anchor_g", 1, 1, sys.maxsize)
     spec = _lines_for_thermo(config, record_text)
-    i0 = int(options.get("line0", 0))
-    i1 = int(options.get("line1", 1))
-    anchor = int(options.get("anchor", 0))
-    anchor_g = int(options.get("anchor_g", 1))
     if len(spec.lines) < 2:
         raise ConfigError("thermometry needs at least two spectral lines")
     for key, index in (("line0", i0), ("line1", i1)):
@@ -301,8 +303,7 @@ def cmd_quench(config: dict, fmt: str) -> str:
         raise ConfigError("quench requires a 'quench' section with 'system2'")
     H0 = build_system(config)
     H1 = build_system({"system": options["system2"]})
-    beta = float(options.get("beta", 1.0))
-    report = thermo.quench_work(H0, H1, beta)
+    report = thermo.quench_work(H0, H1, _config_positive(options, "quench", "beta", 1.0))
     rows = [(report.W_avg, report.dF, report.W_irr)]
     return _emit_table(config, rows, ["W_avg", "dF", "W_irr"], fmt)
 

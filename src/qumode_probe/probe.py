@@ -1,52 +1,119 @@
 """Momentum-quadrature measurement distributions for qumode probes.
 
 The interaction imprints each spectral line (E, P) onto the qumode as a
-feature at p = p0 - g*E*tau.  Three initial-state models are supported:
-an exact momentum eigenstate (point masses), a finite momentum bin of
-width L (plateaus of density P/L), and a finitely squeezed Gaussian
-(mixture of Gaussians with per-component std 1/(sqrt(2)*s)).
+feature of weight P at p = p0 - g*E*tau, spread by the probe's initial
+momentum profile.  The probe mode is that profile, the kernel of one
+``LineMixture``: ``Ideal`` (an exact momentum eigenstate) is a delta,
+``Bin(L)`` (a finite momentum bin) a uniform window of width L, and
+``Squeezed(s)`` (a finitely squeezed Gaussian) a normal of std
+1/(sqrt(2)*s).  Each mode carries its kernel's std, support half-width,
+CDF, inverse CDF and density.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
 from .operators import ConvergenceError, HermitianOperator, Spectrum, SystemState, spectrum_of
 
-POINT_MERGE_TOL = 1e-12
+MAX_BINS = 2 ** 24  # bins one histogram or detector binning may span, occupied or not
 
 # delta initial states are not representable in quadrature; the oracle
 # substitutes a strongly squeezed Gaussian instead
 IDEAL_SURROGATE_SQUEEZING = 1e4
 
 
+def _check_positive(name: str, value: float):
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Ideal:
-    pass
+    """Delta kernel: every line is a point mass at its position."""
+
+    kind: ClassVar[str] = "ideal"
+    std: ClassVar[float] = 0.0
+    half_width: ClassVar[float] = 0.0
+
+    @staticmethod
+    def cdf(x) -> np.ndarray:
+        """P(offset < x): a line on a detector bin edge lands in the bin above."""
+        return (np.asarray(x) > 0).astype(float)
+
+    @staticmethod
+    def inverse_cdf(u) -> np.ndarray:
+        return np.zeros_like(u)
+
+    @staticmethod
+    def density(x):
+        raise ValueError("a delta kernel has no density")
 
 
 @dataclass(frozen=True)
 class Bin:
+    """Uniform kernel of width L."""
+
     L: float
+    kind: ClassVar[str] = "bin"
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise ValueError("bin size L must be positive")
+        _check_positive("bin size L", self.L)
+
+    @property
+    def std(self) -> float:
+        return self.L / np.sqrt(12.0)
+
+    @property
+    def half_width(self) -> float:
+        return self.L / 2
+
+    def cdf(self, x) -> np.ndarray:
+        return np.clip(np.asarray(x) / self.L + 0.5, 0.0, 1.0)
+
+    def inverse_cdf(self, u) -> np.ndarray:
+        return self.L * (u - 0.5)
+
+    def density(self, x) -> np.ndarray:
+        return np.where(np.abs(x) <= self.L / 2, 1.0 / self.L, 0.0)
 
 
 @dataclass(frozen=True)
 class Squeezed:
+    """Gaussian kernel of std 1/(sqrt(2) s)."""
+
     s: float
+    kind: ClassVar[str] = "squeezed"
 
     def __post_init__(self):
-        if self.s <= 0:
-            raise ValueError("squeezing factor s must be positive")
+        _check_positive("squeezing factor s", self.s)
+
+    @property
+    def std(self) -> float:
+        return 1.0 / (np.sqrt(2.0) * self.s)
+
+    @property
+    def half_width(self) -> float:
+        return 10 * self.std  # the mass beyond 10 std is below 1e-23
+
+    def cdf(self, x) -> np.ndarray:
+        from scipy.special import ndtr  # lazy: scipy.special is most of a CLI call's start-up
+        return ndtr(np.asarray(x) / self.std)
+
+    def inverse_cdf(self, u) -> np.ndarray:
+        from scipy.special import ndtri  # lazy, as in cdf
+        return self.std * ndtri(u)
+
+    def density(self, x) -> np.ndarray:
+        sd = self.std
+        return np.exp(-0.5 * (np.asarray(x) / sd) ** 2) / (sd * np.sqrt(2 * np.pi))
 
 
 ProbeMode = Union[Ideal, Bin, Squeezed]
+MODES = {mode.kind: mode for mode in (Ideal, Bin, Squeezed)}
 
 
 @dataclass(frozen=True)
@@ -57,93 +124,54 @@ class ProbeConfig:
     mode: ProbeMode
 
     def __post_init__(self):
-        if self.g <= 0 or self.tau <= 0:
-            raise ValueError("coupling g and interaction time tau must be positive")
+        if not np.isfinite(self.p0):
+            raise ValueError(f"probe p0 must be finite, got {self.p0!r}")
+        _check_positive("coupling g", self.g)
+        _check_positive("interaction time tau", self.tau)
 
     @property
     def g_tau(self) -> float:
         return self.g * self.tau
 
-    def line_position(self, E: float) -> float:
-        return self.p0 - self.g_tau * E
-
     def momentum_std(self) -> float:
-        """Per-line spread of the measured momentum for this probe.
-
-        Squeezed: Gaussian std 1/(sqrt(2) s).  Bin: std of a width-L
-        uniform window, L/sqrt(12).  Ideal: 0.
-        """
-        if isinstance(self.mode, Squeezed):
-            return 1.0 / (np.sqrt(2.0) * self.mode.s)
-        if isinstance(self.mode, Bin):
-            return self.mode.L / np.sqrt(12.0)
-        return 0.0
+        """Per-line spread of the measured momentum: the std of the mode's kernel."""
+        return self.mode.std
 
 
-@dataclass(frozen=True)
-class PointMasses:
-    """Discrete distribution: list of (position, mass)."""
+@dataclass(frozen=True, eq=False)
+class LineMixture:
+    """Mass ``weights[n]`` at ``points[n]``, each line spread by ``mode``'s kernel.
 
-    points: tuple[tuple[float, float], ...]
+    The arrays are read-only copies; lines keep the order they were given
+    in and may share a position.
+    """
+
+    points: np.ndarray
+    weights: np.ndarray
+    mode: ProbeMode
 
     def __post_init__(self):
-        _check_mass(sum(m for _, m in self.points))
-
-    def mean(self) -> float:
-        return sum(p * m for p, m in self.points)
-
-
-@dataclass(frozen=True)
-class PiecewiseUniform:
-    """Disjoint uniform segments: list of (center, width, mass)."""
-
-    segments: tuple[tuple[float, float, float], ...]
-
-    def __post_init__(self):
-        _check_mass(sum(m for _, _, m in self.segments))
-        if any(w <= 0 for _, w, _ in self.segments):
-            raise ValueError("segment widths must be positive")
+        points = np.array(self.points, dtype=float)
+        weights = np.array(self.weights, dtype=float)
+        if points.ndim != 1 or not points.size or points.shape != weights.shape:
+            raise ValueError("points and weights must be non-empty 1-D arrays of one length")
+        # draws stay within half_width of their line, so none overflows
+        if not np.isfinite(np.abs(points).max() + self.mode.half_width):
+            raise ValueError(f"line positions widened by the kernel's half-width "
+                             f"{float(self.mode.half_width)!r} must be finite")
+        if not (weights >= 0).all():
+            raise ValueError("line weights must be nonnegative")
+        total = weights.sum()
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"total mass {total} differs from 1 beyond 1e-9")
+        points.flags.writeable = weights.flags.writeable = False
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "weights", weights)
 
     def density(self, p) -> np.ndarray:
+        """Probability density at ``p``; a delta kernel has none."""
         p = np.asarray(p, dtype=float)
-        out = np.zeros_like(p)
-        for c, w, m in self.segments:
-            inside = (p >= c - w / 2) & (p <= c + w / 2)
-            out = np.where(inside, out + m / w, out)
-        return out
-
-    def mean(self) -> float:
-        return sum(c * m for c, _, m in self.segments)
-
-
-@dataclass(frozen=True)
-class GaussianMixture:
-    """Mixture of normals: list of (mean, std, weight)."""
-
-    components: tuple[tuple[float, float, float], ...]
-
-    def __post_init__(self):
-        _check_mass(sum(w for _, _, w in self.components))
-        if any(s <= 0 for _, s, _ in self.components):
-            raise ValueError("component stds must be positive")
-
-    def density(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        out = np.zeros_like(p)
-        for mu, sd, w in self.components:
-            out = out + w * np.exp(-0.5 * ((p - mu) / sd) ** 2) / (sd * np.sqrt(2 * np.pi))
-        return out
-
-    def mean(self) -> float:
-        return sum(mu * w for mu, _, w in self.components)
-
-
-MomentumDistribution = Union[PointMasses, PiecewiseUniform, GaussianMixture]
-
-
-def _check_mass(total: float):
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"total mass {total} differs from 1 beyond 1e-9")
+        return sum(m * self.mode.density(p - x) for x, m in zip(self.points, self.weights))
 
 
 def dephasing_function(spec: Spectrum, g: float, dx: float, t: float) -> complex:
@@ -152,62 +180,10 @@ def dephasing_function(spec: Spectrum, g: float, dx: float, t: float) -> complex
     return complex(np.sum(spec.populations * phases))
 
 
-def distribution_ideal(spec: Spectrum, probe: ProbeConfig) -> PointMasses:
-    """Point masses P_n at p = p0 - g E_n tau (exact momentum eigenstate)."""
-    if not isinstance(probe.mode, Ideal):
-        raise ValueError("probe mode must be Ideal")
-    positions = [probe.line_position(line.E) for line in spec.lines]
-    masses = [line.P for line in spec.lines]
-    order = np.argsort(positions)
-    merged: list[list[float]] = []
-    for k in order:
-        if merged and positions[k] - merged[-1][0] <= POINT_MERGE_TOL:
-            merged[-1][1] += masses[k]
-        else:
-            merged.append([positions[k], masses[k]])
-    return PointMasses(tuple((p, m) for p, m in merged))
-
-
-def distribution_binned(spec: Spectrum, probe: ProbeConfig) -> PiecewiseUniform:
-    """Plateaus of density P_n/L over |p - p0 + g E_n tau| <= L/2.
-
-    Overlapping plateaus are resolved into disjoint segments whose
-    densities add.
-    """
-    if not isinstance(probe.mode, Bin):
-        raise ValueError("probe mode must be Bin")
-    L = probe.mode.L
-    intervals = [(probe.line_position(line.E) - L / 2,
-                  probe.line_position(line.E) + L / 2,
-                  line.P / L) for line in spec.lines]
-    edges = sorted({e for lo, hi, _ in intervals for e in (lo, hi)})
-    segments = []
-    for lo, hi in zip(edges, edges[1:]):
-        density = sum(d for a, b, d in intervals if a <= lo and hi <= b)
-        if density > 0:
-            segments.append(((lo + hi) / 2, hi - lo, density * (hi - lo)))
-    # renormalize away float roundoff from the edge arithmetic
-    total = sum(m for _, _, m in segments)
-    segments = [(c, w, m / total) for c, w, m in segments]
-    return PiecewiseUniform(tuple(segments))
-
-
-def distribution_squeezed(spec: Spectrum, probe: ProbeConfig) -> GaussianMixture:
-    """Gaussian per line: mean p0 - g E_n tau, std 1/(sqrt(2) s), weight P_n."""
-    if not isinstance(probe.mode, Squeezed):
-        raise ValueError("probe mode must be Squeezed")
-    sd = 1.0 / (np.sqrt(2.0) * probe.mode.s)
-    return GaussianMixture(tuple(
-        (probe.line_position(line.E), sd, line.P) for line in spec.lines))
-
-
-def distribution_for(spec: Spectrum, probe: ProbeConfig) -> MomentumDistribution:
-    """Closed-form measurement distribution for the probe's mode."""
-    if isinstance(probe.mode, Ideal):
-        return distribution_ideal(spec, probe)
-    if isinstance(probe.mode, Bin):
-        return distribution_binned(spec, probe)
-    return distribution_squeezed(spec, probe)
+def distribution_for(spec: Spectrum, probe: ProbeConfig) -> LineMixture:
+    """Closed-form measurement distribution: mass P_n at p0 - g E_n tau per line,
+    in spectrum order, spread by the probe mode's kernel."""
+    return LineMixture(probe.p0 - probe.g_tau * spec.energies, spec.populations, probe.mode)
 
 
 def map_p_to_E(p, probe: ProbeConfig):
@@ -345,51 +321,37 @@ def distribution_numeric_oracle(state: SystemState, H: HermitianOperator,
     return _oracle_binned(spec, probe, mode, p_grid)
 
 
-def apply_detector_binning(dist: MomentumDistribution, bin_width: float,
-                           origin: float = 0.0) -> PiecewiseUniform:
+def apply_detector_binning(dist: LineMixture, bin_width: float,
+                           origin: float = 0.0) -> LineMixture:
     """Integrate a distribution over detector bins of the given width.
 
-    Bins are half-open [origin + k*w, origin + (k+1)*w); the returned
-    segments are the bins that receive mass.
+    Bins are half-open [origin + k*w, origin + (k+1)*w).  A line's mass in
+    a bin is the difference of its kernel's CDF at the bin's edges, taken
+    over the bins the line reaches only.  The result holds one line per
+    bin that receives mass, at the bin centre with a uniform kernel of
+    width w.  A span over MAX_BINS bins is rejected before any array of
+    that length is allocated.
     """
-    if bin_width <= 0:
+    if not bin_width > 0:
         raise ValueError("bin width must be positive")
     w = bin_width
-
-    if isinstance(dist, PointMasses):
-        lo = min(p for p, _ in dist.points)
-        hi = max(p for p, _ in dist.points)
-    elif isinstance(dist, PiecewiseUniform):
-        lo = min(c - width / 2 for c, width, _ in dist.segments)
-        hi = max(c + width / 2 for c, width, _ in dist.segments)
-    else:
-        lo = min(mu - 10 * sd for mu, sd, _ in dist.components)
-        hi = max(mu + 10 * sd for mu, sd, _ in dist.components)
-
-    k_lo = int(np.floor((lo - origin) / w)) - 1
-    k_hi = int(np.floor((hi - origin) / w)) + 1
-    edges = origin + w * np.arange(k_lo, k_hi + 2)
-    masses = np.zeros(len(edges) - 1)
-
-    if isinstance(dist, PointMasses):
-        for p, m in dist.points:
-            masses[int(np.floor((p - origin) / w)) - k_lo] += m
-    elif isinstance(dist, PiecewiseUniform):
-        for c, width, m in dist.segments:
-            a, b = c - width / 2, c + width / 2
-            overlap = np.clip(np.minimum(edges[1:], b) - np.maximum(edges[:-1], a), 0, None)
-            masses += m * overlap / width
-    else:
-        from scipy.special import ndtr  # lazy: scipy.special is most of a CLI call's start-up
-        for mu, sd, weight in dist.components:
-            cdf = ndtr((edges - mu) / sd)
-            masses += weight * np.diff(cdf)
+    reach = dist.mode.half_width
+    # each line's first and last bin, with one bin of margin against rounding
+    first = np.floor((dist.points - reach - origin) / w) - 1
+    last = np.floor((dist.points + reach - origin) / w) + 1
+    k_lo = first.min()
+    span = last.max() - k_lo + 1
+    if not span <= MAX_BINS:
+        raise ValueError(f"binning at width {w!r} spans {span:.6g} bins, "
+                         f"over the cap of {MAX_BINS}")
+    first, last = (first - k_lo).astype(int), (last - k_lo).astype(int)
+    masses = np.zeros(int(span))
+    for p, m, a, b in zip(dist.points, dist.weights, first, last):
+        edges = origin + w * (k_lo + np.arange(a, b + 2))
+        masses[a:b + 1] += m * np.diff(dist.mode.cdf(edges - p))
 
     total = masses.sum()
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"binned mass {total} lost more than 1e-9")
-    keep = masses > 0
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    segments = tuple((float(c), w, float(m / total))
-                     for c, m in zip(centers[keep], masses[keep]))
-    return PiecewiseUniform(segments)
+    keep = np.flatnonzero(masses > 0)
+    return LineMixture(origin + w * (k_lo + keep + 0.5), masses[keep] / total, Bin(w))

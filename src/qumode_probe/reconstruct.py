@@ -13,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probe import Bin, ProbeConfig, Squeezed, map_p_to_E
+from .probe import MAX_BINS, Bin, ProbeConfig, Squeezed, map_p_to_E
 from .sampling import MeasurementRecord
-
-MAX_BINS = 2 ** 24  # bins one histogram may span, occupied or not
 
 
 @dataclass(frozen=True)
@@ -24,16 +22,12 @@ class ResolutionParams:
     """Resolution figures implied by the probe configuration.
 
     ``sigma_E`` follows the Gaussian width of the squeezed-mode
-    distribution, 1/(sqrt(2) s g tau); ``sigma_E_conservative`` keeps
-    the common rule-of-thumb figure sqrt(2)/(s g tau), four times the
-    Gaussian std, for planning with margin.  ``alpha`` reports the
-    literal precision ratio delta/(s g tau) for a unit line spacing.
+    distribution, 1/(sqrt(2) s g tau); ``delta_E`` is a bin probe's
+    plateau width in energy, L/(g tau).
     """
 
     sigma_E: float = 0.0
-    sigma_E_conservative: float = 0.0
     delta_E: float = 0.0
-    alpha: float = 0.0
     infinite_resolution: bool = False
 
     def resolvability(self, spacing: float) -> float:
@@ -48,10 +42,7 @@ def resolution_params(probe: ProbeConfig) -> ResolutionParams:
     if isinstance(probe.mode, Bin):
         return ResolutionParams(delta_E=probe.mode.L / gt)
     if isinstance(probe.mode, Squeezed):
-        s = probe.mode.s
-        return ResolutionParams(sigma_E=1.0 / (np.sqrt(2.0) * s * gt),
-                                sigma_E_conservative=np.sqrt(2.0) / (s * gt),
-                                alpha=1.0 / (s * gt))
+        return ResolutionParams(sigma_E=1.0 / (np.sqrt(2.0) * probe.mode.s * gt))
     return ResolutionParams(infinite_resolution=True)
 
 

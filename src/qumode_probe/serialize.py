@@ -2,7 +2,8 @@
 measurement records, and reports.
 
 Matrices are stored as {dim, entries} with entries a row-major list of
-[re, im] pairs; distributions are JSON records tagged by kind; a sample
+[re, im] pairs; a distribution is one JSON record of kind
+``line_mixture`` holding its points, weights and kernel mode; a sample
 record is a `# key=value` header followed by one line per sample, the
 16 hex digits of the sample's float64 bits (see ``record_body``).  All
 emitters are deterministic (sorted keys, repr floats) so identical
@@ -12,20 +13,12 @@ inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from .operators import HermitianOperator, Spectrum, SystemState
-from .probe import (
-    Bin,
-    GaussianMixture,
-    Ideal,
-    MomentumDistribution,
-    PiecewiseUniform,
-    PointMasses,
-    ProbeConfig,
-    Squeezed,
-)
+from .probe import MODES, LineMixture, ProbeConfig, ProbeMode
 from .sampling import MeasurementRecord
 
 
@@ -87,58 +80,42 @@ def spectrum_from_text(text: str) -> Spectrum:
     return Spectrum.from_lines(json.loads(text)["lines"])
 
 
+def _mode_to_dict(mode: ProbeMode) -> dict:
+    return {"kind": mode.kind, **asdict(mode)}
+
+
+def _mode_from_dict(payload) -> ProbeMode:
+    """A probe mode from ``{kind, <its parameters>}``, or from the bare kind."""
+    if isinstance(payload, str):
+        payload = {"kind": payload}
+    kind = payload["kind"]
+    if kind not in MODES:
+        raise ValueError(f"unknown probe mode {kind!r}")
+    mode = MODES[kind]
+    return mode(**{field.name: float(payload[field.name]) for field in fields(mode)})
+
+
 def probe_to_dict(probe: ProbeConfig) -> dict:
-    mode = probe.mode
-    if isinstance(mode, Ideal):
-        mode_payload = {"kind": "ideal"}
-    elif isinstance(mode, Bin):
-        mode_payload = {"kind": "bin", "L": mode.L}
-    else:
-        mode_payload = {"kind": "squeezed", "s": mode.s}
-    return {"p0": probe.p0, "g": probe.g, "tau": probe.tau, "mode": mode_payload}
+    return {"p0": probe.p0, "g": probe.g, "tau": probe.tau, "mode": _mode_to_dict(probe.mode)}
 
 
 def probe_from_dict(payload: dict) -> ProbeConfig:
-    mode_payload = payload["mode"]
-    if isinstance(mode_payload, str):
-        mode_payload = {"kind": mode_payload}
-    kind = mode_payload["kind"]
-    if kind == "ideal":
-        mode = Ideal()
-    elif kind == "bin":
-        mode = Bin(float(mode_payload["L"]))
-    elif kind == "squeezed":
-        mode = Squeezed(float(mode_payload["s"]))
-    else:
-        raise ValueError(f"unknown probe mode {kind!r}")
+    mode = _mode_from_dict(payload["mode"])
     return ProbeConfig(p0=float(payload.get("p0", 0.0)), g=float(payload.get("g", 1.0)),
                        tau=float(payload.get("tau", 1.0)), mode=mode)
 
 
-def distribution_to_text(dist: MomentumDistribution) -> str:
-    if isinstance(dist, PointMasses):
-        payload = {"kind": "point_masses", "points": [list(p) for p in dist.points]}
-    elif isinstance(dist, PiecewiseUniform):
-        payload = {"kind": "piecewise_uniform",
-                   "segments": [list(s) for s in dist.segments]}
-    elif isinstance(dist, GaussianMixture):
-        payload = {"kind": "gaussian_mixture",
-                   "components": [list(c) for c in dist.components]}
-    else:
-        raise TypeError(f"unsupported distribution type {type(dist).__name__}")
+def distribution_to_text(dist: LineMixture) -> str:
+    payload = {"kind": "line_mixture", "points": dist.points.tolist(),
+               "weights": dist.weights.tolist(), "mode": _mode_to_dict(dist.mode)}
     return json.dumps(payload, sort_keys=True)
 
 
-def distribution_from_text(text: str) -> MomentumDistribution:
+def distribution_from_text(text: str) -> LineMixture:
     payload = json.loads(text)
-    kind = payload["kind"]
-    if kind == "point_masses":
-        return PointMasses(tuple(tuple(p) for p in payload["points"]))
-    if kind == "piecewise_uniform":
-        return PiecewiseUniform(tuple(tuple(s) for s in payload["segments"]))
-    if kind == "gaussian_mixture":
-        return GaussianMixture(tuple(tuple(c) for c in payload["components"]))
-    raise ValueError(f"unknown distribution kind {kind!r}")
+    if payload.get("kind") != "line_mixture":
+        raise ValueError(f"unknown distribution kind {payload.get('kind')!r}")
+    return LineMixture(payload["points"], payload["weights"], _mode_from_dict(payload["mode"]))
 
 
 _LINE = 17  # 16 hex digits and "\n"

@@ -38,16 +38,11 @@ from qumode_probe.probe import (
     Bin,
     ProbeConfig,
     Squeezed,
-    distribution_binned,
     distribution_for,
     distribution_numeric_oracle,
-    distribution_squeezed,
 )
 from qumode_probe.reconstruct import reconstruct_record, resolution_params
-from qumode_probe.sampling import (
-    sample_measurements,
-    sample_measurements_partitioned,
-)
+from qumode_probe.sampling import MeasurementRecord, sample_measurements
 from qumode_probe.serialize import record_to_text
 from qumode_probe.thermo import (
     estimate_beta,
@@ -90,16 +85,16 @@ def test_01_oracle_equivalence():
         probe = ProbeConfig(0.0, 1.0, 1.0, Squeezed(rng.uniform(0.5, 3.0)))
         grid = np.linspace(center - span, center + span, 161)
         oracle = distribution_numeric_oracle(state, h, probe, grid)
-        closed = distribution_squeezed(spec, probe).density(grid)
+        closed = distribution_for(spec, probe).density(grid)
         worst_sq = max(worst_sq, float(np.max(np.abs(oracle - closed))))
 
         probe_b = ProbeConfig(0.0, 1.0, 1.0, Bin(rng.uniform(0.5, 1.5)))
         grid_b = np.linspace(center - span, center + span, 161)
         oracle_b = distribution_numeric_oracle(state, h, probe_b, grid_b)
-        dist_b = distribution_binned(spec, probe_b)
+        dist_b = distribution_for(spec, probe_b)
         closed_b = dist_b.density(grid_b)
-        edges = np.array([e for c, w, _ in dist_b.segments
-                          for e in (c - w / 2, c + w / 2)])
+        L = probe_b.mode.L
+        edges = np.concatenate([dist_b.points - L / 2, dist_b.points + L / 2])
         off_edge = np.min(np.abs(grid_b[:, None] - edges[None, :]), axis=1) > 0.1
         if off_edge.any():
             worst_bin = max(worst_bin,
@@ -123,11 +118,7 @@ def test_02_normalization():
         modes = [Squeezed(rng.uniform(0.3, 10.0)), Bin(rng.uniform(0.1, 2.0))]
         for mode in modes:
             probe = ProbeConfig(rng.normal(), 1.0, rng.uniform(0.5, 5.0), mode)
-            dist = distribution_for(spec, probe)
-            if hasattr(dist, "components"):
-                total = sum(wt for _, _, wt in dist.components)
-            else:
-                total = sum(m for _, _, m in dist.segments)
+            total = distribution_for(spec, probe).weights.sum()
             worst = max(worst, abs(total - 1.0))
     report("02 normalization", worst < 1e-9, f"worst |mass-1| {worst:.2e}")
 
@@ -140,7 +131,7 @@ def test_03_resolvability_sweep():
         s = ratio / (np.sqrt(2.0) * spacing)  # sigma_E = spacing / ratio
         probe = ProbeConfig(0.0, 1.0, 1.0, Squeezed(s))
         assert resolution_params(probe).resolvability(spacing) == pytest.approx(ratio)
-        dist = distribution_squeezed(spec, probe)
+        dist = distribution_for(spec, probe)
         rec = sample_measurements(dist, 200_000, seed=7)
         counts[ratio] = len(reconstruct_record(rec, probe).lines)
     ok = (counts[0.5] < 5
@@ -170,7 +161,7 @@ def test_05_thermometry_round_trip():
     spec = spectrum_of(thermal_state(h, beta_true), h)
     sigma_E = 1.0 / 20.0  # gap / 20
     probe = ProbeConfig(0.0, 1.0, 1.0, Squeezed(1.0 / (np.sqrt(2.0) * sigma_E)))
-    dist = distribution_squeezed(spec, probe)
+    dist = distribution_for(spec, probe)
     hits = 0
     for seed in range(20):
         rec = sample_measurements(dist, 1_000_000, seed=seed)
@@ -211,7 +202,7 @@ def test_06_partition_function_reconstruction():
     beta_true = 0.9
     spec = spectrum_of(thermal_state(h, beta_true), h)
     probe = ProbeConfig(0.0, 1.0, 1.0, Squeezed(30.0))
-    rec = sample_measurements(distribution_squeezed(spec, probe), 1_000_000, seed=5)
+    rec = sample_measurements(distribution_for(spec, probe), 1_000_000, seed=5)
     recon = reconstruct_record(rec, probe)
     pops = recon.populations / recon.populations.sum()
     est = Spectrum.from_lines((e, p, 1) for e, p in zip(recon.energies, pops))
@@ -296,10 +287,11 @@ def test_10_determinism(tmp_path):
     base = sample_measurements(dist, 10_001, seed=12)
     texts = {record_to_text(base, probe)}
     texts.add(record_to_text(sample_measurements(dist, 10_001, seed=12), probe))
-    for parts in (1, 2, 3, 8):
-        merged = sample_measurements_partitioned(dist, 10_001, seed=12,
-                                                 n_partitions=parts)
-        texts.add(record_to_text(merged, probe))
+    for chunk in (10_001, 5_002, 3_334, 1_252):  # 1, 2, 3 and 8 pieces
+        pieces = [sample_measurements(dist, min(chunk, 10_001 - start), seed=12, start=start)
+                  for start in range(0, 10_001, chunk)]
+        merged = np.concatenate([piece.samples for piece in pieces])
+        texts.add(record_to_text(MeasurementRecord(samples=merged, seed=12), probe))
 
     config = {"system": {"diagonal": [0.0, 1.0]}, "state": {"thermal_beta": 1.0},
               "probe": {"p0": 0.0, "g": 1.0, "tau": 1.0,

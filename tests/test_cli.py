@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -437,6 +438,44 @@ class TestExitCodes:
         assert text == ""
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    @pytest.mark.parametrize("command, config, key", [
+        pytest.param("sample", dict(QUBIT, sampling={"n": 10, "detector_bin": [1]}),
+                     "sampling.detector_bin", id="detector-bin"),
+        *(pytest.param("thermo", dict(QUBIT, thermo={name: [1], "beta_grid": [1.0]}),
+                       f"thermo.{name}", id=name)
+          for name in ("line0", "line1", "anchor", "anchor_g")),
+        pytest.param("spectrum", dict(QUBIT, merge_tol=[1]), "merge_tol", id="merge-tol"),
+        pytest.param("quench", dict(QUBIT, quench={"system2": {"diagonal": [1.0, 0.0]},
+                                                   "beta": [1]}),
+                     "quench.beta", id="quench-beta"),
+        pytest.param("reconstruct", dict(QUBIT, reconstruct={"min_mass": "x"}),
+                     "reconstruct.min_mass", id="min-mass"),
+    ])
+    def test_mistyped_key_names_the_key(self, tmp_path, capsys, command, config, key):
+        record = record_file(tmp_path, b"0000000000000000\n3ff0000000000000\n")  # 0.0, 1.0
+        code, text = run(tmp_path, command, config, extra=["--record", record])
+        assert code == EXIT_CONFIG
+        assert text == ""
+        assert capsys.readouterr().err.startswith(f"config error: {key} must be ")
+
+    @pytest.mark.parametrize("probe, message", [
+        pytest.param({"p0": float("nan"), "mode": "ideal"}, "probe p0 must be finite, got nan",
+                     id="p0-nan"),
+        pytest.param({"g": float("inf"), "mode": "ideal"},
+                     "coupling g must be a finite number > 0, got inf", id="g-inf"),
+        pytest.param({"tau": float("inf"), "mode": "ideal"},
+                     "interaction time tau must be a finite number > 0, got inf", id="tau-inf"),
+        pytest.param({"mode": {"kind": "bin", "L": float("nan")}},
+                     "bin size L must be a finite number > 0, got nan", id="L-nan"),
+        pytest.param({"mode": {"kind": "squeezed", "s": float("inf")}},
+                     "squeezing factor s must be a finite number > 0, got inf", id="s-inf"),
+    ])
+    def test_non_finite_probe_parameter(self, tmp_path, capsys, probe, message):
+        code, text = run(tmp_path, "sample", dict(QUBIT, probe=probe))
+        assert code == EXIT_CONFIG
+        assert text == ""
+        assert capsys.readouterr().err == f"config error: bad probe section: {message}\n"
+
     def test_beta_grid_object(self, tmp_path):
         config = dict(QUBIT, thermo={"beta_grid": {"lo": 0.5, "hi": 2.0, "num": 3}})
         code, text = run(tmp_path, "thermo", config)
@@ -556,6 +595,15 @@ def record_file(tmp_path, body: bytes, name="rec.txt"):
 
 
 class TestRecordFormat:
+    def test_squeezed_record_bytes_are_pinned(self, tmp_path):
+        """The whole ``sample`` output for a squeezed probe, as written before the three
+        distribution types became one ``LineMixture``; it rests on numpy's Philox
+        stream and scipy's ``ndtri``."""
+        code, text = run(tmp_path, "sample", dict(SQUEEZED_PAIR, sampling={"n": 5000, "seed": 5}))
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "08af5ddcb1211453bad974adcebd00b5649e1c3389345f93f994127490797b91")
+
     def test_streamed_chunks_match_one_draw(self, tmp_path):
         config = dict(SQUEEZED_PAIR, sampling={"n": SAMPLE_CHUNK + 3, "seed": 11})
         code, text = run(tmp_path, "sample", config)
@@ -699,6 +747,11 @@ class TestBoundedChildren:
         pytest.param("thermo", dict(QUBIT, thermo={"beta_grid": {"num": 1e11}}),
                      "thermo.beta_grid.num must be an integer from 1 to 100000",
                      id="beta-grid-num"),
+        pytest.param("sample", dict(QUBIT, probe={"p0": 0.0, "g": 1.0, "tau": 1.0,
+                                                  "mode": {"kind": "bin", "L": 0.1}},
+                                    sampling={"n": 10, "detector_bin": 1e-12}),
+                     "sampling.detector_bin: binning at width 1e-12 spans",
+                     id="detector-bin-span"),
     ])
     def test_oversized_input_exits_2(self, tmp_path, command, config, message):
         record = record_file(tmp_path, b"0000000000000000\n41cdcd6500000000\n")  # 0.0, 1e9

@@ -15,10 +15,8 @@ from qumode_probe.probe import (
     Ideal,
     ProbeConfig,
     Squeezed,
-    distribution_binned,
-    distribution_ideal,
+    distribution_for,
     distribution_numeric_oracle,
-    distribution_squeezed,
 )
 
 
@@ -34,7 +32,7 @@ def test_squeezed_matches_closed_form():
     probe = ProbeConfig(0.3, 1.0, 1.0, Squeezed(1.0))
     grid = np.linspace(-5, 5, 201)
     oracle = distribution_numeric_oracle(state, h, probe, grid)
-    closed = distribution_squeezed(spectrum_of(state, h), probe).density(grid)
+    closed = distribution_for(spectrum_of(state, h), probe).density(grid)
     assert np.max(np.abs(oracle - closed)) < 1e-6
 
 
@@ -43,9 +41,9 @@ def test_binned_matches_closed_form_off_edges():
     probe = ProbeConfig(0.0, 1.0, 1.0, Bin(1.0))
     grid = np.linspace(-4, 4, 201)
     oracle = distribution_numeric_oracle(state, h, probe, grid)
-    dist = distribution_binned(spectrum_of(state, h), probe)
+    dist = distribution_for(spectrum_of(state, h), probe)
     closed = dist.density(grid)
-    edges = np.array([e for c, w, _ in dist.segments for e in (c - w / 2, c + w / 2)])
+    edges = np.concatenate([dist.points - 0.5, dist.points + 0.5])  # L = 1
     off_edge = np.min(np.abs(grid[:, None] - edges[None, :]), axis=1) > 0.1
     assert np.max(np.abs(oracle - closed)[off_edge]) < 1e-4
 
@@ -61,8 +59,8 @@ def test_oracle_normalization():
 def test_ideal_surrogate_concentrates_at_points():
     h, state = random_system(2, 3)
     probe = ProbeConfig(0.0, 1.0, 1.0, Ideal())
-    points = distribution_ideal(spectrum_of(state, h), probe).points
-    for p, mass in points:
+    dist = distribution_for(spectrum_of(state, h), probe)
+    for p, mass in zip(dist.points, dist.weights):
         # integrate the surrogate density locally around each ideal point
         local = np.linspace(p - 6e-4, p + 6e-4, 121)
         density = distribution_numeric_oracle(state, h, probe, local)
@@ -75,12 +73,12 @@ def test_ideal_surrogate_matches_closed_form_pointwise(seed):
     h, state = random_system(int(rng.integers(2, 5)), seed)
     probe = ProbeConfig(rng.uniform(-1, 1), 1.0, rng.uniform(0.5, 2.0), Ideal())
     spec = spectrum_of(state, h)
-    points = [p for p, _ in distribution_ideal(spec, probe).points]
+    points = distribution_for(spec, probe).points
     # +-6e-4 spans the surrogate's +-8.5 std around every line
     grid = np.concatenate([np.linspace(p - 6e-4, p + 6e-4, 121) for p in points])
     oracle = distribution_numeric_oracle(state, h, probe, grid)
     surrogate = ProbeConfig(probe.p0, probe.g, probe.tau, Squeezed(IDEAL_SURROGATE_SQUEEZING))
-    closed = distribution_squeezed(spec, surrogate).density(grid)
+    closed = distribution_for(spec, surrogate).density(grid)
     assert np.max(np.abs(oracle - closed)) < 1e-6
 
 
@@ -93,7 +91,7 @@ def test_squeezed_matches_closed_form_at_high_squeezing(seed):
     spec = spectrum_of(state, h)
     grid = np.linspace(0.3 - spec.energies.max() - 0.3, 0.3 - spec.energies.min() + 0.3, 2001)
     oracle = distribution_numeric_oracle(state, h, probe, grid)
-    closed = distribution_squeezed(spec, probe).density(grid)
+    closed = distribution_for(spec, probe).density(grid)
     assert np.max(np.abs(oracle - closed)) < 1e-6
 
 
@@ -125,7 +123,7 @@ def test_mixed_state_with_coherences():
     probe = ProbeConfig(0.0, 1.0, 1.0, Squeezed(2.0))
     grid = np.linspace(-3, 2, 101)
     oracle = distribution_numeric_oracle(state, h, probe, grid)
-    closed = distribution_squeezed(spectrum_of(state, h), probe).density(grid)
+    closed = distribution_for(spectrum_of(state, h), probe).density(grid)
     assert np.max(np.abs(oracle - closed)) < 1e-6
 
 

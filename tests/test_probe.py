@@ -15,19 +15,16 @@ from qumode_probe.operators import (
 )
 from qumode_probe.probe import (
     Bin,
-    GaussianMixture,
     Ideal,
-    PiecewiseUniform,
-    PointMasses,
+    LineMixture,
     ProbeConfig,
     Squeezed,
     apply_detector_binning,
     dephasing_function,
-    distribution_binned,
-    distribution_ideal,
-    distribution_squeezed,
+    distribution_for,
     map_p_to_E,
 )
+from qumode_probe.sampling import sample_measurements
 
 
 def ideal_probe(p0=0.0, g=1.0, tau=1.0):
@@ -73,56 +70,51 @@ class TestDephasing:
 class TestIdealDistribution:
     def test_single_line(self):
         spec = Spectrum.from_lines([(2.0, 1.0, 1)])
-        dist = distribution_ideal(spec, ideal_probe())
-        assert dist.points == ((-2.0, 1.0),)
+        dist = distribution_for(spec, ideal_probe())
+        assert dist.points.tolist() == [-2.0]
+        assert dist.weights.tolist() == [1.0]
 
     def test_sigma_x_mixed(self):
         spec = spectrum_of(SystemState(np.eye(2) / 2), sigma_x())
-        dist = distribution_ideal(spec, ideal_probe())
-        positions = [p for p, _ in dist.points]
-        masses = [m for _, m in dist.points]
-        assert np.allclose(sorted(positions), [-1.0, 1.0], atol=1e-12)
-        assert np.allclose(masses, [0.5, 0.5])
+        dist = distribution_for(spec, ideal_probe())
+        assert np.allclose(sorted(dist.points), [-1.0, 1.0], atol=1e-12)
+        assert np.allclose(dist.weights, [0.5, 0.5])
 
     def test_five_lines_keep_masses(self):
         spec = evenly_spaced_spectrum(5, seed=3)
-        dist = distribution_ideal(spec, ideal_probe())
+        dist = distribution_for(spec, ideal_probe())
         assert len(dist.points) == 5
-        # p = -E reverses the energy order
-        assert np.allclose([m for _, m in dist.points], spec.populations[::-1])
+        # lines keep spectrum order, so p = -E runs downward
+        assert np.array_equal(dist.weights, spec.populations)
+        assert np.all(np.diff(dist.points) < 0)
 
     def test_coincident_positions_merge(self):
         spec = Spectrum.from_lines([(0.0, 0.5, 1), (1.0, 0.5, 1)])
-        dist = distribution_ideal(spec, ProbeConfig(0.0, 1.0, 1e-13, Ideal()))
-        assert len(dist.points) == 1
-        assert dist.points[0][1] == pytest.approx(1.0)
-
-    def test_wrong_mode_rejected(self):
-        spec = evenly_spaced_spectrum(2, seed=0)
-        with pytest.raises(ValueError):
-            distribution_ideal(spec, ProbeConfig(0.0, 1.0, 1.0, Bin(1.0)))
+        dist = distribution_for(spec, ProbeConfig(0.0, 1.0, 1e-13, Ideal()))
+        # both lines sit within 1e-13 of p = 0; draws and binning see one point
+        assert np.abs(sample_measurements(dist, 1000, seed=2).samples).max() <= 1e-12
+        binned = apply_detector_binning(dist, 0.5, origin=-0.25)
+        assert binned.weights.tolist() == pytest.approx([1.0])
 
 
 class TestBinnedDistribution:
     def test_single_plateau(self):
         spec = Spectrum.from_lines([(1.0, 1.0, 1)])
-        dist = distribution_binned(spec, ProbeConfig(0.0, 1.0, 1.0, Bin(0.5)))
-        assert len(dist.segments) == 1
-        c, w, m = dist.segments[0]
-        assert (c, w, m) == pytest.approx((-1.0, 0.5, 1.0))
+        dist = distribution_for(spec, ProbeConfig(0.0, 1.0, 1.0, Bin(0.5)))
+        assert (dist.points.tolist(), dist.weights.tolist(), dist.mode) == ([-1.0], [1.0], Bin(0.5))
         assert dist.density(-1.0) == pytest.approx(2.0)  # P/L
+        assert dist.density([-1.3, -0.7]).tolist() == [0.0, 0.0]
 
     def test_adjacent_plateaus(self):
         spec = Spectrum.from_lines([(0.0, 0.5, 1), (1.0, 0.5, 1)])
-        dist = distribution_binned(spec, ProbeConfig(0.0, 1.0, 1.0, Bin(1.0)))
-        assert len(dist.segments) == 2
-        widths = [w for _, w, _ in dist.segments]
-        assert np.allclose(widths, 1.0)
+        dist = distribution_for(spec, ProbeConfig(0.0, 1.0, 1.0, Bin(1.0)))
+        assert dist.points.tolist() == [0.0, -1.0]
+        assert dist.density([-1.25, -0.75, -0.25, 0.25]) == pytest.approx([0.5] * 4)
 
     def test_overlap_density_sums(self):
         spec = Spectrum.from_lines([(0.0, 0.3, 1), (0.5, 0.7, 1)])
         L = 1.0
-        dist = distribution_binned(spec, ProbeConfig(0.0, 1.0, 1.0, Bin(L)))
+        dist = distribution_for(spec, ProbeConfig(0.0, 1.0, 1.0, Bin(L)))
         # overlap region [-0.5, 0] carries (P1 + P2)/L
         assert dist.density(-0.25) == pytest.approx((0.3 + 0.7) / L)
         assert dist.density(0.25) == pytest.approx(0.3 / L)
@@ -131,32 +123,35 @@ class TestBinnedDistribution:
     @settings(max_examples=30, deadline=None)
     @given(spec=spectra(), L=st.floats(0.1, 2.0))
     def test_total_mass_one(self, spec, L):
-        dist = distribution_binned(spec, ProbeConfig(0.0, 1.0, 1.0, Bin(L)))
-        assert sum(m for _, _, m in dist.segments) == pytest.approx(1.0, abs=1e-9)
+        dist = distribution_for(spec, ProbeConfig(0.0, 1.0, 1.0, Bin(L)))
+        total, _ = quad(lambda p: float(dist.density(p)), dist.points.min() - L,
+                        dist.points.max() + L, points=np.concatenate(
+                            [dist.points - L / 2, dist.points + L / 2]), limit=200)
+        assert total == pytest.approx(1.0, abs=1e-9)
 
 
 class TestSqueezedDistribution:
     def test_peak_density(self):
         spec = Spectrum.from_lines([(1.5, 1.0, 1)])
         for s in (0.5, 1.0, 4.0):
-            dist = distribution_squeezed(spec, ProbeConfig(0.0, 1.0, 1.0, Squeezed(s)))
+            dist = distribution_for(spec, ProbeConfig(0.0, 1.0, 1.0, Squeezed(s)))
             assert dist.density(-1.5) == pytest.approx(s / np.sqrt(np.pi), rel=1e-12)
 
     def test_midpoint_value(self):
         spec = Spectrum.from_lines([(-1.0, 0.5, 1), (1.0, 0.5, 1)])
-        dist = distribution_squeezed(spec, ProbeConfig(0.0, 1.0, 1.0, Squeezed(1.0)))
+        dist = distribution_for(spec, ProbeConfig(0.0, 1.0, 1.0, Squeezed(1.0)))
         assert dist.density(0.0) == pytest.approx(np.exp(-1.0) / np.sqrt(np.pi), rel=1e-12)
 
     def test_component_std(self):
         spec = Spectrum.from_lines([(0.0, 1.0, 1)])
         s = 3.0
-        dist = distribution_squeezed(spec, ProbeConfig(0.0, 1.0, 1.0, Squeezed(s)))
-        assert dist.components[0][1] == pytest.approx(1.0 / (np.sqrt(2) * s))
+        dist = distribution_for(spec, ProbeConfig(0.0, 1.0, 1.0, Squeezed(s)))
+        assert dist.mode.std == pytest.approx(1.0 / (np.sqrt(2) * s))
 
     def test_strong_squeezing_concentrates(self):
         spec = evenly_spaced_spectrum(3, seed=1)
         s = 1e4
-        dist = distribution_squeezed(spec, ProbeConfig(0.0, 1.0, 1.0, Squeezed(s)))
+        dist = distribution_for(spec, ProbeConfig(0.0, 1.0, 1.0, Squeezed(s)))
         # 99.99% of each component's mass within 5e-4 of the ideal point
         halfwidth = 5e-4
         z = halfwidth / (1.0 / (np.sqrt(2) * s))
@@ -166,8 +161,8 @@ class TestSqueezedDistribution:
     @settings(max_examples=30, deadline=None)
     @given(spec=spectra(), s=st.floats(0.2, 50.0))
     def test_integrates_to_one(self, spec, s):
-        dist = distribution_squeezed(spec, ProbeConfig(0.0, 1.0, 1.0, Squeezed(s)))
-        assert sum(w for _, _, w in dist.components) == pytest.approx(1.0, abs=1e-9)
+        dist = distribution_for(spec, ProbeConfig(0.0, 1.0, 1.0, Squeezed(s)))
+        assert dist.weights.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestMapPToE:
@@ -192,55 +187,67 @@ class TestMomentFidelity:
         state = thermal_state(h, 0.8)
         spec = spectrum_of(state, h)
         probe = ideal_probe(p0=0.7, g=1.3, tau=0.9)
-        dist = distribution_ideal(spec, probe)
+        dist = distribution_for(spec, probe)
         for order in (1, 2, 3):
-            via_probe = sum(mass * map_p_to_E(p, probe) ** order for p, mass in dist.points)
+            via_probe = sum(mass * map_p_to_E(p, probe) ** order
+                            for p, mass in zip(dist.points, dist.weights))
             direct = np.trace(state.rho @ np.linalg.matrix_power(h.entries, order)).real
             assert via_probe == pytest.approx(direct, abs=1e-9)
 
 
+@pytest.mark.parametrize("points, mode", [([0.0], Squeezed(1e-320)), ([1.7e308], Bin(1e308)),
+                                           ([np.nan], Ideal())],
+                         ids=["subnormal-s", "overflowing-window", "nan-point"])
+def test_line_mixture_rejects_draws_that_overflow(points, mode):
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="must be finite"):
+        LineMixture(points, [1.0], mode)
+
+
+def line(position, mode):
+    return LineMixture([position], [1.0], mode)
+
+
 class TestDetectorBinning:
     def test_point_mass_single_bin(self):
-        dist = PointMasses(((0.37, 1.0),))
-        binned = apply_detector_binning(dist, 0.5, origin=0.0)
-        masses = [m for _, _, m in binned.segments]
-        assert masses == pytest.approx([1.0])
-        assert binned.segments[0][0] == pytest.approx(0.25)
+        binned = apply_detector_binning(line(0.37, Ideal()), 0.5, origin=0.0)
+        assert binned.weights.tolist() == pytest.approx([1.0])
+        assert binned.points[0] == pytest.approx(0.25)
+        assert binned.mode == Bin(0.5)
 
     def test_point_on_edge_goes_up(self):
-        binned = apply_detector_binning(PointMasses(((0.5, 1.0),)), 0.5, origin=0.0)
-        assert binned.segments[0][0] == pytest.approx(0.75)
+        binned = apply_detector_binning(line(0.5, Ideal()), 0.5, origin=0.0)
+        assert binned.points[0] == pytest.approx(0.75)
 
     def test_narrow_gaussian_concentrates(self):
-        dist = GaussianMixture(((1.25, 0.001, 1.0),))
-        binned = apply_detector_binning(dist, 0.5, origin=0.0)
-        top = max(m for _, _, m in binned.segments)
-        assert top >= 0.999
+        binned = apply_detector_binning(line(1.25, Squeezed(1 / (0.001 * np.sqrt(2)))),
+                                        0.5, origin=0.0)
+        assert binned.weights.max() >= 0.999
 
     def test_gaussian_matches_erf_differences(self):
         import math
         sd = 0.5
-        dist = GaussianMixture(((0.2, sd, 1.0),))
-        binned = apply_detector_binning(dist, sd, origin=0.0)
-        for c, w, m in binned.segments:
-            lo, hi = c - w / 2, c + w / 2
+        binned = apply_detector_binning(line(0.2, Squeezed(1 / (sd * np.sqrt(2)))), sd,
+                                        origin=0.0)
+        for c, m in zip(binned.points, binned.weights):
+            lo, hi = c - sd / 2, c + sd / 2
             expected = 0.5 * (math.erf((hi - 0.2) / (sd * math.sqrt(2)))
                               - math.erf((lo - 0.2) / (sd * math.sqrt(2))))
             assert m == pytest.approx(expected, abs=1e-9)
 
     def test_piecewise_uniform_split(self):
-        dist = PiecewiseUniform(((0.5, 1.0, 1.0),))  # support [0, 1]
-        binned = apply_detector_binning(dist, 0.25, origin=0.0)
-        masses = [m for _, _, m in binned.segments]
-        assert masses == pytest.approx([0.25] * 4)
+        binned = apply_detector_binning(line(0.5, Bin(1.0)), 0.25, origin=0.0)  # support [0, 1]
+        assert binned.weights.tolist() == pytest.approx([0.25] * 4)
 
     def test_rejects_bad_width(self):
         with pytest.raises(ValueError):
-            apply_detector_binning(PointMasses(((0.0, 1.0),)), 0.0)
+            apply_detector_binning(line(0.0, Ideal()), 0.0)
 
 
 def test_gaussian_density_is_normalized_quadrature():
-    # independent check of the density helper itself
-    dist = GaussianMixture(((-1.0, 0.3, 0.4), (2.0, 1.1, 0.6)))
-    total, _ = quad(lambda p: float(dist.density(p)), -15, 15, limit=200)
+    # independent check of the density helper itself: lines at -1 and 2
+    # with kernel stds 0.3 and 1.1, weighted 0.4 and 0.6
+    total = 0.0
+    for mu, sd, w in ((-1.0, 0.3, 0.4), (2.0, 1.1, 0.6)):
+        dist = line(mu, Squeezed(1 / (sd * np.sqrt(2))))
+        total += w * quad(lambda p: float(dist.density(p)), -15, 15, limit=200)[0]
     assert total == pytest.approx(1.0, abs=1e-9)

@@ -18,8 +18,7 @@ from qumode_probe.probe import (
     Ideal,
     ProbeConfig,
     Squeezed,
-    distribution_ideal,
-    distribution_squeezed,
+    distribution_for,
 )
 from qumode_probe.reconstruct import (
     _prominent_peaks,
@@ -47,7 +46,6 @@ class TestResolutionParams:
         res = resolution_params(ProbeConfig(0.0, 1.0, 40.0, Squeezed(1.0)))
         assert res.sigma_E == pytest.approx(1.0 / (np.sqrt(2) * 40.0))
         assert res.sigma_E == pytest.approx(0.01768, abs=1e-5)
-        assert res.sigma_E_conservative == pytest.approx(np.sqrt(2) / 40.0)
 
     def test_ideal_flagged(self):
         res = resolution_params(ProbeConfig(0.0, 1.0, 1.0, Ideal()))
@@ -125,7 +123,7 @@ class TestDetectPeaks:
     def test_two_separated_gaussians(self):
         spec = Spectrum.from_lines([(-1.0, 0.35, 1), (1.0, 0.65, 1)])
         probe = squeezed_probe(s=10.0)
-        dist = distribution_squeezed(spec, probe)
+        dist = distribution_for(spec, probe)
         n = 1_000_000
         rec = sample_measurements(dist, n, seed=21)
         recon = reconstruct_record(rec, probe)
@@ -148,7 +146,7 @@ class TestDetectPeaks:
         spacing = 0.2
         spec = evenly_spaced_spectrum(5, spacing=spacing, seed=2)
         probe = squeezed_probe(s=1.0)  # sigma_E = 0.707 >> spacing
-        dist = distribution_squeezed(spec, probe)
+        dist = distribution_for(spec, probe)
         rec = sample_measurements(dist, 100_000, seed=8)
         recon = reconstruct_record(rec, probe)
         assert len(recon.lines) < 5
@@ -156,7 +154,7 @@ class TestDetectPeaks:
     def test_shift_invariance(self):
         spec = Spectrum.from_lines([(-1.0, 0.5, 1), (1.0, 0.5, 1)])
         probe = squeezed_probe(s=8.0)
-        rec = sample_measurements(distribution_squeezed(spec, probe), 50_000, seed=4)
+        rec = sample_measurements(distribution_for(spec, probe), 50_000, seed=4)
         recon = reconstruct_record(rec, probe)
         shift = 2.5
         shifted_probe = ProbeConfig(probe.p0 + shift, probe.g, probe.tau, probe.mode)
@@ -252,7 +250,7 @@ class TestMoments:
     def test_symmetric_first_moment(self):
         spec = Spectrum.from_lines([(-1.0, 0.5, 1), (1.0, 0.5, 1)])
         probe = squeezed_probe(s=50.0)
-        rec = sample_measurements(distribution_squeezed(spec, probe), 400_000, seed=1)
+        rec = sample_measurements(distribution_for(spec, probe), 400_000, seed=1)
         recon = reconstruct_record(rec, probe)
         assert moments(recon, 1) == pytest.approx(0.0, abs=0.01)
         assert moments(recon, 2) == pytest.approx(1.0, abs=0.01)
@@ -263,7 +261,7 @@ class TestMoments:
         spec = spectrum_of(state, h)
         probe = squeezed_probe(s=40.0)
         n = 500_000
-        rec = sample_measurements(distribution_squeezed(spec, probe), n, seed=13)
+        rec = sample_measurements(distribution_for(spec, probe), n, seed=13)
         recon = reconstruct_record(rec, probe)
         direct = np.trace(state.rho @ h.entries).real
         p1 = spec.lines[1].P
@@ -283,7 +281,7 @@ def test_round_trip_recovery_rate():
     probe = squeezed_probe(s=1.0 / (np.sqrt(2) * 0.1))  # sigma_E = spacing/10
     sigma_E = resolution_params(probe).sigma_E
     n = max(required_samples(sigma_E, line.P) for line in spec.lines)
-    dist = distribution_squeezed(spec, probe)
+    dist = distribution_for(spec, probe)
     trials = 20
     good = 0
     for seed in range(trials):

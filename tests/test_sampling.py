@@ -4,24 +4,18 @@ from scipy.stats import kstest
 
 from qumode_probe.operators import Spectrum, evenly_spaced_spectrum
 from qumode_probe.probe import (
-    GaussianMixture,
+    Bin,
     Ideal,
-    PiecewiseUniform,
-    PointMasses,
+    LineMixture,
     ProbeConfig,
     Squeezed,
-    distribution_ideal,
-    distribution_squeezed,
+    distribution_for,
 )
-from qumode_probe.sampling import (
-    MeasurementRecord,
-    sample_measurements,
-    sample_measurements_partitioned,
-)
+from qumode_probe.sampling import MeasurementRecord, sample_measurements
 
 
 def two_peak_mixture():
-    return GaussianMixture(((-1.0, 0.2, 0.3), (1.5, 0.4, 0.7)))
+    return LineMixture([-1.0, 1.5], [0.3, 0.7], Squeezed(1 / (0.2 * np.sqrt(2))))
 
 
 def test_same_seed_identical():
@@ -40,12 +34,10 @@ def test_different_seed_differs():
 
 def test_point_masses_frequencies():
     spec = evenly_spaced_spectrum(3, seed=0)
-    dist = distribution_ideal(spec, ProbeConfig(0.0, 1.0, 1.0, Ideal()))
+    dist = distribution_for(spec, ProbeConfig(0.0, 1.0, 1.0, Ideal()))
     rec = sample_measurements(dist, 200_000, seed=5)
-    values = np.array([p for p, _ in dist.points])
-    masses = np.array([m for _, m in dist.points])
-    assert set(np.unique(rec.samples)) <= set(values)
-    for v, m in zip(values, masses):
+    assert set(np.unique(rec.samples)) <= set(dist.points)
+    for v, m in zip(dist.points, dist.weights):
         freq = np.mean(rec.samples == v)
         assert abs(freq - m) < 5 * np.sqrt(m * (1 - m) / rec.n)
 
@@ -54,13 +46,14 @@ def test_mixture_mean_matches_analytic():
     dist = two_peak_mixture()
     n = 1_000_000
     rec = sample_measurements(dist, n, seed=77)
-    sigma = np.sqrt(sum(w * (sd ** 2 + mu ** 2) for mu, sd, w in dist.components)
-                    - dist.mean() ** 2)
-    assert abs(rec.samples.mean() - dist.mean()) < 4 * sigma / np.sqrt(n)
+    mean = dist.points @ dist.weights
+    sigma = np.sqrt(dist.mode.std ** 2 + dist.points ** 2 @ dist.weights - mean ** 2)
+    assert abs(rec.samples.mean() - mean) < 4 * sigma / np.sqrt(n)
 
 
 def test_piecewise_uniform_within_support():
-    dist = PiecewiseUniform(((0.0, 1.0, 0.5), (3.0, 0.5, 0.5)))
+    # uniform on [-0.5, 0.5] with mass 0.5, as two half-width windows, and on [2.75, 3.25]
+    dist = LineMixture([-0.25, 0.25, 3.0], [0.25, 0.25, 0.5], Bin(0.5))
     rec = sample_measurements(dist, 50_000, seed=3)
     in_first = (rec.samples >= -0.5) & (rec.samples <= 0.5)
     in_second = (rec.samples >= 2.75) & (rec.samples <= 3.25)
@@ -70,19 +63,23 @@ def test_piecewise_uniform_within_support():
 
 @pytest.mark.parametrize("parts", [1, 2, 3, 8, 16])
 def test_partition_invariance(parts):
+    # unequal pieces, each starting on an even draw
     dist = two_peak_mixture()
     serial = sample_measurements(dist, 10_001, seed=9)
-    merged = sample_measurements_partitioned(dist, 10_001, seed=9, n_partitions=parts)
-    assert np.array_equal(serial.samples, merged.samples)
+    bounds = np.linspace(0, 10_001, parts + 1).astype(int)
+    bounds[1:-1] -= bounds[1:-1] % 2
+    merged = [sample_measurements(dist, int(b - a), seed=9, start=int(a)).samples
+              for a, b in zip(bounds, bounds[1:])]
+    assert np.array_equal(serial.samples, np.concatenate(merged))
 
 
 def test_kolmogorov_smirnov_consistency():
     spec = Spectrum.from_lines([(-1.0, 0.4, 1), (1.0, 0.6, 1)])
-    dist = distribution_squeezed(spec, ProbeConfig(0.0, 1.0, 1.0, Squeezed(2.0)))
+    dist = distribution_for(spec, ProbeConfig(0.0, 1.0, 1.0, Squeezed(2.0)))
 
     def cdf(p):
         from scipy.special import ndtr
-        return sum(w * ndtr((p - mu) / sd) for mu, sd, w in dist.components)
+        return sum(w * ndtr((p - mu) / dist.mode.std) for mu, w in zip(dist.points, dist.weights))
 
     n = 100_000
     critical_1pct = 1.63 / np.sqrt(n)

@@ -42,6 +42,7 @@ EXIT_CONTRACT = 4
 
 # draws per streamed record chunk; even, so every chunk starts on a Philox block
 SAMPLE_CHUNK = 2 ** 20
+SEED_MAX = 2 ** 128 - 1  # the Philox key range
 
 
 class ConfigError(ValueError):
@@ -60,9 +61,11 @@ def build_system(config: dict) -> HermitianOperator:
         if "model" in spec:
             name = spec["model"]
             if name == "rabi":
-                return models.rabi_interaction(int(spec.get("n_sites", 1)))
+                return models.rabi_interaction(
+                    _config_int(spec, "system", "n_sites", 1, 1, sys.maxsize))
             if name == "dicke":
-                return models.dicke_interaction(int(spec["n_atoms"]))
+                return models.dicke_interaction(
+                    _config_int(spec, "system", "n_atoms", None, 1, sys.maxsize))
             raise ConfigError(f"unknown model {name!r}")
     except ConfigError:
         raise
@@ -84,7 +87,8 @@ def build_state(config: dict, H: HermitianOperator) -> SystemState:
             v = H.eig().eigenvectors[:, 0]
             return SystemState(np.outer(v, v.conj()))
         if "random_populations" in spec:
-            rng = np.random.default_rng(int(spec["random_populations"]))
+            rng = np.random.default_rng(
+                _config_int(spec, "state", "random_populations", None, 0, SEED_MAX))
             pops = rng.random(H.dim)
             pops /= pops.sum()
             vecs = H.eig().eigenvectors
@@ -130,7 +134,7 @@ def _spectrum_rows(spec: Spectrum) -> list[tuple]:
 def cmd_spectrum(config: dict, fmt: str) -> str:
     H = build_system(config)
     state = build_state(config, H)
-    merge_tol = _config_positive(config, "", "merge_tol", 1e-8, zero_ok=True)
+    merge_tol = _config_float(config, "", "merge_tol", 1e-8, zero_ok=True)
     spec = spectrum_of(state, H, merge_tol=merge_tol)
     return _emit_table(config, _spectrum_rows(spec), ["E", "P", "g"], fmt)
 
@@ -143,20 +147,27 @@ def _section(config: dict, key: str) -> dict:
     return options
 
 
-def _config_int(options: dict, name: str, key: str, default: int, lo: int, hi: int) -> int:
+def _config_int(options: dict, name: str, key: str, default: int | None,
+                lo: int, hi: int) -> int:
+    """An integer from lo to hi; a float counts only if integral (JSON writes 1e6 as one)."""
     raw = options.get(key, default)
-    try:
-        value = int(raw)
-    except (TypeError, ValueError, OverflowError):
-        value = None
+    value = None
+    if isinstance(raw, float):
+        value = int(raw) if raw.is_integer() else None
+    elif not isinstance(raw, bool):
+        try:
+            value = int(raw)
+        except (TypeError, ValueError):
+            pass
     if value is None or not lo <= value <= hi:
         raise ConfigError(f"{name}.{key} must be an integer from {lo} to {hi}, got {raw!r}")
     return value
 
 
-def _config_positive(options: dict, name: str, key: str, default: float | None,
-                     zero_ok: bool = False) -> float | None:
-    """A finite number > 0 (>= 0 if ``zero_ok``), or ``default`` when the key is absent.
+def _config_float(options: dict, name: str, key: str, default: float | None,
+                  zero_ok: bool = False, any_sign: bool = False) -> float | None:
+    """A finite number > 0 (>= 0 if ``zero_ok``, any if ``any_sign``), or ``default``
+    when the key is absent.
 
     ``name`` is the key's section, empty for a top-level key.
     """
@@ -167,8 +178,9 @@ def _config_positive(options: dict, name: str, key: str, default: float | None,
         value = float(raw)
     except (TypeError, ValueError):
         value = float("nan")
-    if not (np.isfinite(value) and (value > 0 or zero_ok and value == 0)):
-        need = "nonnegative and finite" if zero_ok else "a finite number > 0"
+    if not (np.isfinite(value) and (any_sign or value > 0 or zero_ok and value == 0)):
+        need = ("a finite number" if any_sign else
+                "nonnegative and finite" if zero_ok else "a finite number > 0")
         raise ConfigError(f"{name}{'.' if name else ''}{key} must be {need}, got {raw!r}")
     return value
 
@@ -183,8 +195,8 @@ def cmd_sample(config: dict, fmt: str):
     probe = build_probe(config)
     sampling = _section(config, "sampling")
     n = _config_int(sampling, "sampling", "n", 1000, 1, MAX_SAMPLES)
-    seed = _config_int(sampling, "sampling", "seed", 0, 0, 2 ** 128 - 1)  # Philox key range
-    detector_bin = _config_positive(sampling, "sampling", "detector_bin", 0.0, zero_ok=True)
+    seed = _config_int(sampling, "sampling", "seed", 0, 0, SEED_MAX)
+    detector_bin = _config_float(sampling, "sampling", "detector_bin", 0.0, zero_ok=True)
 
     spec = spectrum_of(state, H)
     dist = distribution_for(spec, probe)
@@ -204,16 +216,20 @@ def _record_pieces(header: str, dist, n: int, seed: int, detector_bin: float):
                                               detector_bin=detector_bin, start=start).samples)
 
 
-def cmd_reconstruct(config: dict, fmt: str, record_text: str) -> str:
+def _record_and_probe(config: dict, record_text: str):
+    """The record and the probe that drew it: the record's own, else the config's."""
     probe = build_probe(config)
     record, embedded_probe = record_from_text(record_text)
-    if embedded_probe is not None:
-        probe = embedded_probe
+    return record, probe if embedded_probe is None else embedded_probe
+
+
+def cmd_reconstruct(config: dict, fmt: str, record_text: str) -> str:
+    record, probe = _record_and_probe(config, record_text)
     options = _section(config, "reconstruct")
     recon = reconstruct.reconstruct_record(
         record, probe,
-        bin_width=_config_positive(options, "reconstruct", "bin_width", None),
-        min_mass=_config_positive(options, "reconstruct", "min_mass", None))
+        bin_width=_config_float(options, "reconstruct", "bin_width", None),
+        min_mass=_config_float(options, "reconstruct", "min_mass", None))
     res = reconstruct.resolution_params(probe)
     rows = [(line.E_hat, line.P_hat, line.count) for line in recon.lines]
     body = _emit_table(config, rows, ["E_hat", "P_hat", "count"], fmt)
@@ -244,8 +260,8 @@ def _beta_grid_from_config(options: dict) -> np.ndarray:
         return thermo.default_beta_grid()
     if isinstance(payload, dict):
         name = "thermo.beta_grid"
-        lo = _config_positive(payload, name, "lo", 0.1)
-        hi = _config_positive(payload, name, "hi", 10.0)
+        lo = _config_float(payload, name, "lo", 0.1)
+        hi = _config_float(payload, name, "hi", 10.0)
         if lo > hi:
             raise ConfigError(f"{name} needs lo <= hi, got lo={lo!r}, hi={hi!r}")
         num = _config_int(payload, name, "num", 50, 1, thermo.MAX_BETA_GRID)
@@ -258,11 +274,7 @@ def _lines_for_thermo(config: dict, record_text: str | None) -> Spectrum:
         H = build_system(config)
         state = build_state(config, H)
         return spectrum_of(state, H)
-    probe = build_probe(config)
-    record, embedded_probe = record_from_text(record_text)
-    if embedded_probe is not None:
-        probe = embedded_probe
-    recon = reconstruct.reconstruct_record(record, probe)
+    recon = reconstruct.reconstruct_record(*_record_and_probe(config, record_text))
     pops = recon.populations / recon.populations.sum()
     return Spectrum.from_lines(
         (e, p, 1) for e, p in zip(recon.energies, pops))
@@ -303,7 +315,7 @@ def cmd_quench(config: dict, fmt: str) -> str:
         raise ConfigError("quench requires a 'quench' section with 'system2'")
     H0 = build_system(config)
     H1 = build_system({"system": options["system2"]})
-    report = thermo.quench_work(H0, H1, _config_positive(options, "quench", "beta", 1.0))
+    report = thermo.quench_work(H0, H1, _config_float(options, "quench", "beta", 1.0))
     rows = [(report.W_avg, report.dF, report.W_irr)]
     return _emit_table(config, rows, ["W_avg", "dF", "W_irr"], fmt)
 
@@ -321,7 +333,7 @@ def cmd_overlap(config: dict, fmt: str) -> str:
 def _family_from_config(options: dict) -> models.ParamFamily:
     name = options.get("family", "dicke")
     if name == "dicke":
-        return models.dicke_family(int(options.get("n_atoms", 2)))
+        return models.dicke_family(_config_int(options, "sweep", "n_atoms", 2, 1, sys.maxsize))
     if name == "linear":
         base = HermitianOperator(matrix_from_payload(options.get("base")))
         coupling = HermitianOperator(matrix_from_payload(options.get("coupling")))
@@ -347,7 +359,7 @@ def cmd_sweep(config: dict, fmt: str) -> str:
         if "values" not in options:
             raise ConfigError("sweep kind 'lambda' requires 'values'")
         family = _family_from_config(options)
-        lam_ref = float(options.get("lambda_ref", 0.0))
+        lam_ref = _config_float(options, "sweep", "lambda_ref", 0.0, any_sign=True)
         values = _grid_from_config(options["values"], "sweep.values")
         H_ref = family.build(lam_ref)
         rows = [(float(lam), thermo.ground_state_overlap(H_ref, family.build(float(lam))))
@@ -359,14 +371,17 @@ def cmd_sweep(config: dict, fmt: str) -> str:
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            text = fh.read()
+            text = fh.readline()
+            if text.startswith("#"):
+                # a report or record names its config in its leading '#' lines;
+                # the first other line ends them, so a record body is never read
+                while text.startswith("#") and not text.startswith("# config="):
+                    text = fh.readline()
+                text = text[len("# config="):] if text.startswith("#") else ""
+            else:
+                text += fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    # allow re-running directly from an emitted report header
-    for line in text.splitlines():
-        if line.startswith("# config="):
-            text = line[len("# config="):]
-            break
     try:
         config = json.loads(text)
     except json.JSONDecodeError as exc:

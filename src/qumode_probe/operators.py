@@ -260,7 +260,8 @@ def site_sum(single: HermitianOperator, n_sites: int) -> HermitianOperator:
     if n_sites < 1:
         raise ValueError("n_sites must be positive")
     d = single.dim
-    if d ** n_sites > DIMENSION_CAP:
+    # n_sites is bounded first, so the power below stays a small integer
+    if n_sites > DIMENSION_CAP or d ** n_sites > DIMENSION_CAP:
         raise ValueError(f"total dimension {d}**{n_sites} exceeds cap {DIMENSION_CAP}")
     total = np.zeros((d ** n_sites, d ** n_sites), dtype=complex)
     for i in range(n_sites):

@@ -263,12 +263,13 @@ def _oracle_binned(spec: Spectrum, probe: ProbeConfig, mode: Bin,
 
     The 1/x envelope never reaches the truncation floor, so the window
     is fixed at X = 1e5; this leaves O(1/(pi X d)) ringing at distance d
-    from a plateau edge.  The n-point FFT samples the amplitude at
-    u_k = pi k / X, k = -n/2 .. n/2 - 1, and the p grid's offsets are
-    interpolated linearly between them.  n starts at the smallest power
-    of two (at least 4096) whose range pi n / (2X) covers 1.2 times the
-    largest |u| on the p grid; each refinement doubles n, which halves
-    dx and widens the u range at the same u step.
+    from a plateau edge.  The envelope is real and even, so its transform
+    is real and even too: a real n-point FFT samples the amplitude at
+    u_k = pi k / X, k = 0 .. n/2, and it is interpolated linearly at |u|
+    for the p grid's offsets u.  n starts at the smallest power of two
+    (at least 4096) whose range pi n / (2X) covers 1.2 times the largest
+    |u| on the p grid; each refinement doubles n, which halves dx and
+    widens the u range at the same u step.
     """
     X = 1e5
     offsets = _line_offsets(spec, probe, p_grid)
@@ -278,18 +279,13 @@ def _oracle_binned(spec: Spectrum, probe: ProbeConfig, mode: Bin,
     for _ in range(4):
         dx = 2 * X / n
         x = -X + dx * np.arange(n)
-        env = _envelope(mode, x)
-        amp_fft = np.fft.fftshift(dx * np.fft.fft(env))
-        u_grid = 2 * np.pi * np.fft.fftshift(np.fft.fftfreq(n, d=dx))
-        # shifting the grid origin back to x = -X multiplies by
-        # exp(i u_k X) = (-1)^k; n/2 is even, so the signs alternate
-        # from +1 at the first entry
-        amp_fft[1::2] *= -1
+        # x = 0 moved to index 0, where the grid is symmetric about it
+        amp = dx * np.fft.rfft(np.fft.ifftshift(_envelope(mode, x))).real
+        u_grid = np.pi / X * np.arange(n // 2 + 1)
         density = np.zeros_like(p_grid)
         for pop, u in offsets:
-            re = np.interp(u, u_grid, amp_fft.real)
-            im = np.interp(u, u_grid, amp_fft.imag)
-            density += pop * (re * re + im * im) / (2 * np.pi)
+            a = np.interp(np.abs(u), u_grid, amp)
+            density += pop * a * a / (2 * np.pi)
         if prev is not None and np.max(np.abs(density - prev)) < 1e-6:
             return density
         prev = density

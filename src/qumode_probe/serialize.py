@@ -1,13 +1,12 @@
-"""Structured-text serialization of operators, states, distributions,
-measurement records, and reports.
+"""Text formats the command line exchanges: matrix and probe literals in
+a config, and the measurement record.
 
-Matrices are stored as {dim, entries} with entries a row-major list of
-[re, im] pairs; a distribution is one JSON record of kind
-``line_mixture`` holding its points, weights and kernel mode; a sample
-record is a `# key=value` header followed by one line per sample, the
-16 hex digits of the sample's float64 bits (see ``record_body``).  All
-emitters are deterministic (sorted keys, repr floats) so identical
-inputs produce byte-identical files.
+A matrix literal is {dim, entries} with entries a row-major list of
+[re, im] pairs.  A record is a `# key=value` header ending in
+``# columns=p_bits``, followed by one line per sample, the 16 hex digits
+of the sample's float64 bits (see ``record_body``).  The writers are
+deterministic (sorted keys, repr floats) so identical inputs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -17,16 +16,8 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .operators import HermitianOperator, Spectrum, SystemState
-from .probe import MODES, LineMixture, ProbeConfig, ProbeMode
+from .probe import MODES, ProbeConfig, ProbeMode
 from .sampling import MeasurementRecord
-
-
-def _matrix_payload(a: np.ndarray) -> dict:
-    return {
-        "dim": a.shape[0],
-        "entries": [[float(z.real), float(z.imag)] for z in a.reshape(-1)],
-    }
 
 
 def matrix_from_payload(payload) -> np.ndarray:
@@ -55,31 +46,6 @@ def matrix_from_payload(payload) -> np.ndarray:
     return pairs.view(complex).reshape(dim, dim)
 
 
-def operator_to_text(op: HermitianOperator) -> str:
-    return json.dumps(_matrix_payload(op.entries), sort_keys=True)
-
-
-def operator_from_text(text: str) -> HermitianOperator:
-    return HermitianOperator(matrix_from_payload(json.loads(text)))
-
-
-def state_to_text(state: SystemState) -> str:
-    return json.dumps(_matrix_payload(state.rho), sort_keys=True)
-
-
-def state_from_text(text: str) -> SystemState:
-    return SystemState(matrix_from_payload(json.loads(text)))
-
-
-def spectrum_to_text(spec: Spectrum) -> str:
-    return json.dumps({"lines": [[line.E, line.P, line.g] for line in spec.lines]},
-                      sort_keys=True)
-
-
-def spectrum_from_text(text: str) -> Spectrum:
-    return Spectrum.from_lines(json.loads(text)["lines"])
-
-
 def _mode_to_dict(mode: ProbeMode) -> dict:
     return {"kind": mode.kind, **asdict(mode)}
 
@@ -105,22 +71,11 @@ def probe_from_dict(payload: dict) -> ProbeConfig:
                        tau=float(payload.get("tau", 1.0)), mode=mode)
 
 
-def distribution_to_text(dist: LineMixture) -> str:
-    payload = {"kind": "line_mixture", "points": dist.points.tolist(),
-               "weights": dist.weights.tolist(), "mode": _mode_to_dict(dist.mode)}
-    return json.dumps(payload, sort_keys=True)
-
-
-def distribution_from_text(text: str) -> LineMixture:
-    payload = json.loads(text)
-    if payload.get("kind") != "line_mixture":
-        raise ValueError(f"unknown distribution kind {payload.get('kind')!r}")
-    return LineMixture(payload["points"], payload["weights"], _mode_from_dict(payload["mode"]))
-
-
 _LINE = 17  # 16 hex digits and "\n"
 _DECODE_LINES = 2 ** 16  # lines decoded per block, so the temporaries stay small
 _BAD_BODY = "record body must be lines of 16 hex digits"
+_REDRAW = ("only '# columns=p_bits' records are read; redraw this one from its own "
+           "'# config=' header with 'qumode-probe sample --config <record>'")
 
 
 def record_header(seed: int, detector_bin: float, probe: ProbeConfig | None = None) -> str:
@@ -179,17 +134,6 @@ def _samples_from_hex(text: str, pos: int) -> np.ndarray:
     return samples
 
 
-def _samples_from_rows(body: str) -> np.ndarray:
-    """Samples of the ``index p`` table that records held before ``p_bits``."""
-    samples = []
-    for raw in body.splitlines():
-        raw = raw.strip()
-        if raw and not raw.startswith("#"):
-            _, value = raw.split()
-            samples.append(float(value))
-    return np.array(samples, dtype=float)
-
-
 def _header_value(meta: dict, key: str, parse, default):
     if key not in meta:
         return default
@@ -202,9 +146,7 @@ def _header_value(meta: dict, key: str, parse, default):
 def record_from_text(text: str) -> tuple[MeasurementRecord, ProbeConfig | None]:
     """Record and embedded probe from ``record_to_text`` output.
 
-    The leading ``#`` lines are the header; ``# columns=`` picks the body
-    format, and a header without it (or with ``index p``) is read as the
-    older two-column table.
+    The leading ``#`` lines are the header, which must hold ``# columns=p_bits``.
     """
     meta = {}
     pos = 0
@@ -214,13 +156,12 @@ def record_from_text(text: str) -> tuple[MeasurementRecord, ProbeConfig | None]:
         key, _, value = text[pos:end].strip().lstrip("# ").partition("=")
         meta[key] = value
         pos = min(end + 1, len(text))
-    columns = meta.get("columns", "index p")
-    if columns == "p_bits":
-        samples = _samples_from_hex(text, pos)
-    elif columns == "index p":
-        samples = _samples_from_rows(text[pos:])
-    else:
-        raise ValueError(f"unknown record columns {columns!r}")
+    columns = meta.get("columns")
+    if columns != "p_bits":
+        found = ("no record columns line" if columns is None
+                 else f"unknown record columns {columns!r}")
+        raise ValueError(f"{found}: {_REDRAW}")
+    samples = _samples_from_hex(text, pos)
     probe = _header_value(meta, "probe", lambda v: probe_from_dict(json.loads(v)), None)
     record = MeasurementRecord(samples=samples,
                                seed=_header_value(meta, "seed", int, 0),

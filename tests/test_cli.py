@@ -331,10 +331,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["reconstruct", "thermo"])
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_record_sample(self, tmp_path, capsys, recwarn, command, bad):
-        record = tmp_path / "rec.txt"
-        record.write_text("# seed=0\n# detector_bin=0.0\n# columns=index p\n"
-                          f"0 0.0\n1 {bad}\n2 1.0\n")
-        code, _ = run(tmp_path, command, QUBIT, extra=["--record", str(record)])
+        bits = {"nan": b"7ff8000000000000", "inf": b"7ff0000000000000"}[bad]
+        record = record_file(tmp_path, b"0000000000000000\n" + bits + b"\n3ff0000000000000\n")
+        code, _ = run(tmp_path, command, QUBIT, extra=["--record", record])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err == "config error: record has non-finite samples\n"
@@ -450,6 +449,33 @@ class TestExitCodes:
                      "quench.beta", id="quench-beta"),
         pytest.param("reconstruct", dict(QUBIT, reconstruct={"min_mass": "x"}),
                      "reconstruct.min_mass", id="min-mass"),
+        pytest.param("sample", dict(QUBIT, sampling={"n": 10.9}), "sampling.n",
+                     id="n-fraction"),
+        pytest.param("sample", dict(QUBIT, sampling={"n": 10, "seed": 1.7}), "sampling.seed",
+                     id="seed-fraction"),
+        pytest.param("sample", dict(QUBIT, sampling={"n": True}), "sampling.n", id="n-bool"),
+        pytest.param("thermo", dict(QUBIT, thermo={"beta_grid": {"num": 2.5}}),
+                     "thermo.beta_grid.num", id="beta-grid-num-fraction"),
+        *(pytest.param("thermo", dict(QUBIT, thermo={name: 0.5, "beta_grid": [1.0]}),
+                       f"thermo.{name}", id=f"{name}-fraction")
+          for name in ("line0", "line1", "anchor", "anchor_g")),
+        pytest.param("thermo", dict(QUBIT, thermo={"line1": False, "beta_grid": [1.0]}),
+                     "thermo.line1", id="line1-bool"),
+        pytest.param("spectrum", {"system": {"model": "dicke", "n_atoms": 2.9}},
+                     "system.n_atoms", id="n-atoms-fraction"),
+        pytest.param("spectrum", {"system": {"model": "dicke"}},
+                     "system.n_atoms", id="n-atoms-missing"),
+        pytest.param("spectrum", {"system": {"model": "rabi", "n_sites": 1.5}},
+                     "system.n_sites", id="n-sites-fraction"),
+        pytest.param("spectrum", {"system": {"diagonal": [0.0, 1.0]},
+                                  "state": {"random_populations": 2.7}},
+                     "state.random_populations", id="random-populations-fraction"),
+        *(pytest.param("sweep", {"sweep": {"kind": "lambda", "family": "dicke",
+                                           "values": [0.5], key: value}},
+                       f"sweep.{key}", id=f"sweep-{key}-{label}")
+          for key, value, label in (("n_atoms", [1], "list"), ("n_atoms", 2.9, "fraction"),
+                                    ("lambda_ref", [1], "list"),
+                                    ("lambda_ref", float("nan"), "nan"))),
     ])
     def test_mistyped_key_names_the_key(self, tmp_path, capsys, command, config, key):
         record = record_file(tmp_path, b"0000000000000000\n3ff0000000000000\n")  # 0.0, 1.0
@@ -616,21 +642,36 @@ class TestRecordFormat:
                     + record_to_text(record, probe))
         assert text == expected
 
-    def test_two_column_record_gives_identical_reports(self, tmp_path):
+    @staticmethod
+    def two_column_record(tmp_path, columns="# columns=index p\n"):
+        """A SQUEEZED_PAIR record as ``sample`` writes it, and the same record with the
+        ``index p`` body that records held before ``p_bits``, written to old.txt."""
         code, text = run(tmp_path, "sample", SQUEEZED_PAIR, out_name="new.txt")
         assert code == 0
         record, _ = record_from_text(text)
-        header = text[:text.index("# columns=p_bits\n")]
-        # the two-column writer that produced records before the p_bits body
-        old = header + "# columns=index p\n" + "".join(
-            f"{i} {float(p)!r}\n" for i, p in enumerate(record.samples))
-        (tmp_path / "old.txt").write_text(old)
-        for command in ("reconstruct", "thermo"):
-            reports = [run(tmp_path, command, SQUEEZED_PAIR, out_name=f"{command}-{name}",
-                           extra=["--record", str(tmp_path / name)])
-                       for name in ("new.txt", "old.txt")]
-            assert reports[0][0] == 0
-            assert reports[0] == reports[1]
+        old = tmp_path / "old.txt"
+        old.write_text(text[:text.index("# columns=p_bits\n")] + columns + "".join(
+            f"{i} {float(p)!r}\n" for i, p in enumerate(record.samples)))
+        return text, str(old)
+
+    @pytest.mark.parametrize("columns", ["# columns=index p\n", ""], ids=["index-p", "none"])
+    @pytest.mark.parametrize("command", ["reconstruct", "thermo"])
+    def test_two_column_record_exits_2(self, tmp_path, capsys, command, columns):
+        """Only p_bits bodies are read; the message says how to redraw the record."""
+        _, old = self.two_column_record(tmp_path, columns)
+        code, out = run(tmp_path, command, SQUEEZED_PAIR, extra=["--record", old])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "'# columns=p_bits'" in err and "'qumode-probe sample --config <record>'" in err
+
+    def test_two_column_record_is_redrawn_from_its_config(self, tmp_path):
+        """``sample --config`` on an old record redraws it from its ``# config=`` header."""
+        text, old = self.two_column_record(tmp_path)
+        out = tmp_path / "redrawn.txt"
+        assert main(["sample", "--config", old, "--out", str(out)]) == 0
+        assert out.read_text() == text
 
     @pytest.mark.parametrize("body", [
         pytest.param(b"3ff0000000000000\n3ff00000000000\n", id="truncated-last-line"),
@@ -696,6 +737,14 @@ class TestSamplingKeys:
         assert capsys.readouterr().err.startswith(f"config error: sampling.{key} must be an "
                                                   "integer from ")
 
+    def test_integral_floats_accepted(self, tmp_path):
+        """JSON has no integer exponent form, so 1e1 and 3.0 count as integers."""
+        config = dict(SQUEEZED_PAIR, sampling={"n": 1e1, "seed": 3.0})
+        code, text = run(tmp_path, "sample", config)
+        assert code == 0
+        record, _ = record_from_text(text)
+        assert (record.n, record.seed) == (10, 3)
+
     @pytest.mark.parametrize("value", [-0.1, float("nan")])
     def test_detector_bin_checked(self, tmp_path, capsys, value):
         config = dict(SQUEEZED_PAIR, sampling={"n": 10, "detector_bin": value})
@@ -752,6 +801,8 @@ class TestBoundedChildren:
                                     sampling={"n": 10, "detector_bin": 1e-12}),
                      "sampling.detector_bin: binning at width 1e-12 spans",
                      id="detector-bin-span"),
+        pytest.param("spectrum", {"system": {"model": "rabi", "n_sites": 1e12}},
+                     "exceeds cap 1024", id="rabi-n-sites"),
     ])
     def test_oversized_input_exits_2(self, tmp_path, command, config, message):
         record = record_file(tmp_path, b"0000000000000000\n41cdcd6500000000\n")  # 0.0, 1e9

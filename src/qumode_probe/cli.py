@@ -29,10 +29,12 @@ from .operators import (
 from .probe import ProbeConfig, apply_detector_binning, distribution_for
 from .sampling import MAX_SAMPLES, sample_measurements
 from .serialize import (
+    as_float,
+    as_integer,
     matrix_from_payload,
     probe_from_dict,
+    read_record,
     record_body,
-    record_from_text,
     record_header,
 )
 
@@ -41,7 +43,7 @@ EXIT_NUMERICAL = 3
 EXIT_CONTRACT = 4
 
 # draws per streamed record chunk; even, so every chunk starts on a Philox block
-SAMPLE_CHUNK = 2 ** 20
+SAMPLE_CHUNK = 2 ** 16
 SEED_MAX = 2 ** 128 - 1  # the Philox key range
 
 
@@ -78,7 +80,7 @@ def build_state(config: dict, H: HermitianOperator) -> SystemState:
     spec = config.get("state", {"thermal_beta": 1.0})
     try:
         if "thermal_beta" in spec:
-            return thermal_state(H, float(spec["thermal_beta"]))
+            return thermal_state(H, as_float(spec["thermal_beta"], "state.thermal_beta"))
         if "matrix" in spec:
             return SystemState(matrix_from_payload(spec["matrix"]))
         if "maximally_mixed" in spec:
@@ -149,16 +151,9 @@ def _section(config: dict, key: str) -> dict:
 
 def _config_int(options: dict, name: str, key: str, default: int | None,
                 lo: int, hi: int) -> int:
-    """An integer from lo to hi; a float counts only if integral (JSON writes 1e6 as one)."""
+    """An integer from lo to hi, as ``as_integer`` reads it."""
     raw = options.get(key, default)
-    value = None
-    if isinstance(raw, float):
-        value = int(raw) if raw.is_integer() else None
-    elif not isinstance(raw, bool):
-        try:
-            value = int(raw)
-        except (TypeError, ValueError):
-            pass
+    value = as_integer(raw)
     if value is None or not lo <= value <= hi:
         raise ConfigError(f"{name}.{key} must be an integer from {lo} to {hi}, got {raw!r}")
     return value
@@ -175,7 +170,7 @@ def _config_float(options: dict, name: str, key: str, default: float | None,
     if raw is None:
         return default
     try:
-        value = float(raw)
+        value = as_float(raw, key)
     except (TypeError, ValueError):
         value = float("nan")
     if not (np.isfinite(value) and (any_sign or value > 0 or zero_ok and value == 0)):
@@ -216,18 +211,19 @@ def _record_pieces(header: str, dist, n: int, seed: int, detector_bin: float):
                                               detector_bin=detector_bin, start=start).samples)
 
 
-def _record_and_probe(config: dict, record_text: str):
-    """The record and the probe that drew it: the record's own, else the config's."""
+def _record_and_probe(config: dict, record_file):
+    """The record's header, the probe that drew it (the record's own, else the
+    config's) and the record's samples as an iterator of blocks."""
     probe = build_probe(config)
-    record, embedded_probe = record_from_text(record_text)
-    return record, probe if embedded_probe is None else embedded_probe
+    header, embedded_probe, blocks = read_record(record_file)
+    return header, probe if embedded_probe is None else embedded_probe, blocks
 
 
-def cmd_reconstruct(config: dict, fmt: str, record_text: str) -> str:
-    record, probe = _record_and_probe(config, record_text)
+def cmd_reconstruct(config: dict, fmt: str, record_file) -> str:
+    header, probe, blocks = _record_and_probe(config, record_file)
     options = _section(config, "reconstruct")
-    recon = reconstruct.reconstruct_record(
-        record, probe,
+    recon = reconstruct.reconstruct_blocks(
+        blocks, probe, header.detector_bin,
         bin_width=_config_float(options, "reconstruct", "bin_width", None),
         min_mass=_config_float(options, "reconstruct", "min_mass", None))
     res = reconstruct.resolution_params(probe)
@@ -236,7 +232,7 @@ def cmd_reconstruct(config: dict, fmt: str, record_text: str) -> str:
     meta = (f"# residual_mass={_fmt_value(recon.residual_mass)}\n"
             f"# sigma_E={_fmt_value(res.sigma_E)} delta_E={_fmt_value(res.delta_E)} "
             f"infinite_resolution={res.infinite_resolution}\n"
-            f"# seed={record.seed}\n")
+            f"# seed={header.seed}\n")
     return body + meta
 
 
@@ -269,12 +265,13 @@ def _beta_grid_from_config(options: dict) -> np.ndarray:
     return _grid_from_config(payload, "thermo.beta_grid")
 
 
-def _lines_for_thermo(config: dict, record_text: str | None) -> Spectrum:
-    if record_text is None:
+def _lines_for_thermo(config: dict, record_file) -> Spectrum:
+    if record_file is None:
         H = build_system(config)
         state = build_state(config, H)
         return spectrum_of(state, H)
-    recon = reconstruct.reconstruct_record(*_record_and_probe(config, record_text))
+    header, probe, blocks = _record_and_probe(config, record_file)
+    recon = reconstruct.reconstruct_blocks(blocks, probe, header.detector_bin)
     pops = recon.populations / recon.populations.sum()
     return Spectrum.from_lines(
         (e, p, 1) for e, p in zip(recon.energies, pops))
@@ -285,14 +282,14 @@ def _thermo_rows(report: thermo.ThermoReport) -> list[tuple]:
             zip(report.Z_grid, report.F_grid, report.C_grid, report.S_grid)]
 
 
-def cmd_thermo(config: dict, fmt: str, record_text: str | None) -> str:
+def cmd_thermo(config: dict, fmt: str, record_file) -> str:
     options = _section(config, "thermo")
     beta_grid = _beta_grid_from_config(options)
     # line indices are range-checked once the spectrum is known
     i0, i1, anchor = (_config_int(options, "thermo", key, default, -sys.maxsize, sys.maxsize)
                       for key, default in (("line0", 0), ("line1", 1), ("anchor", 0)))
     anchor_g = _config_int(options, "thermo", "anchor_g", 1, 1, sys.maxsize)
-    spec = _lines_for_thermo(config, record_text)
+    spec = _lines_for_thermo(config, record_file)
     if len(spec.lines) < 2:
         raise ConfigError("thermometry needs at least two spectral lines")
     for key, index in (("line0", i0), ("line1", i1)):
@@ -391,12 +388,9 @@ def _load_config(path: str) -> dict:
     return config
 
 
-def _read_record(path: str) -> str:
-    # undecodable bytes survive as surrogates, so the record parser can
-    # name the malformed body rather than the codec
+def _open_record(path: str):
     try:
-        with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
-            return fh.read()
+        return open(path, "rb")
     except OSError as exc:
         raise ConfigError(f"cannot read record {path}: {exc}") from exc
 
@@ -414,6 +408,28 @@ def _write_output(path: str | None, pieces) -> None:
             fh.writelines(pieces)
     except OSError as exc:
         raise ConfigError(f"cannot write output {path}: {exc}") from exc
+
+
+def _run(command: str, config: dict, fmt: str, record_file):
+    """The command's output: a string, or an iterator of text pieces for ``sample``.
+
+    ``record_file`` is the ``--record`` file open in binary mode, or None.
+    """
+    if command == "spectrum":
+        return cmd_spectrum(config, fmt)
+    if command == "sample":
+        return cmd_sample(config, fmt)
+    if command == "reconstruct":
+        if record_file is None:
+            raise ConfigError("reconstruct requires --record")
+        return cmd_reconstruct(config, fmt, record_file)
+    if command == "thermo":
+        return cmd_thermo(config, fmt, record_file)
+    if command == "quench":
+        return cmd_quench(config, fmt)
+    if command == "overlap":
+        return cmd_overlap(config, fmt)
+    return cmd_sweep(config, fmt)
 
 
 def main(argv=None) -> int:
@@ -435,24 +451,16 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config["sampling"] = dict(_section(config, "sampling"), seed=args.seed)
 
-        record_text = None if args.record is None else _read_record(args.record)
-
-        if args.command == "spectrum":
-            output = cmd_spectrum(config, args.format)
-        elif args.command == "sample":
-            output = cmd_sample(config, args.format)
-        elif args.command == "reconstruct":
-            if record_text is None:
-                raise ConfigError("reconstruct requires --record")
-            output = cmd_reconstruct(config, args.format, record_text)
-        elif args.command == "thermo":
-            output = cmd_thermo(config, args.format, record_text)
-        elif args.command == "quench":
-            output = cmd_quench(config, args.format)
-        elif args.command == "overlap":
-            output = cmd_overlap(config, args.format)
-        else:
-            output = cmd_sweep(config, args.format)
+        record = None if args.record is None else _open_record(args.record)
+        try:
+            output = _run(args.command, config, args.format, record)
+        except OSError as exc:
+            if record is None:
+                raise
+            raise ConfigError(f"cannot read record {args.record}: {exc}") from exc
+        finally:
+            if record is not None:
+                record.close()
         _write_output(args.out, [output] if isinstance(output, str) else output)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

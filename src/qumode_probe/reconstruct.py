@@ -9,6 +9,7 @@ or finitely binned probe.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,25 +74,51 @@ class Histogram:
 
 def histogram(record: MeasurementRecord, bin_width: float,
               origin: float = 0.0) -> Histogram:
-    """Counts per half-open bin [origin + k*w, origin + (k+1)*w).
+    """Counts per half-open bin [origin + k*w, origin + (k+1)*w); see ``histogram_blocks``."""
+    return histogram_blocks([record.samples], bin_width, origin)
 
-    The bins run from the lowest sample's to the highest's, so a record
-    whose samples span more than ``MAX_BINS`` bins is rejected before any
-    array of that length is allocated.
+
+def histogram_blocks(blocks: Iterable[np.ndarray], bin_width: float,
+                     origin: float = 0.0) -> Histogram:
+    """Counts per half-open bin [origin + k*w, origin + (k+1)*w) of the samples
+    in ``blocks``, added one block at a time.
+
+    The bins run from the lowest sample's to the highest's.  Each block that
+    reaches past them widens them, after the widened span is checked against
+    ``MAX_BINS``.  Once the span is over the cap, the remaining blocks are
+    still read, so the error names the record's whole span, but not counted.
     """
     if not bin_width > 0:
         raise ValueError("bin width must be positive")
-    if record.n == 0:
+    k_lo = k_hi = None  # lowest and highest bin index so far, as floats
+    counts = np.zeros(0, dtype=np.intp)  # bins k_lo..k_hi, or None once over the cap
+    for samples in blocks:
+        if len(samples) == 0:
+            continue
+        idx = np.floor((samples - origin) / bin_width)
+        b_lo, b_hi = idx.min(), idx.max()
+        lo = b_lo if k_lo is None else min(k_lo, b_lo)
+        hi = b_hi if k_hi is None else max(k_hi, b_hi)
+        if counts is not None and hi - lo < MAX_BINS:
+            if not max(-lo, hi) < 2 ** 53:
+                # past 2**53 a float64 bin index no longer names one bin
+                raise ValueError(f"record samples lie over 2**53 bins of width "
+                                 f"{float(bin_width)!r} from the bin origin {float(origin)!r}")
+            if k_lo is None:
+                counts = np.zeros(int(hi - lo) + 1, dtype=np.intp)
+            elif lo < k_lo or hi > k_hi:
+                counts = np.pad(counts, (int(k_lo - lo), int(hi - k_hi)))
+            a = int(b_lo - lo)
+            counts[a:a + int(b_hi - b_lo) + 1] += np.bincount((idx - b_lo).astype(np.intp))
+        else:
+            counts = None
+        k_lo, k_hi = lo, hi
+    if k_lo is None:
         raise ValueError("record is empty")
-    idx = np.floor((record.samples - origin) / bin_width)
-    k_lo, k_hi = idx.min(), idx.max()
-    if not k_hi - k_lo < MAX_BINS:
+    if counts is None:
         raise ValueError(f"histogram of the record spans {k_hi - k_lo + 1:.6g} bins of "
                          f"width {float(bin_width)!r}, over the cap of {MAX_BINS}")
-    k_lo, k_hi = int(k_lo), int(k_hi)
-    idx = idx.astype(int)
-    counts = np.bincount(idx - k_lo, minlength=k_hi - k_lo + 1)
-    edges = origin + bin_width * np.arange(k_lo, k_hi + 2)
+    edges = origin + bin_width * (k_lo + np.arange(len(counts) + 1))
     return Histogram(counts=counts, edges=edges)
 
 
@@ -270,12 +297,20 @@ def reconstruct_record(record: MeasurementRecord, probe: ProbeConfig,
                        bin_width: float | None = None,
                        min_mass: float | None = None) -> ReconstructedSpectrum:
     """Histogram + peak detection with a probe-derived default bin width."""
+    return reconstruct_blocks([record.samples], probe, record.detector_bin,
+                              bin_width=bin_width, min_mass=min_mass)
+
+
+def reconstruct_blocks(blocks: Iterable[np.ndarray], probe: ProbeConfig,
+                       detector_bin: float = 0.0, bin_width: float | None = None,
+                       min_mass: float | None = None) -> ReconstructedSpectrum:
+    """``reconstruct_record`` of the samples in ``blocks``, histogrammed block by block."""
     if bin_width is None:
         sigma_p = probe.momentum_std()
-        bin_width = sigma_p / 4 if sigma_p > 0 else max(record.detector_bin, 1e-6)
+        bin_width = sigma_p / 4 if sigma_p > 0 else max(detector_bin, 1e-6)
     # anchoring the bin grid at p0 makes the estimates invariant under a
     # joint shift of samples and p0
-    hist = histogram(record, bin_width, origin=probe.p0)
+    hist = histogram_blocks(blocks, bin_width, origin=probe.p0)
     return detect_peaks(hist, probe, min_mass=min_mass)
 
 

@@ -6,18 +6,41 @@ A matrix literal is {dim, entries} with entries a row-major list of
 ``# columns=p_bits``, followed by one line per sample, the 16 hex digits
 of the sample's float64 bits (see ``record_body``).  The writers are
 deterministic (sorted keys, repr floats) so identical inputs produce
-byte-identical files.
+byte-identical files.  ``read_record`` reads a record's body one block
+of lines at a time, so its memory does not grow with the record.
 """
 
 from __future__ import annotations
 
+import io
 import json
-from dataclasses import asdict, fields
+from collections.abc import Iterator
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
 from .probe import MODES, ProbeConfig, ProbeMode
 from .sampling import MeasurementRecord
+
+
+def as_integer(raw) -> int | None:
+    """``raw`` as an int, or None: a float counts only if integral (JSON writes
+    1e6 as one), and a boolean never."""
+    if isinstance(raw, float):
+        return int(raw) if raw.is_integer() else None
+    if isinstance(raw, bool):
+        return None
+    try:
+        return int(raw)
+    except (TypeError, ValueError):
+        return None
+
+
+def as_float(raw, key: str) -> float:
+    """``float(raw)``, refusing the booleans it would take as 0 and 1."""
+    if isinstance(raw, bool):
+        raise ValueError(f"{key} must be a number, got {raw!r}")
+    return float(raw)
 
 
 def matrix_from_payload(payload) -> np.ndarray:
@@ -28,10 +51,9 @@ def matrix_from_payload(payload) -> np.ndarray:
     """
     if not isinstance(payload, dict) or "dim" not in payload or "entries" not in payload:
         raise ValueError("matrix literal must be {dim, entries: [[re, im], ...]}")
-    try:
-        dim = int(payload["dim"])
-    except (TypeError, ValueError):
-        raise ValueError(f"matrix dim must be an integer, got {payload['dim']!r}") from None
+    dim = as_integer(payload["dim"])
+    if dim is None:
+        raise ValueError(f"matrix dim must be an integer, got {payload['dim']!r}")
     if dim < 1:
         raise ValueError(f"matrix dim must be at least 1, got {dim}")
     try:
@@ -58,7 +80,8 @@ def _mode_from_dict(payload) -> ProbeMode:
     if kind not in MODES:
         raise ValueError(f"unknown probe mode {kind!r}")
     mode = MODES[kind]
-    return mode(**{field.name: float(payload[field.name]) for field in fields(mode)})
+    return mode(**{field.name: as_float(payload[field.name], f"probe.mode.{field.name}")
+                   for field in fields(mode)})
 
 
 def probe_to_dict(probe: ProbeConfig) -> dict:
@@ -67,12 +90,13 @@ def probe_to_dict(probe: ProbeConfig) -> dict:
 
 def probe_from_dict(payload: dict) -> ProbeConfig:
     mode = _mode_from_dict(payload["mode"])
-    return ProbeConfig(p0=float(payload.get("p0", 0.0)), g=float(payload.get("g", 1.0)),
-                       tau=float(payload.get("tau", 1.0)), mode=mode)
+    return ProbeConfig(**{key: as_float(payload.get(key, default), f"probe.{key}")
+                          for key, default in (("p0", 0.0), ("g", 1.0), ("tau", 1.0))},
+                       mode=mode)
 
 
 _LINE = 17  # 16 hex digits and "\n"
-_DECODE_LINES = 2 ** 16  # lines decoded per block, so the temporaries stay small
+_DECODE_LINES = 2 ** 16  # lines read and decoded per block (1.1 MB of text)
 _BAD_BODY = "record body must be lines of 16 hex digits"
 _REDRAW = ("only '# columns=p_bits' records are read; redraw this one from its own "
            "'# config=' header with 'qumode-probe sample --config <record>'")
@@ -110,28 +134,27 @@ def _octet_table() -> np.ndarray:
     return (nibble[pairs & 255] << 4) | nibble[pairs >> 8]
 
 
-def _samples_from_hex(text: str, pos: int) -> np.ndarray:
-    """Decode the ``p_bits`` body that starts at ``text[pos]``, _DECODE_LINES at a time."""
-    n, partial = divmod(len(text) - pos, _LINE)
-    if partial:
+def _decode_block(raw: bytes, octet: np.ndarray) -> np.ndarray:
+    """The samples of ``raw``, whole ``p_bits`` body lines, checked finite."""
+    n, partial = divmod(len(raw), _LINE)
+    if partial or raw[_LINE - 1::_LINE] != b"\n" * n:
         raise ValueError(_BAD_BODY)
-    octet = _octet_table()
-    samples = np.empty(n)
-    for a in range(0, n, _DECODE_LINES):
-        b = min(n, a + _DECODE_LINES)
-        try:
-            raw = text[pos + a * _LINE:pos + b * _LINE].encode("ascii")
-        except UnicodeEncodeError:
-            raise ValueError(_BAD_BODY) from None
-        if raw[_LINE - 1::_LINE] != b"\n" * (b - a):
-            raise ValueError(_BAD_BODY)
-        # the eight digit pairs of every line, read in place
-        pairs = np.ndarray((b - a, 8), dtype="<u2", buffer=raw, strides=(_LINE, 2))
-        octets = octet[pairs]
-        if (octets > 255).any():
-            raise ValueError(_BAD_BODY)
-        samples[a:b] = octets.astype(np.uint8).view(">f8").ravel()
+    # the eight digit pairs of every line, read in place
+    pairs = np.ndarray((n, 8), dtype="<u2", buffer=raw, strides=(_LINE, 2))
+    octets = octet[pairs]
+    if (octets > 255).any():
+        raise ValueError(_BAD_BODY)
+    samples = octets.astype(np.uint8).view(">f8").ravel().astype(float)
+    if not np.isfinite(samples).all():
+        raise ValueError("record has non-finite samples")
     return samples
+
+
+def _body_blocks(fh):
+    """Decode the ``p_bits`` body that ``fh`` is at, _DECODE_LINES lines per block."""
+    octet = _octet_table()
+    while raw := fh.read(_LINE * _DECODE_LINES):
+        yield _decode_block(raw, octet)
 
 
 def _header_value(meta: dict, key: str, parse, default):
@@ -143,27 +166,34 @@ def _header_value(meta: dict, key: str, parse, default):
         raise ValueError(f"bad record {key} header: {exc}") from exc
 
 
-def record_from_text(text: str) -> tuple[MeasurementRecord, ProbeConfig | None]:
-    """Record and embedded probe from ``record_to_text`` output.
+def read_record(fh) -> tuple[MeasurementRecord, ProbeConfig | None, Iterator[np.ndarray]]:
+    """Read a record from ``fh``, a binary file that can ``peek``, one block at a time.
 
     The leading ``#`` lines are the header, which must hold ``# columns=p_bits``.
+    Returns the header as a record without samples, the embedded probe, and
+    the body's samples as an iterator of arrays of at most _DECODE_LINES
+    samples, which reads the file as it goes.
     """
     meta = {}
-    pos = 0
-    while text.startswith("#", pos):
-        end = text.find("\n", pos)
-        end = len(text) if end < 0 else end
-        key, _, value = text[pos:end].strip().lstrip("# ").partition("=")
+    while fh.peek(1)[:1] == b"#":
+        # undecodable bytes survive as surrogates, for the header parsers to name
+        line = fh.readline().decode("utf-8", "surrogateescape")
+        key, _, value = line.strip().lstrip("# ").partition("=")
         meta[key] = value
-        pos = min(end + 1, len(text))
     columns = meta.get("columns")
     if columns != "p_bits":
         found = ("no record columns line" if columns is None
                  else f"unknown record columns {columns!r}")
         raise ValueError(f"{found}: {_REDRAW}")
-    samples = _samples_from_hex(text, pos)
     probe = _header_value(meta, "probe", lambda v: probe_from_dict(json.loads(v)), None)
-    record = MeasurementRecord(samples=samples,
+    header = MeasurementRecord(samples=np.empty(0),
                                seed=_header_value(meta, "seed", int, 0),
                                detector_bin=_header_value(meta, "detector_bin", float, 0.0))
-    return record, probe
+    return header, probe, _body_blocks(fh)
+
+
+def record_from_text(text: str) -> tuple[MeasurementRecord, ProbeConfig | None]:
+    """Record and embedded probe from ``record_to_text`` output."""
+    raw = io.BufferedReader(io.BytesIO(text.encode("utf-8", "surrogateescape")))
+    header, probe, blocks = read_record(raw)
+    return replace(header, samples=np.concatenate([header.samples, *blocks])), probe

@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,9 +10,11 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qumode_probe
-from qumode_probe import models, thermo
+from qumode_probe import cli, models, thermo
 from qumode_probe.cli import EXIT_CONFIG, EXIT_NUMERICAL, SAMPLE_CHUNK, main
 from qumode_probe.operators import (
     DIMENSION_CAP,
@@ -20,6 +24,7 @@ from qumode_probe.operators import (
     thermal_state,
 )
 from qumode_probe.probe import distribution_for
+from qumode_probe.reconstruct import detect_peaks, histogram
 from qumode_probe.sampling import MAX_SAMPLES, sample_measurements
 from qumode_probe.serialize import probe_from_dict, record_from_text, record_to_text
 
@@ -349,6 +354,8 @@ class TestExitCodes:
         ({"dim": 1, "entries": [[1.0, 0.0, 0.0]]}, "matrix entries must be [re, im] pairs"),
         ({"dim": 2, "entries": [[1.0, 0.0]]}, "expected 4 matrix entries, got 1"),
         ({"entries": [[1.0, 0.0]]}, "matrix literal must be {dim, entries"),
+        ({"dim": 2.5, "entries": [[1.0, 0.0]] * 4}, "matrix dim must be an integer, got 2.5"),
+        ({"dim": True, "entries": [[1.0, 0.0]]}, "matrix dim must be an integer, got True"),
     ])
     @pytest.mark.parametrize("section", ["system", "state", "linear_family"])
     def test_bad_matrix_literal(self, tmp_path, capsys, matrix, message, section):
@@ -476,6 +483,17 @@ class TestExitCodes:
           for key, value, label in (("n_atoms", [1], "list"), ("n_atoms", 2.9, "fraction"),
                                     ("lambda_ref", [1], "list"),
                                     ("lambda_ref", float("nan"), "nan"))),
+        pytest.param("quench", dict(QUBIT, quench={"system2": {"diagonal": [1.0, 0.0]},
+                                                   "beta": True}),
+                     "quench.beta", id="quench-beta-bool"),
+        pytest.param("thermo", dict(QUBIT, thermo={"beta_grid": {"lo": True}}),
+                     "thermo.beta_grid.lo", id="beta-grid-lo-bool"),
+        pytest.param("sample", dict(QUBIT, probe={"p0": True, "mode": "ideal"}),
+                     "bad probe section: probe.p0", id="probe-p0-bool"),
+        pytest.param("sample", dict(QUBIT, probe={"mode": {"kind": "bin", "L": True}}),
+                     "bad probe section: probe.mode.L", id="probe-mode-L-bool"),
+        pytest.param("spectrum", dict(QUBIT, state={"thermal_beta": True}),
+                     "bad state section: state.thermal_beta", id="thermal-beta-bool"),
     ])
     def test_mistyped_key_names_the_key(self, tmp_path, capsys, command, config, key):
         record = record_file(tmp_path, b"0000000000000000\n3ff0000000000000\n")  # 0.0, 1.0
@@ -715,6 +733,27 @@ class TestFileErrors:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: cannot read record {path}: ")
 
+    @pytest.mark.parametrize("command", ["reconstruct", "thermo"])
+    def test_record_read_error(self, tmp_path, capsys, monkeypatch, command):
+        """An error while the body is read exits 2 naming the record, with no output."""
+        path = record_file(tmp_path, b"0000000000000000\n3ff0000000000000\n")
+
+        class FailingBody(io.BufferedReader):
+            def read(self, size=-1):
+                raise OSError(errno.EIO, "Input/output error")
+
+        def open_failing(file, mode="r", *args, **kwargs):
+            if mode == "rb":
+                return FailingBody(io.FileIO(file))
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", open_failing, raising=False)
+        code, text = run(tmp_path, command, SQUEEZED_PAIR, extra=["--record", path])
+        assert code == EXIT_CONFIG
+        assert text == ""
+        assert capsys.readouterr().err == (
+            f"config error: cannot read record {path}: [Errno 5] Input/output error\n")
+
     @pytest.mark.parametrize("command", ["sample", "spectrum"])
     @pytest.mark.parametrize("target", ["no-such-dir/out.txt", "."])
     def test_unwritable_out(self, tmp_path, capsys, command, target):
@@ -758,32 +797,39 @@ class TestSamplingKeys:
 CLI_CHILD = """
 import resource, sys
 cap = int(sys.argv.pop(1))
+peak_path = sys.argv.pop(1)
 if cap:
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 from qumode_probe.cli import main
-sys.exit(main(sys.argv[1:]))
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status, open(peak_path, "w") as out:
+    out.write(next(line for line in status if line.startswith("VmHWM:")).split()[1])
+sys.exit(code)
 """
 
 
 def cli_child(tmp_path, argv, address_space=0):
-    """Run the CLI in a child; its exit code, stderr and peak RSS in MiB.
+    """Run the CLI in a child; its exit code, stderr and own peak RSS in MiB.
 
-    A nonzero ``address_space`` caps the child's virtual memory
-    (RLIMIT_AS), in the child only, so an oversized allocation fails
-    fast there.
+    The peak is the child's VmHWM, read by the child itself: ``wait4``'s
+    ``ru_maxrss`` would carry over this process's peak, since the child
+    starts as a copy of it.  A nonzero ``address_space`` caps the child's
+    virtual memory (RLIMIT_AS), in the child only, so an oversized
+    allocation fails fast there.
     """
     src = os.path.dirname(os.path.dirname(qumode_probe.__file__))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    peak = tmp_path / "vmhwm.txt"
     with open(tmp_path / "stderr.txt", "wb") as err:
-        proc = subprocess.Popen([sys.executable, "-c", CLI_CHILD, str(address_space), *argv],
-                                env=env, stdout=subprocess.DEVNULL, stderr=err)
-        _, status, usage = os.wait4(proc.pid, 0)
-    return (os.waitstatus_to_exitcode(status), (tmp_path / "stderr.txt").read_text(),
-            usage.ru_maxrss / 1024)
+        code = subprocess.run([sys.executable, "-c", CLI_CHILD, str(address_space), str(peak),
+                               *argv], env=env, stdout=subprocess.DEVNULL,
+                              stderr=err).returncode
+    return code, (tmp_path / "stderr.txt").read_text(), int(peak.read_text()) / 1024
 
 
-@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 and RLIMIT_AS")
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc/self/status and RLIMIT_AS")
 class TestBoundedChildren:
     ADDRESS_SPACE = 2 * 2 ** 30
 
@@ -829,3 +875,81 @@ class TestBoundedChildren:
             peaks.append(rss)
         # holding the 2**22 draws at once would add 32 MiB of samples and 68 MiB of text
         assert peaks[1] - peaks[0] < 40, peaks
+
+    def test_record_chain_memory_does_not_grow_with_n(self, tmp_path):
+        """``sample`` writes and ``reconstruct`` and ``thermo --record`` read the record
+        one block at a time, so each command peaks alike at n = 2**20 and 2**22."""
+        peaks = {"sample": [], "reconstruct": [], "thermo": []}
+        record = str(tmp_path / "rec.txt")
+        for n in (2 ** 20, 2 ** 22):
+            config = write_config(tmp_path, dict(QUBIT, probe={"mode": "ideal"},
+                                                 sampling={"n": n, "seed": 1},
+                                                 thermo={"beta_grid": [1.0]}))
+            for command in peaks:
+                argv = [command, "--config", config, "--out", str(tmp_path / "out.txt")]
+                if command == "sample":
+                    argv[-1] = record
+                else:
+                    argv += ["--record", record]
+                code, err, rss = cli_child(tmp_path, argv)
+                assert code == 0, err
+                peaks[command].append(rss)
+        # the 2**22 record is 68 MiB of text holding 32 MiB of samples
+        assert all(abs(b - a) < 8 for a, b in peaks.values()), peaks
+
+
+FUZZ_CONFIG = dict(SQUEEZED_PAIR, sampling={"n": 2 * SAMPLE_CHUNK + 37, "seed": 3},
+                   reconstruct={"bin_width": 0.05})  # three body blocks
+
+
+@pytest.fixture(scope="module")
+def fuzz_record(tmp_path_factory):
+    """A three-block record as ``sample`` writes it, its config path, and the
+    ``reconstruct`` rows that the whole-array histogram and peak scan give."""
+    work = tmp_path_factory.mktemp("fuzz")
+    config = write_config(work, FUZZ_CONFIG)
+    assert main(["sample", "--config", config, "--out", str(work / "rec.txt")]) == 0
+    data = (work / "rec.txt").read_bytes()
+    record, probe = record_from_text(data.decode())
+    recon = detect_peaks(histogram(record, 0.05, origin=probe.p0), probe)
+    rows = [f"{line.E_hat!r} {line.P_hat!r} {line.count}" for line in recon.lines]
+    return work, config, data, rows, f"# residual_mass={recon.residual_mass!r}"
+
+
+def _mutate(data: bytes, mutation: tuple) -> bytes:
+    kind, at, byte = mutation
+    at %= len(data)
+    if kind == "truncate":
+        return data[:at]
+    if kind == "overwrite":
+        return data[:at] + bytes([byte]) + data[at + 1:]
+    if kind == "insert-cr":
+        return data[:at] + b"\r" + data[at:]
+    if kind == "drop-final-newline":
+        return data[:-1]
+    if kind == "nan-late":
+        # a NaN bit pattern on a body line in the last block
+        line = len(data) - 17 * (1 + at % 30)
+        return data[:line] + b"7ff8%012x" % byte + data[line + 16:]
+    return data
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutation=st.tuples(st.sampled_from(["none", "truncate", "overwrite", "insert-cr",
+                                           "drop-final-newline", "nan-late"]),
+                          st.integers(0, 2 ** 31), st.integers(0, 255)))
+def test_record_fuzz_exits_0_or_2(fuzz_record, mutation):
+    """A mutated multi-block record reconstructs or exits 2; an intact one gives the
+    whole-array histogram's lines."""
+    work, config, data, rows, residual = fuzz_record
+    (work / "mutated.txt").write_bytes(_mutate(data, mutation))
+    out = work / "out.txt"
+    out.unlink(missing_ok=True)
+    code = main(["reconstruct", "--config", config, "--record", str(work / "mutated.txt"),
+                 "--out", str(out)])
+    assert code in (0, EXIT_CONFIG)
+    assert out.exists() == (code == 0)
+    if mutation[0] == "none":
+        lines = out.read_text().splitlines()
+        assert [line for line in lines if not line.startswith("#")][1:] == rows
+        assert residual in lines

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.signal import find_peaks
 
-from qumode_probe import reconstruct
+from qumode_probe import reconstruct, serialize
 from qumode_probe.operators import (
     HermitianOperator,
     Spectrum,
@@ -112,6 +112,53 @@ class TestHistogram:
         rec = MeasurementRecord(samples=np.array([0.0, 1.0]), seed=0)
         with pytest.raises(ValueError, match="spans 11 bins of width 0.1, over the cap of 10"):
             histogram(rec, 0.1)
+
+    @staticmethod
+    def whole_array_histogram(samples, bin_width, origin):
+        """Counts and edges from one ``bincount`` over all the samples at once."""
+        idx = np.floor((samples - origin) / bin_width).astype(int)
+        lo, hi = idx.min(), idx.max()
+        return (np.bincount(idx - lo, minlength=hi - lo + 1),
+                origin + bin_width * np.arange(lo, hi + 2))
+
+    @pytest.mark.parametrize("n", [1, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 3 * 2 ** 16 + 5])
+    def test_block_seams(self, tmp_path, n):
+        """A record read block by block bins exactly as all its samples at once, also
+        when later blocks widen the bins above and below."""
+        block = 2 ** 16
+        assert serialize._DECODE_LINES == block
+        samples = np.random.default_rng(n).normal(size=n)
+        # block 1 reaches past the top, block 2 past the bottom, block 3 past both
+        for b in range(1, (n - 1) // block + 1):
+            samples[b * block] = 4.0 + b if b % 2 else -4.0 - b
+        if n > 3 * block:
+            samples[-1] = -9.5
+        text = serialize.record_to_text(MeasurementRecord(samples=samples, seed=0))
+        back, _ = serialize.record_from_text(text)
+        assert back.samples.tobytes() == samples.tobytes()
+
+        (tmp_path / "rec.txt").write_text(text)
+        with open(tmp_path / "rec.txt", "rb") as fh:
+            _, _, blocks = serialize.read_record(fh)
+            streamed = reconstruct.histogram_blocks(blocks, 0.01, origin=0.3)
+        counts, edges = self.whole_array_histogram(samples, 0.01, 0.3)
+        for hist in (streamed, histogram(back, 0.01, origin=0.3)):
+            assert np.array_equal(hist.counts, counts)
+            assert hist.edges.tobytes() == edges.tobytes()
+
+    def test_span_error_names_the_whole_span(self, monkeypatch):
+        """Blocks past the cap are still read, so the error gives the record's span."""
+        monkeypatch.setattr(reconstruct, "MAX_BINS", 10)
+        blocks = [np.array([0.0]), np.array([1.0]), np.array([-1.0])]
+        with pytest.raises(ValueError, match="spans 21 bins of width 0.1, over the cap of 10"):
+            reconstruct.histogram_blocks(blocks, 0.1)
+
+    def test_far_bin_indices_rejected(self):
+        """Past 2**53 bins from the origin a float64 index no longer names one bin."""
+        rec = MeasurementRecord(samples=np.full(20, 1e13), seed=0)
+        with pytest.raises(ValueError, match="lie over 2\\*\\*53 bins of width 1e-06"):
+            histogram(rec, 1e-6)
+        assert histogram(rec, 1e-2).n == 20
 
     def test_outlier_rejected_at_the_real_cap(self):
         rec = MeasurementRecord(samples=np.array([0.0, 1e9]), seed=0)

@@ -130,6 +130,7 @@ class TestRecordRoundTrip:
 
     @pytest.mark.parametrize("key, value", [("probe", "[1]"), ("probe", "{"),
                                             ("probe", '{"mode": {"kind": "bin"}}'),
+                                            ("probe", '{"p0": true, "mode": "ideal"}'),
                                             ("seed", "x"), ("detector_bin", "wide")])
     def test_bad_header_names_its_key(self, key, value):
         with pytest.raises(ValueError, match=f"bad record {key} header"):

@@ -57,14 +57,9 @@ from .thermo import (
     QuenchReport,
     ThermoReport,
     ValidityReport,
-    entropy,
     estimate_beta,
-    free_energy,
     ground_state_overlap,
-    heat_capacity,
-    heat_capacity_finite_difference,
     log_partition_function,
-    partition_function,
     quench_work,
     recover_degeneracies,
     thermo_report,

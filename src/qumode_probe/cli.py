@@ -277,9 +277,9 @@ def _lines_for_thermo(config: dict, record_file) -> Spectrum:
         (e, p, 1) for e, p in zip(recon.energies, pops))
 
 
-def _thermo_rows(report: thermo.ThermoReport) -> list[tuple]:
-    return [(b, z, f, c, s) for (b, z), (_, f), (_, c), (_, s) in
-            zip(report.Z_grid, report.F_grid, report.C_grid, report.S_grid)]
+def _thermo_rows(report: thermo.ThermoReport) -> list[list]:
+    return np.column_stack((report.Z_grid, report.F_grid[:, 1], report.C_grid[:, 1],
+                            report.S_grid[:, 1])).tolist()
 
 
 def cmd_thermo(config: dict, fmt: str, record_file) -> str:
@@ -345,8 +345,8 @@ def cmd_sweep(config: dict, fmt: str) -> str:
     kind = options.get("kind")
     if kind == "beta":
         H = build_system(config)
-        mixed = SystemState(np.eye(H.dim) / H.dim)
-        spec = spectrum_of(mixed, H)  # populations unused; E and g drive the grid
+        # populations unused; only E and g drive the grid
+        spec = spectrum_of(thermal_state(H, 0.0), H)
         values = options.get("values")
         grid = None if values is None else _grid_from_config(values, "sweep.values")
         # the grid is given, so there is no estimated beta to report

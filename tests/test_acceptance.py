@@ -47,12 +47,12 @@ from qumode_probe.serialize import record_to_text
 from qumode_probe.thermo import (
     estimate_beta,
     ground_state_overlap,
-    heat_capacity,
-    heat_capacity_finite_difference,
     log_partition_function,
     quench_work,
     recover_degeneracies,
+    thermo_report,
 )
+from test_thermo import heat_capacity_finite_difference
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -227,8 +227,7 @@ def test_07_heat_capacity():
         dim = int(rng.integers(2, 7))
         h = random_hermitian(dim, rng)
         spec = spectrum_of(thermal_state(h, 1.0), h)
-        for b in np.geomspace(0.1, 10.0, 7):
-            c = heat_capacity(spec, b)
+        for b, c in thermo_report(spec, 1.0, np.geomspace(0.1, 10.0, 7)).C_grid:
             fd = heat_capacity_finite_difference(spec, b)
             # 1e-9 absolute floor covers the frozen-out regime where C
             # underflows past what double-precision differencing resolves
@@ -238,10 +237,10 @@ def test_07_heat_capacity():
     spec2 = spectrum_of(thermal_state(HermitianOperator(np.diag([0.0, gap])), 1.0),
                         HermitianOperator(np.diag([0.0, gap])))
     worst_closed = 0.0
-    for b in np.geomspace(0.1, 10.0, 7):
+    for b, c in thermo_report(spec2, 1.0, np.geomspace(0.1, 10.0, 7)).C_grid:
         x = b * gap / 2.0
         closed = x ** 2 / np.cosh(x) ** 2
-        worst_closed = max(worst_closed, abs(heat_capacity(spec2, b) - closed))
+        worst_closed = max(worst_closed, abs(c - closed))
     report("07 heat capacity", worst_fd < 1.0 and worst_closed < 1e-10,
            f"fd worst err/tol {worst_fd:.2f} (tol 1e-6 rel + 1e-9 abs), "
            f"closed-form abs {worst_closed:.2e}")

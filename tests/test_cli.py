@@ -192,6 +192,51 @@ class TestThermoCommand:
         assert beta_hat == pytest.approx(0.8, abs=0.05)
 
 
+def ladder(e0, step, n, beta):
+    """log Z, U and Var(E) of the n levels e0 + k step, each once."""
+    x = beta * step
+    log_z = -beta * e0 + np.log(np.expm1(-n * x) / np.expm1(-x))
+    u = e0 - step * (np.exp(-x) / np.expm1(-x) - n * np.exp(-n * x) / np.expm1(-n * x))
+    var = step ** 2 * (np.exp(-x) / np.expm1(-x) ** 2
+                       - n ** 2 * np.exp(-n * x) / np.expm1(-n * x) ** 2)
+    return log_z, u, var
+
+
+class TestThermoOnLogZ:
+    """Z overflows (Dicke-100) or underflows (E = 100, 200) in float64 here."""
+
+    @pytest.mark.parametrize("command", ["thermo", "sweep"])
+    @pytest.mark.parametrize("system, levels, betas", [
+        pytest.param({"model": "dicke", "n_atoms": 100}, (-50.0, 1.0, 101),
+                     [15.0, 30.0, 100.0], id="dicke-100"),
+        pytest.param({"diagonal": [100.0, 200.0]}, (100.0, 100.0, 2), [10.0],
+                     id="diagonal-100-200"),
+    ])
+    def test_finite_columns_and_quiet_stderr(self, tmp_path, command, system, levels, betas):
+        config = {"system": system, "thermo": {"beta_grid": betas},
+                  "sweep": {"kind": "beta", "values": betas}}
+        out = tmp_path / "out.txt"
+        src = os.path.dirname(os.path.dirname(qumode_probe.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = subprocess.run(
+            [sys.executable, "-m", "qumode_probe.cli", command, "--config",
+             write_config(tmp_path, config), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert (child.returncode, child.stderr) == (0, "")
+        _, rows = parse_rows(out.read_text())
+        assert [row["beta"] for row in rows] == betas
+        for row in rows:
+            b = row["beta"]
+            log_z, u, var = ladder(*levels, b)
+            assert np.isfinite([row["F"], row["C"], row["S"]]).all()
+            assert row["F"] == pytest.approx(-log_z / b, rel=1e-12)
+            assert row["C"] == pytest.approx(b ** 2 * var, rel=1e-9, abs=1e-300)
+            assert row["S"] == pytest.approx(b * u + log_z, abs=1e-9)
+        if system.get("diagonal"):
+            assert [(row["Z"], row["F"]) for row in rows] == [(0.0, 100.0)]
+
+
 class TestQuenchCommand:
     def test_sigma_z_to_sigma_x(self, tmp_path):
         config = {
@@ -252,11 +297,15 @@ class TestSweepCommand:
         assert code == 0
         spec = spectrum_of(SystemState(np.eye(4) / 4), models.rabi_interaction(2))
         assert [line.g for line in spec.lines] == [1, 2, 1]
+        e, g = spec.energies, spec.degeneracies
         lines = ["# config=" + json.dumps(config, sort_keys=True), "beta Z F C S"]
         for b in config["sweep"]["values"]:
-            z = float(np.exp(thermo.log_partition_function(spec, b)))
-            row = (float(b), z, thermo.free_energy(z, b),
-                   thermo.heat_capacity(spec, b), thermo.entropy(spec, b))
+            log_z = thermo.log_partition_function(spec, b)
+            w = np.exp(-b * (e - e.min())) * g
+            w /= w.sum()
+            u = np.sum(w * e)
+            f = -log_z / b
+            row = (b, np.exp(log_z), f, b ** 2 * np.sum(w * (e - u) ** 2), b * (u - f))
             lines.append(" ".join(repr(float(v)) for v in row))
         assert text == "\n".join(lines) + "\n"
 
@@ -268,6 +317,26 @@ class TestSweepCommand:
         assert code == EXIT_CONFIG
         assert text == ""
         assert "requires beta > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, config", [
+        pytest.param("thermo", '{"system": {"diagonal": [0.0, 1.0]}, '
+                               '"thermo": {"beta_grid": [1.0, Infinity]}}', id="thermo-inf"),
+        pytest.param("sweep", '{"system": {"diagonal": [0.0, 1.0]}, '
+                              '"sweep": {"kind": "beta", "values": [1.0, 1e400]}}',
+                     id="sweep-1e400"),
+        pytest.param("thermo", '{"system": {"diagonal": [0.0, 1.0]}, "thermo": '
+                               '{"beta_grid": {"lo": 1e300, "hi": 1e308, "num": 3}}}',
+                     id="thermo-grid-1e300"),
+    ])
+    def test_beta_without_a_finite_square_exits_2(self, tmp_path, capsys, command, config):
+        path = tmp_path / "config.json"
+        path.write_text(config)
+        out = tmp_path / "out.txt"
+        assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"config error: thermo report requires beta <= {thermo.MAX_BETA!r} "
+            "at every grid point, so that beta**2 is finite\n")
 
     def test_lambda_sweep_without_values(self, tmp_path, capsys):
         code, _ = run(tmp_path, "sweep", {"sweep": {"kind": "lambda"}})

@@ -1,9 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from qumode_probe.models import dicke_interaction
 from qumode_probe.operators import (
     HermitianOperator,
     SpectralLine,
@@ -14,17 +17,15 @@ from qumode_probe.operators import (
     thermal_state,
 )
 from qumode_probe.thermo import (
+    MAX_BETA,
+    MAX_BETA_GRID,
     DegenerateGroundStateError,
     NonThermalSpectrumError,
     _logsumexp,
-    entropy,
+    default_beta_grid,
     estimate_beta,
-    free_energy,
     ground_state_overlap,
-    heat_capacity,
-    heat_capacity_finite_difference,
     log_partition_function,
-    partition_function,
     quench_work,
     recover_degeneracies,
     thermo_report,
@@ -36,6 +37,26 @@ def random_hermitian(dim, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return HermitianOperator(scale * 0.5 * (m + m.conj().T))
+
+
+def report_at(spec, beta):
+    """thermo_report's Z, F, C and S at a single beta."""
+    report = thermo_report(spec, beta_hat=1.0, beta_grid=[beta])
+    return {name: float(getattr(report, f"{name}_grid")[0, 1]) for name in "ZFCS"}
+
+
+def heat_capacity_finite_difference(spec, beta, rel_step=6e-3):
+    """Finite-difference beta^2 d^2 log Z / d beta^2 cross-check.
+
+    Uses a five-point central stencil; the O(h^4) truncation error lets
+    the step stay large enough that roundoff in log Z is negligible,
+    keeping the check well below 1e-6 relative error for beta in
+    [0.1, 10].
+    """
+    h = rel_step * beta
+    lz = [log_partition_function(spec, beta + k * h) for k in (-2, -1, 0, 1, 2)]
+    d2 = (-lz[0] + 16 * lz[1] - 30 * lz[2] + 16 * lz[3] - lz[4]) / (12 * h ** 2)
+    return float(beta ** 2 * d2)
 
 
 class TestEstimateBeta:
@@ -106,13 +127,11 @@ class TestPartitionFunction:
         h = HermitianOperator(np.diag([0.0, 1.0, 1.0, 2.0]))
         spec = spectrum_of(thermal_state(h, 0.5), h)
         spec = recover_degeneracies(spec, 0.5)
-        (_, z), = partition_function(spec, [0.0])
-        assert z == pytest.approx(4.0)
+        assert np.exp(log_partition_function(spec, 0.0)) == pytest.approx(4.0)
 
     def test_qubit_value(self):
         spec = Spectrum.from_lines([(0.0, 2 / 3, 1), (1.0, 1 / 3, 1)])
-        (_, z), = partition_function(spec, [np.log(2)])
-        assert z == pytest.approx(1.5)
+        assert report_at(spec, np.log(2))["Z"] == pytest.approx(1.5)
 
     def test_matches_trace_oracle(self):
         for seed in range(5):
@@ -129,7 +148,16 @@ class TestPartitionFunction:
     def test_rejects_empty_grid(self):
         spec = Spectrum.from_lines([(0.0, 1.0, 1)])
         with pytest.raises(ValueError):
-            partition_function(spec, [])
+            thermo_report(spec, beta_hat=1.0, beta_grid=[])
+
+    def test_dicke_closed_form(self):
+        # J_x of 100 spins: E = -50, ..., 50, each once
+        h = dicke_interaction(100)
+        spec = spectrum_of(thermal_state(h, 0.0), h)
+        assert [line.g for line in spec.lines] == [1] * 101
+        for beta in np.geomspace(0.01, 100.0, 41):
+            closed = 50 * beta + np.log(np.expm1(-101 * beta) / np.expm1(-beta))
+            assert log_partition_function(spec, beta) == pytest.approx(closed, rel=1e-12)
 
 
 class TestLogSumExp:
@@ -155,10 +183,11 @@ class TestLogSumExp:
 
 class TestFreeEnergy:
     def test_unit_partition(self):
-        assert free_energy(1.0, 2.0) == 0.0
+        assert report_at(Spectrum.from_lines([(0.0, 1.0, 1)]), 2.0)["F"] == 0.0
 
     def test_qubit_value(self):
-        assert free_energy(1.5, np.log(2)) == pytest.approx(-np.log(1.5) / np.log(2))
+        spec = Spectrum.from_lines([(0.0, 2 / 3, 1), (1.0, 1 / 3, 1)])
+        assert report_at(spec, np.log(2))["F"] == pytest.approx(-np.log(1.5) / np.log(2))
 
     def test_sanity_window(self):
         for seed in range(5):
@@ -166,39 +195,40 @@ class TestFreeEnergy:
             beta = 1.3
             e = np.linalg.eigvalsh(h.entries)
             z = np.trace(expm(-beta * h.entries)).real
-            f = free_energy(z, beta)
+            f = report_at(spectrum_of(thermal_state(h, beta), h), beta)["F"]
             mean_e = np.trace(expm(-beta * h.entries) @ h.entries).real / z
             assert e.min() - np.log(len(e)) / beta - 1e-12 <= f <= mean_e + 1e-12
 
     def test_rejects_zero_beta(self):
         with pytest.raises(ValueError):
-            free_energy(2.0, 0.0)
+            report_at(Spectrum.from_lines([(0.0, 1.0, 1)]), 0.0)
 
 
 class TestHeatCapacity:
     def test_single_level_zero(self):
         spec = Spectrum.from_lines([(1.5, 1.0, 1)])
-        assert heat_capacity(spec, 2.0) == 0.0
+        assert report_at(spec, 2.0)["C"] == 0.0
 
     def test_two_level_closed_form(self):
         spec = Spectrum.from_lines([(0.0, 0.5, 1), (1.0, 0.5, 1)])
         for beta in (0.3, 1.0, 4.0):
             expected = beta ** 2 * np.exp(beta) / (1 + np.exp(beta)) ** 2
-            assert heat_capacity(spec, beta) == pytest.approx(expected, abs=1e-10)
+            assert report_at(spec, beta)["C"] == pytest.approx(expected, abs=1e-10)
 
     def test_high_temperature_limit(self):
         spec = Spectrum.from_lines([(0.0, 0.25, 1), (1.0, 0.25, 1),
                                     (2.0, 0.25, 1), (3.0, 0.25, 1)])
         beta = 1e-4
         var = np.var([0.0, 1.0, 2.0, 3.0])
-        assert heat_capacity(spec, beta) == pytest.approx(beta ** 2 * var, rel=1e-3)
+        assert report_at(spec, beta)["C"] == pytest.approx(beta ** 2 * var, rel=1e-3)
 
     def test_matches_finite_difference(self):
         h = HermitianOperator(np.diag([0.0, 0.7, 1.1, 1.1, 3.0]))
         spec = spectrum_of(thermal_state(h, 1.0), h)
         spec = recover_degeneracies(spec, 1.0)
-        for beta in np.geomspace(0.1, 10, 9):
-            analytic = heat_capacity(spec, beta)
+        grid = np.geomspace(0.1, 10, 9)
+        report = thermo_report(spec, beta_hat=1.0, beta_grid=grid)
+        for beta, analytic in report.C_grid:
             fd = heat_capacity_finite_difference(spec, beta)
             assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
@@ -206,11 +236,11 @@ class TestHeatCapacity:
 class TestEntropy:
     def test_zero_temperature_limit(self):
         spec = Spectrum.from_lines([(0.0, 1.0, 1), (1.0, 0.0, 1)])
-        assert entropy(spec, 200.0) == pytest.approx(0.0, abs=1e-10)
+        assert report_at(spec, 200.0)["S"] == pytest.approx(0.0, abs=1e-10)
 
     def test_infinite_temperature_limit(self):
         spec = Spectrum.from_lines([(0.0, 0.5, 1), (1.0, 0.25, 1), (2.0, 0.25, 1)])
-        assert entropy(spec, 1e-7) == pytest.approx(np.log(3), abs=1e-5)
+        assert report_at(spec, 1e-7)["S"] == pytest.approx(np.log(3), abs=1e-5)
 
     def test_matches_microstate_sum(self):
         spec = Spectrum.from_lines([(0.0, 0.6, 1), (1.0, 0.4, 2)])
@@ -219,12 +249,12 @@ class TestEntropy:
         weights = np.array([1 * np.exp(0.0), np.exp(-beta), np.exp(-beta)])
         p = weights / weights.sum()
         oracle = -np.sum(p * np.log(p))
-        assert entropy(spec, beta) == pytest.approx(oracle, abs=1e-10)
+        assert report_at(spec, beta)["S"] == pytest.approx(oracle, abs=1e-10)
 
     def test_rejects_zero_beta(self):
         spec = Spectrum.from_lines([(0.0, 1.0, 1)])
         with pytest.raises(ValueError):
-            entropy(spec, 0.0)
+            report_at(spec, 0.0)
 
 
 class TestQuenchWork:
@@ -332,3 +362,40 @@ def test_thermo_report_rejects_non_positive_beta(beta):
     spec = Spectrum.from_lines([(0.0, 0.5, 1), (1.0, 0.5, 1)])
     with pytest.raises(ValueError, match="^thermo report requires beta > 0 at every grid point$"):
         thermo_report(spec, beta_hat=1.0, beta_grid=[1.0, beta])
+
+
+@pytest.mark.parametrize("beta", [float("inf"), 1e155, np.nextafter(MAX_BETA, np.inf)])
+def test_thermo_report_rejects_beta_without_a_finite_square(beta):
+    spec = Spectrum.from_lines([(0.0, 0.5, 1), (1.0, 0.5, 1)])
+    with pytest.raises(ValueError, match="so that beta\\*\\*2 is finite$"):
+        thermo_report(spec, beta_hat=1.0, beta_grid=[1.0, beta])
+
+
+def test_thermo_report_at_max_beta():
+    spec = Spectrum.from_lines([(0.0, 0.5, 1), (1.0, 0.5, 1)])
+    report = thermo_report(spec, beta_hat=1.0, beta_grid=[MAX_BETA])
+    assert [grid[0, 1] for grid in (report.Z_grid, report.F_grid, report.C_grid,
+                                     report.S_grid)] == [1.0, 0.0, 0.0, 0.0]
+
+
+def test_thermo_report_blocks_match_single_points():
+    # 1030 lines put 63 betas in a block, so the grid spans two blocks
+    rng = np.random.default_rng(5)
+    energies = np.sort(rng.uniform(-5.0, 5.0, 1030))
+    spec = Spectrum.from_lines((e, 1 / 1030, int(g))
+                               for e, g in zip(energies, rng.integers(1, 4, 1030)))
+    grid = np.geomspace(0.05, 50.0, 100)
+    report = thermo_report(spec, beta_hat=1.0, beta_grid=grid)
+    for name in "ZFCS":
+        column = getattr(report, f"{name}_grid")
+        assert column[:, 1].tolist() == [report_at(spec, b)[name] for b in grid]
+
+
+def test_thermo_report_grid_at_the_cap_is_one_pass():
+    # one blocked pass takes about 0.03 s; a Python loop over the points takes seconds
+    spec = Spectrum.from_lines([(0.0, 0.5, 1), (1.0, 0.5, 1)])
+    grid = default_beta_grid(num=MAX_BETA_GRID)
+    start = time.perf_counter()
+    report = thermo_report(spec, beta_hat=1.0, beta_grid=grid)
+    assert time.perf_counter() - start < 1.0
+    assert report.C_grid.shape == (MAX_BETA_GRID, 2)

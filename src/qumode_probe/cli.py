@@ -19,6 +19,7 @@ import numpy as np
 
 from . import models, reconstruct, thermo
 from .operators import (
+    DIMENSION_CAP,
     ConvergenceError,
     HermitianOperator,
     Spectrum,
@@ -59,7 +60,7 @@ def build_system(config: dict) -> HermitianOperator:
         if "matrix" in spec:
             return HermitianOperator(matrix_from_payload(spec["matrix"]))
         if "diagonal" in spec:
-            return HermitianOperator(np.diag(np.asarray(spec["diagonal"], dtype=float)))
+            return _diagonal_system(spec["diagonal"])
         if "model" in spec:
             name = spec["model"]
             if name == "rabi":
@@ -74,6 +75,22 @@ def build_system(config: dict) -> HermitianOperator:
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad system section: {exc}") from exc
     raise ConfigError("system must give 'matrix', 'diagonal', or 'model'")
+
+
+def _diagonal_system(payload) -> HermitianOperator:
+    """The diagonal operator of a flat list of at most DIMENSION_CAP numbers,
+    checked before the matrix is allocated; the operator itself rejects an
+    empty list and non-finite numbers."""
+    message = f"system.diagonal must be a flat list of at most {DIMENSION_CAP} numbers"
+    if (not isinstance(payload, list) or len(payload) > DIMENSION_CAP
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                       for x in payload)):
+        raise ConfigError(message)
+    try:
+        values = np.array(payload, dtype=float)
+    except OverflowError as exc:  # an integer beyond float64
+        raise ConfigError(message) from exc
+    return HermitianOperator(np.diag(values))
 
 
 def build_state(config: dict, H: HermitianOperator) -> SystemState:

@@ -44,20 +44,45 @@ def _as_square(entries) -> np.ndarray:
     return a
 
 
+def _hermiticity_tol(a: np.ndarray) -> float:
+    return HERMITICITY_TOL * max(1.0, np.abs(a).max(initial=0.0))
+
+
 def _check_hermitian_unit_trace(a: np.ndarray) -> None:
-    tol = HERMITICITY_TOL * max(1.0, np.abs(a).max(initial=0.0))
-    if not np.allclose(a, a.conj().T, rtol=0.0, atol=tol):
+    if not np.allclose(a, a.conj().T, rtol=0.0, atol=_hermiticity_tol(a)):
         raise ValueError("density matrix is not Hermitian")
     if abs(np.trace(a).real - 1.0) > 1e-10 or abs(np.trace(a).imag) > 1e-10:
         raise ValueError(f"density matrix trace {np.trace(a)} != 1")
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Ascending eigenvalues and the unitary of column eigenvectors."""
+def _is_diagonal(a: np.ndarray) -> bool:
+    """Whether every off-diagonal entry of the square ``a`` is exactly zero."""
+    return np.count_nonzero(a) == np.count_nonzero(a.diagonal())
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+
+class EigenDecomposition:
+    """Ascending eigenvalues and the unitary of column eigenvectors.
+
+    ``eigenvectors`` is either given, or built on its first read as the
+    permutation whose column k is the basis vector ``order[k]``, in
+    ``dtype``.
+    """
+
+    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray | None = None,
+                 order: np.ndarray | None = None, dtype=float):
+        self.eigenvalues = eigenvalues
+        self._eigenvectors = eigenvectors
+        self._order = order
+        self._dtype = dtype
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        if self._eigenvectors is None:
+            d = self.dim
+            v = np.zeros((d, d), dtype=self._dtype)
+            v[self._order, np.arange(d)] = 1
+            self._eigenvectors = v
+        return self._eigenvectors
 
     @property
     def dim(self) -> int:
@@ -66,12 +91,22 @@ class EigenDecomposition:
 
 @dataclass
 class HermitianOperator:
-    """Dense Hermitian matrix with a lazily cached eigendecomposition.
+    """Hermitian matrix with a lazily cached eigendecomposition.
 
     ``entries`` is float64 when the given matrix is real, including a
     complex one whose imaginary parts are all exactly zero, and
     complex128 otherwise; ``np.linalg.eigh`` then runs the real symmetric
     solver on real input, and the eigenvectors share that dtype.
+
+    A diagonal matrix, one whose off-diagonal entries are all exactly
+    zero, is checked in O(d): its diagonal must be real within the
+    Hermiticity tolerance. Its eigenvalues are the diagonal in the order
+    of a stable ``argsort``, with no eigensolve. Its eigenvectors, a
+    permutation matrix in ``entries``' dtype, are built only when
+    something reads ``eig().eigenvectors``: a pure or explicit state, a
+    Gibbs rho that is read, the overlap protocol, or populations taken
+    from another operator's state. ``thermal_state``, ``spectrum_of`` on
+    its own Gibbs state and ``spectral_norm`` never read them.
 
     The cache is populated at most once; share instances across threads
     only after calling :meth:`eig` (single-writer initialization).
@@ -84,13 +119,22 @@ class HermitianOperator:
         a = _as_square(entries)
         if a.shape[0] > DIMENSION_CAP:
             raise ValueError(f"dimension {a.shape[0]} exceeds cap {DIMENSION_CAP}")
-        tol = HERMITICITY_TOL * max(1.0, np.abs(a).max(initial=0.0))
-        if not np.allclose(a, a.conj().T, rtol=0.0, atol=tol):
-            raise ValueError("matrix is not Hermitian")
-        a = 0.5 * (a + a.conj().T)
+        self._eig = None
+        if _is_diagonal(a):
+            diagonal = a.diagonal()
+            # the dense check below reads |z - conj(z)| = 2|Im z| on a diagonal entry
+            if not (2 * np.abs(diagonal.imag) <= _hermiticity_tol(diagonal)).all():
+                raise ValueError("matrix is not Hermitian")
+            diagonal = diagonal.real
+            order = np.argsort(diagonal, kind="stable")
+            self._eig = EigenDecomposition(diagonal[order], order=order, dtype=a.dtype)
+            a = np.diag(diagonal.astype(a.dtype, copy=False))
+        else:
+            if not np.allclose(a, a.conj().T, rtol=0.0, atol=_hermiticity_tol(a)):
+                raise ValueError("matrix is not Hermitian")
+            a = 0.5 * (a + a.conj().T)
         a.setflags(write=False)
         self.entries = a
-        self._eig = None
 
     @property
     def dim(self) -> int:
@@ -129,7 +173,9 @@ class SystemState:
     def __init__(self, rho):
         a = _as_square(rho)
         _check_hermitian_unit_trace(a)
-        if np.linalg.eigvalsh(a).min() < -1e-10:
+        # a diagonal rho's eigenvalues are its diagonal
+        low = a.diagonal().real.min() if _is_diagonal(a) else np.linalg.eigvalsh(a).min()
+        if low < -1e-10:
             raise ValueError("density matrix has a negative eigenvalue")
         self._store(a)
         self._eigen_populations = None

@@ -398,9 +398,54 @@ class TestExitCodes:
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         monkeypatch.setattr(np.linalg, "eigh", fail)
-        code, _ = run(tmp_path, "spectrum", QUBIT)
+        # sigma_x is not diagonal, so it goes to the LAPACK eigensolver
+        code, _ = run(tmp_path, "spectrum", {"system": {"model": "rabi"}})
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_diagonal_system_needs_no_eigensolver(self, tmp_path, capsys, monkeypatch):
+        """A diagonal system is decomposed by sorting its diagonal, so a failing
+        LAPACK eigensolver changes no output."""
+        energies = np.sort(np.random.default_rng(12).uniform(0.0, 100.0, DIMENSION_CAP))
+        config = {"system": {"diagonal": energies.tolist()}, "state": {"thermal_beta": 0.02},
+                  "probe": {"p0": 0.0, "g": 1.0, "tau": 1.0, "mode": {"kind": "bin", "L": 0.05}},
+                  "sampling": {"n": 1000, "seed": 4},
+                  "sweep": {"kind": "beta", "values": [0.01, 0.1, 1.0]}}
+        commands = ["spectrum", "sample", "thermo", "sweep"]
+        expected = [run(tmp_path, command, config) for command in commands]
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        for command, want in zip(commands, expected):
+            assert run(tmp_path, command, config) == want, command
+            assert want[0] == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("diagonal", [
+        pytest.param([1.0, True], id="boolean"),
+        pytest.param([[0.0, 1.0], [1.0, 0.0]], id="nested"),
+        pytest.param([0.0, "1"], id="string"),
+        pytest.param([0.0, None], id="null"),
+        pytest.param(1.0, id="scalar"),
+        pytest.param({"0": 1.0}, id="object"),
+        pytest.param([0.0, 10 ** 400], id="integer-beyond-float64"),
+        pytest.param([0.0] * (DIMENSION_CAP + 1), id="over-the-cap"),
+    ])
+    def test_bad_diagonal(self, tmp_path, capsys, diagonal):
+        code, text = run(tmp_path, "spectrum", {"system": {"diagonal": diagonal}})
+        assert code == EXIT_CONFIG
+        assert text == ""
+        assert capsys.readouterr().err == (
+            f"config error: system.diagonal must be a flat list of at most "
+            f"{DIMENSION_CAP} numbers\n")
+
+    def test_integer_diagonal_entries_are_numbers(self, tmp_path):
+        (code, text), (_, floats) = (run(tmp_path, "spectrum", {"system": {"diagonal": d}})
+                                     for d in ([0, 1], [0.0, 1.0]))
+        assert code == 0
+        # the '# config=' header echoes each list as given
+        assert text.splitlines()[1:] == floats.splitlines()[1:]
 
     @pytest.mark.parametrize("command", ["reconstruct", "thermo"])
     @pytest.mark.parametrize("bad", ["nan", "inf"])
@@ -918,6 +963,9 @@ class TestBoundedChildren:
                      id="detector-bin-span"),
         pytest.param("spectrum", {"system": {"model": "rabi", "n_sites": 1e12}},
                      "exceeds cap 1024", id="rabi-n-sites"),
+        pytest.param("spectrum", {"system": {"diagonal": [0.0] * 30_000}},
+                     "system.diagonal must be a flat list of at most 1024 numbers",
+                     id="diagonal-length"),
     ])
     def test_oversized_input_exits_2(self, tmp_path, command, config, message):
         record = record_file(tmp_path, b"0000000000000000\n41cdcd6500000000\n")  # 0.0, 1e9

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qumode_probe.operators import (
     DIMENSION_CAP,
+    EigenDecomposition,
     HermitianOperator,
     Spectrum,
     SystemState,
@@ -19,6 +20,7 @@ from qumode_probe.operators import (
     spin_x,
     thermal_state,
 )
+from qumode_probe.serialize import matrix_from_payload
 
 
 def random_hermitian(dim, seed):
@@ -300,3 +302,201 @@ def test_evenly_spaced_spectrum_seeded():
     assert a == b
     assert np.allclose(a.energies, [0, 1, 2, 3, 4])
     assert np.isclose(a.populations.sum(), 1.0)
+
+
+# LAPACK's eigh scales a matrix whose largest |entry| lies outside
+# [2**-485, 2**485] and rounds the eigenvalues in scaling back, so it is
+# an exact oracle for a diagonal only inside that range
+LAPACK_UNSCALED = (2.0 ** -485, 2.0 ** 485)
+
+TIED_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, 2.5, -3.0, 1e-300]
+diagonals = st.lists(st.sampled_from(TIED_VALUES)
+                     | st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+                     min_size=1, max_size=40)
+
+
+def eigh_oracle(h: HermitianOperator) -> HermitianOperator:
+    """A copy of ``h`` whose decomposition is LAPACK's eigh of its entries."""
+    oracle = HermitianOperator(h.entries)
+    oracle._eig = EigenDecomposition(*np.linalg.eigh(oracle.entries))
+    return oracle
+
+
+def in_lapack_range(diagonal) -> bool:
+    top = np.abs(diagonal).max()
+    return top == 0 or LAPACK_UNSCALED[0] <= top <= LAPACK_UNSCALED[1]
+
+
+def assert_permutation_decomposition(h: HermitianOperator):
+    dec = h.eig()
+    v = dec.eigenvectors
+    assert v.dtype == h.entries.dtype
+    assert set(np.unique(v).tolist()) <= {0, 1}
+    assert (v.sum(axis=0) == 1).all() and (v.sum(axis=1) == 1).all()
+    assert np.array_equal((v * dec.eigenvalues) @ v.conj().T, h.entries)
+
+
+class TestDiagonalDecomposition:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(diagonal=diagonals, typed_complex=st.booleans())
+    def test_matches_eigh(self, diagonal, typed_complex):
+        x = np.array(diagonal)
+        h = HermitianOperator(np.diag(x).astype(complex if typed_complex else float))
+        vals = h.eig().eigenvalues
+        assert vals.tobytes() == x[np.argsort(x, kind="stable")].tobytes()
+        assert h.entries.dtype == np.float64
+        assert np.array_equal(h.entries, np.diag(x))
+        assert_permutation_decomposition(h)
+        if in_lapack_range(x):
+            oracle = np.linalg.eigh(h.entries)[0]
+            # bit for bit, but for the order of +0.0 and -0.0 within a tie
+            assert (vals + 0.0).tobytes() == (oracle + 0.0).tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_exact_where_lapack_scales(self, scale):
+        x = np.random.default_rng(3).normal(size=20) * scale
+        vals = HermitianOperator(np.diag(x)).eig().eigenvalues
+        assert vals.tobytes() == np.sort(x).tobytes()
+        oracle = np.linalg.eigh(np.diag(x))[0]
+        assert np.allclose(vals, oracle, rtol=1e-14, atol=0)
+
+    def test_diagonal_matrix_payload(self):
+        entries = [[2.0, 0.0], [0.0, 0.0], [0.0, 0.0],
+                   [0.0, 0.0], [-1.0, 0.0], [0.0, 0.0],
+                   [0.0, 0.0], [0.0, 0.0], [2.0, 0.0]]
+        h = HermitianOperator(matrix_from_payload({"dim": 3, "entries": entries}))
+        assert h.eig().eigenvalues.tolist() == [-1.0, 2.0, 2.0]
+        assert h.eig().eigenvalues.tobytes() == np.linalg.eigh(h.entries)[0].tobytes()
+        assert_permutation_decomposition(h)
+
+    def test_sigma_z(self):
+        h = sigma_z()
+        assert h.eig().eigenvalues.tolist() == [-1.0, 1.0]
+        assert h.eig().eigenvalues.tobytes() == np.linalg.eigh(h.entries)[0].tobytes()
+        assert_permutation_decomposition(h)
+        assert h.eig().eigenvectors.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+    def test_complex_diagonal_keeps_its_dtype(self):
+        h = HermitianOperator(np.diag([1.0 + 1e-14j, -2.0 + 0j]))
+        assert h.entries.dtype == np.complex128
+        assert h.entries.tolist() == [[1.0, 0.0], [0.0, -2.0]]
+        assert h.eig().eigenvalues.tolist() == [-2.0, 1.0]
+        assert_permutation_decomposition(h)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(real=st.floats(-1e3, 1e3), imag=st.floats(0.0, 1e-8))
+    def test_hermiticity_check_matches_the_dense_one(self, real, imag):
+        a = np.diag([real + 1j * imag, 0.25])
+        tol = 1e-12 * max(1.0, np.abs(a).max())
+        dense_ok = np.allclose(a, a.conj().T, rtol=0.0, atol=tol)
+        if dense_ok:
+            HermitianOperator(a)
+        else:
+            with pytest.raises(ValueError, match="matrix is not Hermitian"):
+                HermitianOperator(a)
+
+    def test_entries_are_copied_and_read_only(self):
+        x = np.diag([1.0, 0.0])
+        h = HermitianOperator(x)
+        x[0, 0] = 5.0
+        assert h.entries[0, 0] == 1.0
+        assert not h.entries.flags.writeable
+
+    def test_eigenvectors_are_built_on_first_read(self):
+        h = HermitianOperator(np.diag(np.linspace(0.0, 1.0, 64)))
+        spec = spectrum_of(thermal_state(h, 1.0), h)
+        h.spectral_norm()
+        assert len(spec.lines) == 64
+        assert h.eig()._eigenvectors is None
+        assert h.eig().eigenvectors is h.eig().eigenvectors
+
+    def test_no_eigensolve(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a diagonal operator called LAPACK")
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, fail)
+        h = HermitianOperator(np.diag([3.0, 1.0, 1.0, 0.0]))
+        for state in (thermal_state(h, 0.5), SystemState(np.eye(4) / 4)):
+            assert [line.g for line in spectrum_of(state, h).lines] == [1, 2, 1]
+        assert h.spectral_norm() == 3.0
+
+
+def tied_diagonal(seed: int, d: int = 48) -> np.ndarray:
+    """d energies drawn from six levels, with ties, signed zeros among them."""
+    rng = np.random.default_rng(seed)
+    return rng.choice([-0.0, 0.0, 0.25, 1.0, 1.0 + 5e-9, 3.0], size=d)
+
+
+def ground_of(h):
+    v = h.eig().eigenvectors[:, 0]
+    return SystemState(np.outer(v, v.conj()))
+
+
+def random_populations(h, seed=7):
+    pops = np.random.default_rng(seed).random(h.dim)
+    pops /= pops.sum()
+    vecs = h.eig().eigenvectors
+    return SystemState((vecs * pops) @ vecs.conj().T)
+
+
+class TestDiagonalSpectrumMatchesEigh:
+    """Lines from the sorted diagonal against lines from LAPACK's eigh.
+
+    A tie merges into one line, so the order eigh gives tied eigenvectors
+    does not reach the lines.
+    """
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("make_state", [
+        lambda h: thermal_state(h, 0.9),
+        lambda h: SystemState(np.eye(h.dim) / h.dim),
+        ground_of,
+        random_populations,
+    ], ids=["thermal", "maximally-mixed", "ground-of", "random-populations"])
+    def test_lines(self, seed, make_state):
+        h = HermitianOperator(np.diag(tied_diagonal(seed)))
+        oracle = eigh_oracle(h)
+        ours, theirs = spectrum_of(make_state(h), h), spectrum_of(make_state(oracle), oracle)
+        assert [line.g for line in ours.lines] == [line.g for line in theirs.lines]
+        assert (ours.energies + 0.0).tobytes() == (theirs.energies + 0.0).tobytes()
+        assert ours.populations.tobytes() == theirs.populations.tobytes()
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_explicit_state_within_the_reordered_sum_bound(self, seed):
+        """An explicit rho's populations come in eigenvector order, which differs
+        from eigh's within a tie, so their normalising sum over all d and each
+        line's sum over its g terms run in another order.  Two orders of a sum
+        of nonnegative terms differ by at most 2(n - 1) eps relative."""
+        h = HermitianOperator(np.diag(tied_diagonal(seed)))
+        p = np.random.default_rng(seed + 100).random(h.dim)
+        q, _ = np.linalg.qr(np.random.default_rng(seed + 200).normal(size=(h.dim, h.dim)))
+        for rho in (np.diag(p / p.sum()), (q * (p / p.sum())) @ q.T):
+            state = SystemState(rho)
+            ours, theirs = spectrum_of(state, h), spectrum_of(state, eigh_oracle(h))
+            assert (ours.energies + 0.0).tobytes() == (theirs.energies + 0.0).tobytes()
+            bound = 2 * (h.dim + ours.degeneracies) * np.finfo(float).eps * theirs.populations
+            assert (np.abs(ours.populations - theirs.populations) <= bound).all()
+
+
+class TestDiagonalStateCheck:
+    def test_diagonal_state_skips_eigvalsh(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("eigvalsh on a diagonal rho")
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        assert SystemState(np.eye(DIMENSION_CAP) / DIMENSION_CAP).dim == DIMENSION_CAP
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            SystemState(np.diag([1.5, -0.5]))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(p=st.lists(st.floats(-2e-10, 1.0), min_size=1, max_size=12),
+           typed_complex=st.booleans())
+    def test_decision_matches_eigvalsh(self, p, typed_complex):
+        rho = np.diag(np.array(p) + (1.0 - sum(p)) / len(p))
+        if typed_complex:
+            rho = rho.astype(complex)
+        positive = np.linalg.eigvalsh(rho).min() >= -1e-10
+        if positive:
+            SystemState(rho)
+        else:
+            with pytest.raises(ValueError, match="negative eigenvalue"):
+                SystemState(rho)

@@ -60,29 +60,12 @@ def _is_diagonal(a: np.ndarray) -> bool:
     return np.count_nonzero(a) == np.count_nonzero(a.diagonal())
 
 
+@dataclass(frozen=True)
 class EigenDecomposition:
-    """Ascending eigenvalues and the unitary of column eigenvectors.
+    """Ascending eigenvalues and the unitary of column eigenvectors."""
 
-    ``eigenvectors`` is either given, or built on its first read as the
-    permutation whose column k is the basis vector ``order[k]``, in
-    ``dtype``.
-    """
-
-    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray | None = None,
-                 order: np.ndarray | None = None, dtype=float):
-        self.eigenvalues = eigenvalues
-        self._eigenvectors = eigenvectors
-        self._order = order
-        self._dtype = dtype
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        if self._eigenvectors is None:
-            d = self.dim
-            v = np.zeros((d, d), dtype=self._dtype)
-            v[self._order, np.arange(d)] = 1
-            self._eigenvectors = v
-        return self._eigenvectors
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -91,7 +74,7 @@ class EigenDecomposition:
 
 @dataclass
 class HermitianOperator:
-    """Hermitian matrix with a lazily cached eigendecomposition.
+    """Hermitian matrix with a cached eigendecomposition.
 
     ``entries`` is float64 when the given matrix is real, including a
     complex one whose imaginary parts are all exactly zero, and
@@ -99,14 +82,13 @@ class HermitianOperator:
     solver on real input, and the eigenvectors share that dtype.
 
     A diagonal matrix, one whose off-diagonal entries are all exactly
-    zero, is checked in O(d): its diagonal must be real within the
-    Hermiticity tolerance. Its eigenvalues are the diagonal in the order
-    of a stable ``argsort``, with no eigensolve. Its eigenvectors, a
-    permutation matrix in ``entries``' dtype, are built only when
-    something reads ``eig().eigenvectors``: a pure or explicit state, a
-    Gibbs rho that is read, the overlap protocol, or populations taken
-    from another operator's state. ``thermal_state``, ``spectrum_of`` on
-    its own Gibbs state and ``spectral_norm`` never read them.
+    zero (found by one count of the nonzero entries), is decomposed at
+    construction with no eigensolve. Its Hermiticity check reads only
+    the diagonal, which must be real within the Hermiticity tolerance.
+    Its eigenvalues are the diagonal in the order of a stable
+    ``argsort``, and its eigenvectors the matching permutation matrix,
+    in ``entries``' dtype. Any other matrix is decomposed by LAPACK on
+    the first call to :meth:`eig`.
 
     The cache is populated at most once; share instances across threads
     only after calling :meth:`eig` (single-writer initialization).
@@ -127,7 +109,10 @@ class HermitianOperator:
                 raise ValueError("matrix is not Hermitian")
             diagonal = diagonal.real
             order = np.argsort(diagonal, kind="stable")
-            self._eig = EigenDecomposition(diagonal[order], order=order, dtype=a.dtype)
+            d = len(diagonal)
+            permutation = np.zeros((d, d), dtype=a.dtype)
+            permutation[order, np.arange(d)] = 1
+            self._eig = EigenDecomposition(diagonal[order], permutation)
             a = np.diag(diagonal.astype(a.dtype, copy=False))
         else:
             if not np.allclose(a, a.conj().T, rtol=0.0, atol=_hermiticity_tol(a)):
@@ -173,9 +158,7 @@ class SystemState:
     def __init__(self, rho):
         a = _as_square(rho)
         _check_hermitian_unit_trace(a)
-        # a diagonal rho's eigenvalues are its diagonal
-        low = a.diagonal().real.min() if _is_diagonal(a) else np.linalg.eigvalsh(a).min()
-        if low < -1e-10:
+        if np.linalg.eigvalsh(a).min() < -1e-10:
             raise ValueError("density matrix has a negative eigenvalue")
         self._store(a)
         self._eigen_populations = None

@@ -40,12 +40,9 @@ from .probe import (
 )
 from .reconstruct import (
     Histogram,
-    ReconstructedLine,
-    ReconstructedSpectrum,
     ResolutionParams,
     detect_peaks,
     histogram,
-    moments,
     reconstruct_record,
     required_samples,
     resolution_params,

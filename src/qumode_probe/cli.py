@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -146,8 +147,9 @@ def _emit_table(config: dict, rows: list[tuple], columns: list[str], fmt: str) -
     return "\n".join(lines) + "\n"
 
 
-def _spectrum_rows(spec: Spectrum) -> list[tuple]:
-    return [(line.E, line.P, line.g) for line in spec.lines]
+def _rows(*columns: np.ndarray) -> list[tuple]:
+    """Rows of Python numbers, so ``_fmt_value`` prints an integer column as integers."""
+    return list(zip(*(column.tolist() for column in columns)))
 
 
 def cmd_spectrum(config: dict, fmt: str) -> str:
@@ -155,7 +157,8 @@ def cmd_spectrum(config: dict, fmt: str) -> str:
     state = build_state(config, H)
     merge_tol = _config_float(config, "", "merge_tol", 1e-8, zero_ok=True)
     spec = spectrum_of(state, H, merge_tol=merge_tol)
-    return _emit_table(config, _spectrum_rows(spec), ["E", "P", "g"], fmt)
+    rows = _rows(spec.energies, spec.populations, spec.degeneracies)
+    return _emit_table(config, rows, ["E", "P", "g"], fmt)
 
 
 def _section(config: dict, key: str) -> dict:
@@ -244,7 +247,7 @@ def cmd_reconstruct(config: dict, fmt: str, record_file) -> str:
         bin_width=_config_float(options, "reconstruct", "bin_width", None),
         min_mass=_config_float(options, "reconstruct", "min_mass", None))
     res = reconstruct.resolution_params(probe)
-    rows = [(line.E_hat, line.P_hat, line.count) for line in recon.lines]
+    rows = _rows(recon.energies, recon.populations, recon.counts)
     body = _emit_table(config, rows, ["E_hat", "P_hat", "count"], fmt)
     meta = (f"# residual_mass={_fmt_value(recon.residual_mass)}\n"
             f"# sigma_E={_fmt_value(res.sigma_E)} delta_E={_fmt_value(res.delta_E)} "
@@ -289,9 +292,9 @@ def _lines_for_thermo(config: dict, record_file) -> Spectrum:
         return spectrum_of(state, H)
     header, probe, blocks = _record_and_probe(config, record_file)
     recon = reconstruct.reconstruct_blocks(blocks, probe, header.detector_bin)
-    pops = recon.populations / recon.populations.sum()
-    return Spectrum.from_lines(
-        (e, p, 1) for e, p in zip(recon.energies, pops))
+    # thermometry reads the kept lines as the whole spectrum
+    return replace(recon, populations=recon.populations / recon.populations.sum(),
+                   residual_mass=0.0)
 
 
 def _thermo_rows(report: thermo.ThermoReport) -> list[list]:
@@ -307,17 +310,16 @@ def cmd_thermo(config: dict, fmt: str, record_file) -> str:
                       for key, default in (("line0", 0), ("line1", 1), ("anchor", 0)))
     anchor_g = _config_int(options, "thermo", "anchor_g", 1, 1, sys.maxsize)
     spec = _lines_for_thermo(config, record_file)
-    if len(spec.lines) < 2:
+    n_lines = len(spec.energies)
+    if n_lines < 2:
         raise ConfigError("thermometry needs at least two spectral lines")
     for key, index in (("line0", i0), ("line1", i1)):
-        if not 0 <= index < len(spec.lines):
-            raise ConfigError(f"thermo.{key} index {index} out of range "
-                              f"for {len(spec.lines)} lines")
+        if not 0 <= index < n_lines:
+            raise ConfigError(f"thermo.{key} index {index} out of range for {n_lines} lines")
     beta_hat = thermo.estimate_beta(spec.lines[i0], spec.lines[i1])
-    with_g = thermo.recover_degeneracies(
-        Spectrum.from_lines((l.E, l.P, anchor_g if i == anchor else 1)
-                            for i, l in enumerate(spec.lines)),
-        beta_hat, anchor=anchor)
+    # g = 1 but at the anchor; recover_degeneracies range-checks the anchor
+    g = np.where(np.arange(n_lines) == anchor, anchor_g, 1)
+    with_g = thermo.recover_degeneracies(replace(spec, degeneracies=g), beta_hat, anchor=anchor)
     report = thermo.thermo_report(with_g, beta_hat, beta_grid)
     body = _emit_table(config, _thermo_rows(report), ["beta", "Z", "F", "C", "S"], fmt)
     return body + f"# beta_hat={report.beta_hat!r}\n"

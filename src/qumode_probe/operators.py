@@ -8,6 +8,8 @@ operator and the populations of its eigenstates in a given system state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +55,13 @@ def _check_hermitian_unit_trace(a: np.ndarray) -> None:
         raise ValueError("density matrix is not Hermitian")
     if abs(np.trace(a).real - 1.0) > 1e-10 or abs(np.trace(a).imag) > 1e-10:
         raise ValueError(f"density matrix trace {np.trace(a)} != 1")
+
+
+def _symmetrised(a: np.ndarray) -> np.ndarray:
+    """(a + a^H)/2, read-only; halving first keeps entries near the float64 max finite."""
+    a = 0.5 * a + 0.5 * a.conj().T
+    a.setflags(write=False)
+    return a
 
 
 def _is_diagonal(a: np.ndarray) -> bool:
@@ -114,11 +123,11 @@ class HermitianOperator:
             permutation[order, np.arange(d)] = 1
             self._eig = EigenDecomposition(diagonal[order], permutation)
             a = np.diag(diagonal.astype(a.dtype, copy=False))
+            a.setflags(write=False)
         else:
             if not np.allclose(a, a.conj().T, rtol=0.0, atol=_hermiticity_tol(a)):
                 raise ValueError("matrix is not Hermitian")
-            a = 0.5 * (a + a.conj().T)
-        a.setflags(write=False)
+            a = _symmetrised(a)
         self.entries = a
 
     @property
@@ -180,9 +189,7 @@ class SystemState:
         return state
 
     def _store(self, a: np.ndarray) -> None:
-        a = 0.5 * (a + a.conj().T)
-        a.setflags(write=False)
-        self._rho = a
+        self._rho = _symmetrised(a)
 
     @property
     def rho(self) -> np.ndarray:
@@ -202,50 +209,77 @@ class SystemState:
         return self._rho.shape[0]
 
 
-@dataclass(frozen=True)
-class SpectralLine:
-    """One line of the measured spectrum: energy, population, degeneracy."""
+class SpectralLine(NamedTuple):
+    """A read-only view of one line of a :class:`Spectrum`."""
 
     E: float
     P: float
     g: int = 1
+    count: int | None = None
+    # a reconstruction's names for E and P
+    E_hat = property(lambda line: line.E)
+    P_hat = property(lambda line: line.P)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Normalized set of spectral lines, energies strictly increasing."""
+    """Spectral lines (E_n, P_n, g_n), exact or reconstructed from a record.
 
-    lines: tuple[SpectralLine, ...]
+    The fields are read-only copies of the given arrays, checked once:
+    non-empty 1-D arrays of one length; energies finite and strictly
+    increasing; populations finite and nonnegative; degeneracies integers
+    >= 1 (ones when not given); ``counts``, the samples behind each line of
+    a reconstruction, integers >= 0 when given; and ``residual_mass``, the
+    mass a reconstruction left in no line, in [0, 1), with the populations
+    and the residual summing to 1 within 1e-9.
+    """
+
+    energies: np.ndarray
+    populations: np.ndarray
+    degeneracies: np.ndarray | None = None
+    counts: np.ndarray | None = None
+    residual_mass: float = 0.0
 
     def __post_init__(self):
-        if not self.lines:
-            raise ValueError("spectrum has no lines")
-        total = sum(line.P for line in self.lines)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"line populations sum to {total}, not 1")
-        energies = [line.E for line in self.lines]
-        if any(b <= a for a, b in zip(energies, energies[1:])):
-            raise ValueError("line energies must be strictly increasing")
-        if any(line.P < 0 for line in self.lines):
-            raise ValueError("negative line population")
-        if any(line.g < 1 for line in self.lines):
+        E = np.array(self.energies, dtype=float)
+        P = np.array(self.populations, dtype=float)
+        g = np.ones(E.shape, int) if self.degeneracies is None else np.array(self.degeneracies)
+        counts = None if self.counts is None else np.array(self.counts)
+        if (E.ndim != 1 or not E.size or P.shape != E.shape or g.shape != E.shape
+                or counts is not None and counts.shape != E.shape):
+            raise ValueError("spectrum lines must be non-empty 1-D arrays of one length")
+        if not (np.isfinite(E).all() and (E[1:] > E[:-1]).all()):
+            raise ValueError("line energies must be finite and strictly increasing")
+        if not (np.isfinite(P).all() and (P >= 0).all()):
+            raise ValueError("line populations must be finite and nonnegative")
+        if g.dtype.kind not in "iu" or not (g >= 1).all():
             raise ValueError("degeneracy must be a positive integer")
+        if counts is not None and (counts.dtype.kind not in "iu" or not (counts >= 0).all()):
+            raise ValueError("line counts must be nonnegative integers")
+        residual = float(self.residual_mass)
+        if not 0.0 <= residual < 1.0:
+            raise ValueError(f"residual mass {residual!r} is not in [0, 1)")
+        total = P.sum() + residual
+        if not abs(total - 1.0) <= 1e-9:
+            raise ValueError(f"line populations plus residual mass sum to {total}, not 1")
+        for name, a in zip(("energies", "populations", "degeneracies", "counts"), (E, P, g, counts)):
+            if a is not None:
+                a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "residual_mass", residual)
 
     @classmethod
     def from_lines(cls, triples) -> "Spectrum":
-        return cls(tuple(SpectralLine(float(e), float(p), int(g)) for e, p, g in triples))
+        """The spectrum of (E, P, g) triples."""
+        E, P, g = tuple(zip(*triples)) or ((), (), ())
+        return cls(E, P, g)
 
-    @property
-    def energies(self) -> np.ndarray:
-        return np.array([line.E for line in self.lines])
-
-    @property
-    def populations(self) -> np.ndarray:
-        return np.array([line.P for line in self.lines])
-
-    @property
-    def degeneracies(self) -> np.ndarray:
-        return np.array([line.g for line in self.lines])
+    @cached_property
+    def lines(self) -> tuple[SpectralLine, ...]:
+        """One :class:`SpectralLine` per line, built on first read."""
+        counts = [None] * len(self.energies) if self.counts is None else self.counts.tolist()
+        return tuple(map(SpectralLine, self.energies.tolist(), self.populations.tolist(),
+                         self.degeneracies.tolist(), counts))
 
     def moment(self, m: int) -> float:
         return float(np.sum(self.populations * self.energies ** m))
@@ -316,8 +350,10 @@ def spectrum_of(state: SystemState, H: HermitianOperator,
     """Spectral lines of H with populations taken from ``state``.
 
     Eigenvalues within ``merge_tol`` of the first eigenvalue of their
-    group are reported as one degenerate line carrying the summed
-    population, so no line spans more than ``merge_tol``.
+    group are reported as one degenerate line at their mean, carrying the
+    summed population, so no line spans more than ``merge_tol``.  The
+    lines fill the arrays of a :class:`Spectrum`, g counting the
+    eigenvalues of each.
     """
     if state.dim != H.dim:
         raise ValueError(f"dimension mismatch: state {state.dim} vs operator {H.dim}")
@@ -333,20 +369,17 @@ def spectrum_of(state: SystemState, H: HermitianOperator,
         populations = np.clip(populations, 0.0, None)
         populations /= populations.sum()
 
-    lines = []
-    i = 0
-    vals = dec.eigenvalues
-    n = len(vals)
-    while i < n:
-        j = i + 1
-        while j < n and vals[j] - vals[i] <= merge_tol:
-            j += 1
-        block = slice(i, j)
-        lines.append(SpectralLine(E=float(vals[block].mean()),
-                                  P=float(populations[block].sum()),
-                                  g=j - i))
-        i = j
-    return Spectrum(tuple(lines))
+    values = dec.eigenvalues.tolist()
+    starts = [0]  # the first eigenvalue of each line
+    for j in range(1, len(values)):
+        if values[j] - values[starts[-1]] > merge_tol:
+            starts.append(j)
+    g = np.diff(starts, append=len(values))
+    E, P = dec.eigenvalues[starts], populations[starts]
+    for k in np.flatnonzero(g > 1).tolist():  # the mean and sum of a degenerate line
+        block = slice(starts[k], starts[k] + g[k])
+        E[k], P[k] = dec.eigenvalues[block].mean(), populations[block].sum()
+    return Spectrum(E, P, g)
 
 
 def commutator_norm(A: HermitianOperator, B: HermitianOperator) -> float:
@@ -361,12 +394,7 @@ def evenly_spaced_spectrum(n_lines: int, spacing: float = 1.0, e0: float = 0.0,
                            seed: int | None = None,
                            populations=None) -> Spectrum:
     """Equally spaced lines with given or seeded-random populations."""
-    if n_lines < 1:
-        raise ValueError("need at least one line")
     if populations is None:
-        rng = np.random.default_rng(seed)
-        populations = rng.random(n_lines)
+        populations = np.random.default_rng(seed).random(n_lines)
     populations = np.asarray(populations, dtype=float)
-    populations = populations / populations.sum()
-    return Spectrum.from_lines(
-        (e0 + k * spacing, populations[k], 1) for k in range(n_lines))
+    return Spectrum(e0 + np.arange(n_lines) * spacing, populations / populations.sum())

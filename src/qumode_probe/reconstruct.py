@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .operators import Spectrum
 from .probe import MAX_BINS, Bin, ProbeConfig, Squeezed, map_p_to_E
 from .sampling import MeasurementRecord
 
@@ -122,32 +123,6 @@ def histogram_blocks(blocks: Iterable[np.ndarray], bin_width: float,
     return Histogram(counts=counts, edges=edges)
 
 
-@dataclass(frozen=True)
-class ReconstructedLine:
-    E_hat: float
-    P_hat: float
-    count: int
-
-
-@dataclass(frozen=True)
-class ReconstructedSpectrum:
-    lines: tuple[ReconstructedLine, ...]
-    residual_mass: float
-
-    def __post_init__(self):
-        total = sum(line.P_hat for line in self.lines) + self.residual_mass
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"line masses plus residual sum to {total}, not 1")
-
-    @property
-    def energies(self) -> np.ndarray:
-        return np.array([line.E_hat for line in self.lines])
-
-    @property
-    def populations(self) -> np.ndarray:
-        return np.array([line.P_hat for line in self.lines])
-
-
 def _prominent_peaks(x: np.ndarray, min_prominence: float) -> np.ndarray:
     """Indices of local maxima of ``x`` whose prominence is >= ``min_prominence``.
 
@@ -237,7 +212,7 @@ def _split_cluster(cluster: list[int], counts: np.ndarray,
 
 
 def detect_peaks(hist: Histogram, probe: ProbeConfig,
-                 min_mass: float | None = None) -> ReconstructedSpectrum:
+                 min_mass: float | None = None) -> Spectrum:
     """Cluster occupied histogram bins into spectral lines.
 
     Occupied bins separated by a gap larger than
@@ -247,7 +222,9 @@ def detect_peaks(hist: Histogram, probe: ProbeConfig,
     cannot bridge well-separated ones.  Clusters whose mass falls below
     ``min_mass`` (default 10/n) are dropped into the residual.  Cluster
     centroids are mapped to energies through the probe's p -> E
-    relation.
+    relation.  The result is a :class:`Spectrum` whose populations are
+    the kept clusters' masses, with each cluster's ``counts`` and the
+    dropped mass as ``residual_mass``; its degeneracies are ones.
     """
     n = hist.n
     if n == 0:
@@ -286,16 +263,15 @@ def detect_peaks(hist: Histogram, probe: ProbeConfig,
     if not lines:
         raise ValueError("no cluster above the mass threshold")
 
-    # map to energy; the p -> E relation reverses the ordering
-    recon = [ReconstructedLine(E_hat=float(map_p_to_E(c, probe)), P_hat=m, count=k)
-             for c, m, k in lines]
-    recon.sort(key=lambda line: line.E_hat)
-    return ReconstructedSpectrum(lines=tuple(recon), residual_mass=residual)
+    # lines run up in p, and the p -> E relation reverses the ordering
+    centroids, masses, counts = zip(*reversed(lines))
+    return Spectrum(map_p_to_E(np.array(centroids), probe), masses,
+                    counts=counts, residual_mass=residual)
 
 
 def reconstruct_record(record: MeasurementRecord, probe: ProbeConfig,
                        bin_width: float | None = None,
-                       min_mass: float | None = None) -> ReconstructedSpectrum:
+                       min_mass: float | None = None) -> Spectrum:
     """Histogram + peak detection with a probe-derived default bin width."""
     return reconstruct_blocks([record.samples], probe, record.detector_bin,
                               bin_width=bin_width, min_mass=min_mass)
@@ -303,7 +279,7 @@ def reconstruct_record(record: MeasurementRecord, probe: ProbeConfig,
 
 def reconstruct_blocks(blocks: Iterable[np.ndarray], probe: ProbeConfig,
                        detector_bin: float = 0.0, bin_width: float | None = None,
-                       min_mass: float | None = None) -> ReconstructedSpectrum:
+                       min_mass: float | None = None) -> Spectrum:
     """``reconstruct_record`` of the samples in ``blocks``, histogrammed block by block."""
     if bin_width is None:
         sigma_p = probe.momentum_std()
@@ -312,12 +288,3 @@ def reconstruct_blocks(blocks: Iterable[np.ndarray], probe: ProbeConfig,
     # joint shift of samples and p0
     hist = histogram_blocks(blocks, bin_width, origin=probe.p0)
     return detect_peaks(hist, probe, min_mass=min_mass)
-
-
-def moments(spec: ReconstructedSpectrum, m: int) -> float:
-    """m-th moment sum_n P_hat * E_hat**m of the reconstructed lines."""
-    if m < 1:
-        raise ValueError("moment order must be >= 1")
-    if not spec.lines:
-        raise ValueError("empty spectrum")
-    return float(np.sum(spec.populations * spec.energies ** m))

@@ -8,7 +8,7 @@ protocols.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,22 +49,24 @@ def recover_degeneracies(spec: Spectrum, beta: float, anchor: int = 0,
 
     g_n = P_n g_a exp(beta (E_n - E_a)) / P_a relative to the anchor
     line whose degeneracy is trusted.  A pre-rounding residual above
-    ``residual_tol`` means the populations are not thermal at this beta.
+    ``residual_tol`` means the populations are not thermal at this beta;
+    so does an estimate below 1 or not finite.  The result is ``spec``
+    with these degeneracies, its counts and residual mass kept.
     """
     if not np.isfinite(beta):
         raise ValueError("beta must be finite")
-    if not 0 <= anchor < len(spec.lines):
+    E, P = spec.energies, spec.populations
+    if not 0 <= anchor < len(E):
         raise ValueError(f"anchor index {anchor} out of range")
-    ref = spec.lines[anchor]
-    lines = []
-    for line in spec.lines:
-        raw = line.P * ref.g * np.exp(beta * (line.E - ref.E)) / ref.P
-        g = int(round(raw))
-        if abs(raw - g) > residual_tol or g < 1:
-            raise NonThermalSpectrumError(
-                f"degeneracy estimate {raw:.4f} at E={line.E:.6g} is not near an integer")
-        lines.append(SpectralLine(E=line.E, P=line.P, g=g))
-    return Spectrum(tuple(lines))
+    with np.errstate(all="ignore"):  # a NaN or inf estimate is rejected below
+        raw = P * spec.degeneracies[anchor] * np.exp(beta * (E - E[anchor])) / P[anchor]
+        g = np.round(raw)
+        bad = ~(np.abs(raw - g) <= residual_tol) | (g < 1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise NonThermalSpectrumError(
+            f"degeneracy estimate {raw[k]:.4f} at E={E[k]:.6g} is not near an integer")
+    return replace(spec, degeneracies=g.astype(np.int64))
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -99,7 +101,9 @@ def _boltzmann(E: np.ndarray, g: np.ndarray, betas: np.ndarray):
         w = np.exp(x) * g
         w /= w.sum(axis=-1, keepdims=True)
         U[block] = np.sum(w * E, axis=-1)
-        var = np.sum(w * (E - U[block, None]) ** 2, axis=-1)
+        # a line of zero weight adds 0, though its (E - U)^2 may overflow to inf
+        dev = np.subtract(E, U[block, None], out=np.zeros_like(w), where=w > 0)
+        var = np.sum(w * dev ** 2, axis=-1)
         # libm pow(beta, 2), as Python's beta ** 2: numpy's b ** 2 is b * b, an
         # ulp away on about one beta in 2000, which would change printed C digits
         C[block] = np.float_power(b[:, 0], 2) * var

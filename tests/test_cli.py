@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from math import comb
 
 import numpy as np
@@ -95,6 +96,19 @@ class TestSpectrumCommand:
         code, text = run(tmp_path, "spectrum", QUBIT, extra=["--format", "csv"])
         assert code == 0
         assert "E,P,g" in text
+
+    def test_symmetrising_a_huge_entry_does_not_overflow(self, tmp_path):
+        """a + a^H overflows at 1e308, where 0.5 a + 0.5 a^H does not."""
+        config = {"system": {"matrix": {"dim": 2,
+                                        "entries": [[1e308, 0], [1, 0], [1, 0], [0, 0]]}}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run(tmp_path, "spectrum", config)
+        assert code == 0
+        _, rows = parse_rows(text)
+        assert rows[0]["E"] == pytest.approx(0.0, abs=1e-300)
+        assert [(r["P"], r["g"]) for r in rows] == [(1.0, 1), (0.0, 1)]
+        assert rows[1]["E"] == 1e308
 
 
 class TestSampleAndReconstruct:
@@ -203,18 +217,24 @@ def ladder(e0, step, n, beta):
 
 
 class TestThermoOnLogZ:
-    """Z overflows (Dicke-100) or underflows (E = 100, 200) in float64 here."""
+    """Z overflows (Dicke-100) or underflows (E = 100, 200) in float64 here, and
+    (E - U)^2 overflows on the lines of zero weight at E = 1e200 and 3e200."""
 
     @pytest.mark.parametrize("command", ["thermo", "sweep"])
-    @pytest.mark.parametrize("system, levels, betas", [
-        pytest.param({"model": "dicke", "n_atoms": 100}, (-50.0, 1.0, 101),
+    @pytest.mark.parametrize("system, thermal_beta, levels, betas", [
+        pytest.param({"model": "dicke", "n_atoms": 100}, 1.0, (-50.0, 1.0, 101),
                      [15.0, 30.0, 100.0], id="dicke-100"),
-        pytest.param({"diagonal": [100.0, 200.0]}, (100.0, 100.0, 2), [10.0],
+        pytest.param({"diagonal": [100.0, 200.0]}, 1.0, (100.0, 100.0, 2), [10.0],
                      id="diagonal-100-200"),
+        # exp(-beta 1e200) is 0.0, so the report is that of one level at 0; the
+        # state is uniform, so thermo reads beta_hat = 0 from two nonzero lines
+        pytest.param({"diagonal": [0.0, 1e200, 3e200]}, 0.0, (0.0, 1.0, 1),
+                     [0.1, 1.0, 10.0], id="diagonal-0-1e200-3e200"),
     ])
-    def test_finite_columns_and_quiet_stderr(self, tmp_path, command, system, levels, betas):
-        config = {"system": system, "thermo": {"beta_grid": betas},
-                  "sweep": {"kind": "beta", "values": betas}}
+    def test_finite_columns_and_quiet_stderr(self, tmp_path, command, system, thermal_beta,
+                                             levels, betas):
+        config = {"system": system, "state": {"thermal_beta": thermal_beta},
+                  "thermo": {"beta_grid": betas}, "sweep": {"kind": "beta", "values": betas}}
         out = tmp_path / "out.txt"
         src = os.path.dirname(os.path.dirname(qumode_probe.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -233,8 +253,10 @@ class TestThermoOnLogZ:
             assert row["F"] == pytest.approx(-log_z / b, rel=1e-12)
             assert row["C"] == pytest.approx(b ** 2 * var, rel=1e-9, abs=1e-300)
             assert row["S"] == pytest.approx(b * u + log_z, abs=1e-9)
-        if system.get("diagonal"):
+        if system == {"diagonal": [100.0, 200.0]}:
             assert [(row["Z"], row["F"]) for row in rows] == [(0.0, 100.0)]
+        if levels[2] == 1:
+            assert [row["C"] for row in rows] == [0.0] * len(betas)
 
 
 class TestQuenchCommand:
@@ -488,15 +510,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
 
-    @pytest.mark.parametrize("key", ["line0", "line1"])
+    @pytest.mark.parametrize("key", ["line0", "line1", "anchor"])
     @pytest.mark.parametrize("index", [2, 5, -1, -3])
     def test_thermo_line_index_out_of_range(self, tmp_path, capsys, key, index):
+        """-1 is out of range too: it must not pick the last line."""
         config = dict(QUBIT, thermo={key: index, "beta_grid": [1.0]})
         code, text = run(tmp_path, "thermo", config)
         assert code == EXIT_CONFIG
         assert text == ""
         err = capsys.readouterr().err
-        assert err == f"config error: thermo.{key} index {index} out of range for 2 lines\n"
+        if key == "anchor":
+            assert err == f"config error: anchor index {index} out of range\n"
+        else:
+            assert err == f"config error: thermo.{key} index {index} out of range for 2 lines\n"
 
     @pytest.mark.parametrize("command, config, key", [
         pytest.param("sweep", {"system": {"diagonal": [0.0, 1.0]},
@@ -836,6 +862,42 @@ class TestRecordFormat:
         code, _ = run(tmp_path, "reconstruct", SQUEEZED_PAIR, extra=["--record", str(path)])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: bad record probe header: ")
+
+
+class TestPinnedReports:
+    """Whole reports, pinned by digest, of the paths that carry spectral lines."""
+
+    RABI = {"system": {"model": "rabi", "n_sites": 2}, "state": {"thermal_beta": 1.0},
+            "thermo": {"beta_grid": [0.5, 1.0, 2.0]}}
+
+    @pytest.mark.parametrize("command, digest", [
+        ("spectrum",
+         "e928714b8391680eafa888f13d7a35f1faed3d78fa8aa5f07fcb79762d7dbe98"),
+        ("thermo",
+         "8c94a249e3af2bb16f6ee6ed888fc6586180bc58baf05d80007d9eb35c995c1b"),
+    ])
+    def test_exact_reports(self, tmp_path, command, digest):
+        """rabi n_sites=2 has a g = 2 middle line, which thermo recovers from P and beta."""
+        code, text = run(tmp_path, command, self.RABI)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("command, options, digest", [
+        ("reconstruct", {},
+         "cffa7a51be803d609d4e62255a309eef801463812457853b8a9009d080ef8b58"),
+        ("reconstruct", {"min_mass": 0.3},
+         "e9a501f0c509da39df834036650ab8bd7f6deb16b6e9220c19d21c40310a84fd"),
+        ("thermo", {},
+         "858ed82b5d59acda73821a9e15fdf928bb475e0d9d21f4bf6762529c7af47a3d"),
+    ])
+    def test_record_reports(self, tmp_path, command, options, digest):
+        """A two-line record: both lines kept, or the lighter one left in the residual."""
+        code, _ = run(tmp_path, "sample", SQUEEZED_PAIR, out_name="rec.txt")
+        assert code == 0
+        code, text = run(tmp_path, command, dict(SQUEEZED_PAIR, reconstruct=options),
+                         extra=["--record", str(tmp_path / "rec.txt")])
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestFileErrors:

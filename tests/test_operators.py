@@ -287,19 +287,64 @@ class TestValidation:
         with pytest.raises(ValueError):
             SystemState(np.diag([1.5, -0.5]))
 
-    def test_spectrum_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            Spectrum.from_lines([(0.0, 0.4, 1), (1.0, 0.4, 1)])
+    @pytest.mark.parametrize("energies, populations, extra, message", [
+        pytest.param([], [], {}, "non-empty 1-D arrays of one length", id="empty"),
+        pytest.param([[0.0, 1.0]], [[0.5, 0.5]], {}, "non-empty 1-D", id="two-dimensional"),
+        pytest.param([0.0, 1.0], [1.0], {}, "of one length", id="short-populations"),
+        pytest.param([0.0, 1.0], [0.5, 0.5], {"degeneracies": [1]}, "of one length",
+                     id="short-degeneracies"),
+        pytest.param([0.0, 1.0], [0.5, 0.5], {"counts": [1, 2, 3]}, "of one length",
+                     id="long-counts"),
+        pytest.param([0.0, np.nan], [0.5, 0.5], {}, "finite and strictly", id="nan-energy"),
+        pytest.param([0.0, np.inf], [0.5, 0.5], {}, "finite and strictly", id="inf-energy"),
+        pytest.param([1.0, 1.0], [0.5, 0.5], {}, "strictly increasing", id="equal-energies"),
+        pytest.param([1.0, 0.0], [0.5, 0.5], {}, "strictly increasing", id="unsorted"),
+        pytest.param([0.0, 1.0], [np.nan, 1.0], {}, "finite and nonnegative", id="nan-population"),
+        pytest.param([0.0, 1.0], [-0.5, 1.5], {}, "finite and nonnegative",
+                     id="negative-population"),
+        pytest.param([0.0, 1.0], [0.5, 0.5], {"degeneracies": [1, 0]}, "positive integer",
+                     id="zero-degeneracy"),
+        pytest.param([0.0, 1.0], [0.5, 0.5], {"degeneracies": [1, 1.5]}, "positive integer",
+                     id="fractional-degeneracy"),
+        pytest.param([0.0, 1.0], [0.5, 0.5], {"counts": [3, -1]}, "nonnegative integers",
+                     id="negative-count"),
+        pytest.param([0.0, 1.0], [0.6, 0.5], {"residual_mass": -0.1}, "not in",
+                     id="negative-residual"),
+        pytest.param([0.0, 1.0], [0.0, 0.0], {"residual_mass": 1.0}, "not in",
+                     id="residual-one"),
+        pytest.param([0.0, 1.0], [0.5, 0.5], {"residual_mass": np.nan}, "not in",
+                     id="nan-residual"),
+        pytest.param([0.0, 1.0], [0.4, 0.4], {}, "sum to", id="unnormalized"),
+        pytest.param([0.0, 1.0], [0.5, 0.5 - 1e-6], {}, "sum to", id="short-by-1e-6"),
+        pytest.param([0.0, 1.0], [0.5, 0.3], {"residual_mass": 0.2 + 1e-6}, "sum to",
+                     id="residual-over-by-1e-6"),
+    ])
+    def test_spectrum_rejects(self, energies, populations, extra, message):
+        with pytest.raises(ValueError, match=message):
+            Spectrum(energies, populations, **extra)
 
-    def test_spectrum_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            Spectrum.from_lines([(1.0, 0.5, 1), (0.0, 0.5, 1)])
+    def test_spectrum_arrays_are_read_only_copies_behind_lines(self):
+        E = np.array([-1.0, 0.0, 2.5])
+        spec = Spectrum(E, [0.5, 0.2, 0.1], [1, 2, 1], counts=[50, 20, 10],
+                        residual_mass=0.2 + 5e-10)
+        E[0] = 7.0
+        assert spec.energies.tolist() == [-1.0, 0.0, 2.5]
+        for a in (spec.energies, spec.populations, spec.degeneracies, spec.counts):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+        assert spec.lines == ((-1.0, 0.5, 1, 50), (0.0, 0.2, 2, 20), (2.5, 0.1, 1, 10))
+        line = spec.lines[1]
+        assert (line.E_hat, line.P_hat, line.count) == (line.E, line.P, 20)
+        exact = Spectrum.from_lines([(0.0, 0.75, 1), (1.0, 0.25, 3)])
+        assert exact.lines == ((0.0, 0.75, 1, None), (1.0, 0.25, 3, None))
+        assert exact.counts is None and exact.residual_mass == 0.0
+        assert Spectrum([0.0, 1.0], [0.5, 0.5]).degeneracies.tolist() == [1, 1]
 
 
 def test_evenly_spaced_spectrum_seeded():
     a = evenly_spaced_spectrum(5, seed=42)
     b = evenly_spaced_spectrum(5, seed=42)
-    assert a == b
+    assert a.lines == b.lines
     assert np.allclose(a.energies, [0, 1, 2, 3, 4])
     assert np.isclose(a.populations.sum(), 1.0)
 

@@ -24,7 +24,6 @@ from qumode_probe.reconstruct import (
     _prominent_peaks,
     detect_peaks,
     histogram,
-    moments,
     reconstruct_record,
     required_samples,
     resolution_params,
@@ -299,8 +298,8 @@ class TestMoments:
         probe = squeezed_probe(s=50.0)
         rec = sample_measurements(distribution_for(spec, probe), 400_000, seed=1)
         recon = reconstruct_record(rec, probe)
-        assert moments(recon, 1) == pytest.approx(0.0, abs=0.01)
-        assert moments(recon, 2) == pytest.approx(1.0, abs=0.01)
+        assert recon.moment(1) == pytest.approx(0.0, abs=0.01)
+        assert recon.moment(2) == pytest.approx(1.0, abs=0.01)
 
     def test_thermal_qubit_matches_trace(self):
         h = HermitianOperator(np.diag([0.0, 1.0]))
@@ -312,15 +311,8 @@ class TestMoments:
         recon = reconstruct_record(rec, probe)
         direct = np.trace(state.rho @ h.entries).real
         p1 = spec.lines[1].P
-        assert moments(recon, 1) == pytest.approx(direct,
-                                                  abs=5 * np.sqrt(p1 * (1 - p1) / n) + 1e-3)
-
-    def test_rejects_bad_order(self):
-        probe = squeezed_probe(1.0)
-        rec = MeasurementRecord(samples=np.zeros(100), seed=0)
-        recon = detect_peaks(histogram(rec, 0.1), probe)
-        with pytest.raises(ValueError):
-            moments(recon, 0)
+        assert recon.moment(1) == pytest.approx(direct,
+                                                abs=5 * np.sqrt(p1 * (1 - p1) / n) + 1e-3)
 
 
 def test_round_trip_recovery_rate():

@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,26 @@ class TestRecoverDegeneracies:
         spec = Spectrum.from_lines([(0.0, 0.5, 1), (1.0, 0.3, 1), (2.0, 0.2, 1)])
         with pytest.raises(NonThermalSpectrumError):
             recover_degeneracies(spec, 1.0, anchor=0)
+
+    @pytest.mark.parametrize("lines, beta, anchor, estimate", [
+        pytest.param([(0.0, 1.0, 1), (1.0, 0.0, 1)], 1.0, 1, "inf at E=0", id="anchor-of-no-mass"),
+        pytest.param([(0.0, 0.5, 1), (1000.0, 0.5, 1)], 1.0, 0, "inf at E=1000",
+                     id="estimate-overflows"),
+    ])
+    def test_non_finite_estimate_rejected(self, lines, beta, anchor, estimate):
+        """Before, int(round(raw)) raised a bare ValueError on NaN and OverflowError on inf."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonThermalSpectrumError, match=f"estimate {estimate} is not"):
+                recover_degeneracies(Spectrum.from_lines(lines), beta, anchor=anchor)
+
+    def test_keeps_counts_and_residual(self):
+        spec = Spectrum([0.0, 1.0], [0.5, 0.5 * np.exp(-1.0) * 2], counts=[10, 7],
+                        residual_mass=1.0 - 0.5 - np.exp(-1.0))
+        recovered = recover_degeneracies(spec, 1.0)
+        assert recovered.degeneracies.tolist() == [1, 2]
+        assert recovered.counts.tolist() == [10, 7]
+        assert recovered.residual_mass == spec.residual_mass
 
 
 class TestPartitionFunction:

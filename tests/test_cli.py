@@ -255,7 +255,7 @@ class TestThermoOnLogZ:
             assert row["S"] == pytest.approx(b * u + log_z, abs=1e-9)
         if system == {"diagonal": [100.0, 200.0]}:
             assert [(row["Z"], row["F"]) for row in rows] == [(0.0, 100.0)]
-        if levels[2] == 1:
+        if levels[2] == 1:  # one level: no variance, so C is exactly 0
             assert [row["C"] for row in rows] == [0.0] * len(betas)
 
 

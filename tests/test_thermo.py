@@ -122,17 +122,17 @@ class TestRecoverDegeneracies:
         with pytest.raises(NonThermalSpectrumError):
             recover_degeneracies(spec, 1.0, anchor=0)
 
-    @pytest.mark.parametrize("lines, beta, anchor, estimate", [
-        pytest.param([(0.0, 1.0, 1), (1.0, 0.0, 1)], 1.0, 1, "inf at E=0", id="anchor-of-no-mass"),
-        pytest.param([(0.0, 0.5, 1), (1000.0, 0.5, 1)], 1.0, 0, "inf at E=1000",
+    @pytest.mark.parametrize("lines, anchor, estimate", [
+        pytest.param([(0.0, 1.0, 1), (1.0, 0.0, 1)], 1, "inf at E=0", id="anchor-of-no-mass"),
+        pytest.param([(0.0, 0.5, 1), (1000.0, 0.5, 1)], 0, "inf at E=1000",
                      id="estimate-overflows"),
     ])
-    def test_non_finite_estimate_rejected(self, lines, beta, anchor, estimate):
-        """Before, int(round(raw)) raised a bare ValueError on NaN and OverflowError on inf."""
+    def test_non_finite_estimate_rejected(self, lines, anchor, estimate):
+        """A non-finite estimate is a contract violation, raised with no numpy warning."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonThermalSpectrumError, match=f"estimate {estimate} is not"):
-                recover_degeneracies(Spectrum.from_lines(lines), beta, anchor=anchor)
+                recover_degeneracies(Spectrum.from_lines(lines), 1.0, anchor=anchor)
 
     def test_keeps_counts_and_residual(self):
         spec = Spectrum([0.0, 1.0], [0.5, 0.5 * np.exp(-1.0) * 2], counts=[10, 7],

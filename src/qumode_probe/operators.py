@@ -378,7 +378,13 @@ def spectrum_of(state: SystemState, H: HermitianOperator,
     E, P = dec.eigenvalues[starts], populations[starts]
     for k in np.flatnonzero(g > 1).tolist():  # the mean and sum of a degenerate line
         block = slice(starts[k], starts[k] + g[k])
-        E[k], P[k] = dec.eigenvalues[block].mean(), populations[block].sum()
+        values, P[k] = dec.eigenvalues[block], populations[block].sum()
+        with np.errstate(over="ignore"):
+            E[k] = values.mean()
+        if not np.isfinite(E[k]):
+            # the sum overflowed near the float64 maximum; the offsets
+            # from the first value are at most merge_tol, so their sum cannot
+            E[k] = values[0] + (values - values[0]).mean()
     return Spectrum(E, P, g)
 
 

@@ -205,55 +205,64 @@ def _envelope(mode: ProbeMode, x: np.ndarray) -> np.ndarray:
     return w / np.sqrt(2 * np.pi * L)
 
 
-def _line_offsets(spec: Spectrum, probe: ProbeConfig, p_grid: np.ndarray) -> list[tuple[float, np.ndarray]]:
-    """(population, u) pairs with u = p - p0 + g*tau*E per spectral line."""
-    return [(line.P, p_grid - probe.p0 + probe.g_tau * line.E) for line in spec.lines]
+def _line_offsets(spec: Spectrum, probe: ProbeConfig, p_grid: np.ndarray) -> np.ndarray:
+    """u = p - p0 + g*tau*E, one row per spectral line."""
+    return (p_grid - probe.p0) + probe.g_tau * spec.energies[:, None]
 
 
 def _oracle_squeezed(spec: Spectrum, probe: ProbeConfig, mode: Squeezed,
                      p_grid: np.ndarray) -> np.ndarray:
-    """Direct trapezoid quadrature of |int G(x) exp(-iux) dx|^2 per line.
+    """Nested trapezoid quadrature of |int G(x) exp(-iux) dx|^2 per line.
 
     Every grid scale comes from the squeezing s.  The envelope drops
     below 1e-12 by |x| = 7.5 s, fixing the truncation window X;
     amplitudes at |u| > 12/s are below the exp(-72) floor and are
-    skipped.  The first step is X/256 (about s/34, 513 points): for a
-    Gaussian of width s the trapezoid error falls like
+    skipped.  G is real and even on a grid symmetric about x = 0, so the
+    amplitude is the real cosine sum over the half-grid x >= 0 with the
+    interior points counted twice.  The first level has step X/256 (257
+    points on [0, X]); each halving keeps the sum of the level before and
+    adds only the odd multiples of the new step (256, 512, ... points):
+    T(dx/2) = T(dx)/2 + (dx/2) * sum over the new points.  For a Gaussian
+    of width s the trapezoid error falls like
     exp(-s^2 (2 pi/dx - |u|)^2 / 2), far below the 1e-8 agreement test
-    already at that step, so the halving loop normally stops after one
-    refinement.
+    already at the first step, so the halving loop normally stops after
+    one refinement.
     """
     s = mode.s
     X = 7.5 * s
     window = 12.0 / s
-    dx = X / 256
+    u = _line_offsets(spec, probe, p_grid)
+    line, col = np.nonzero(np.abs(u) <= window)
+    u = u[line, col]  # every line's active offsets in one array
+    # the cosine matrix holds at most 2^22 entries when a dense p grid
+    # meets a late refinement level (up to 2^14 new x points)
+    chunk = max(1, (1 << 22) // max(1, u.size))
+
+    def cosine_sum(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+        total = np.zeros(u.size)
+        for lo in range(0, x.size, chunk):
+            total += np.cos(np.outer(u, x[lo:lo + chunk])) @ c[lo:lo + chunk]
+        return total
+
+    n = 256  # intervals on [0, X]
+    dx = X / n
     prev = None
-    for _ in range(8):
-        n = int(np.ceil(2 * X / dx))
-        x = np.linspace(-X, X, n + 1)
-        env = _envelope(mode, x)
-        weights = np.full(n + 1, dx)
-        weights[0] = weights[-1] = dx / 2
-        density = np.zeros_like(p_grid)
-        wenv = weights * env
-        for pop, u in _line_offsets(spec, probe, p_grid):
-            active = np.abs(u) <= window
-            if not np.any(active):
-                continue
-            ua = u[active]
-            amp = np.zeros(ua.size, dtype=complex)
-            # chunk the quadrature so the phase matrix stays bounded in
-            # memory when a dense p grid meets a late refinement level
-            # (up to 2^16 + 1 x points)
-            chunk = max(1, (1 << 22) // max(1, ua.size))
-            for lo in range(0, x.size, chunk):
-                phases = np.exp(-1j * np.outer(ua, x[lo:lo + chunk]))
-                amp += phases @ wenv[lo:lo + chunk]
-            density[active] += pop * np.abs(amp) ** 2 / (2 * np.pi)
+    for level in range(8):
+        if level == 0:
+            x = dx * np.arange(n + 1)
+            c = 2 * dx * _envelope(mode, x)
+            c[[0, -1]] /= 2  # x = 0 has no mirror image; x = X is an end point
+            amp = cosine_sum(x, c)
+        else:
+            dx /= 2
+            x = dx * (2 * np.arange(n) + 1)
+            amp = amp / 2 + cosine_sum(x, 2 * dx * _envelope(mode, x))
+            n *= 2
+        density = np.bincount(col, weights=spec.populations[line] * amp * amp,
+                              minlength=p_grid.size) / (2 * np.pi)
         if prev is not None and np.max(np.abs(density - prev)) < 1e-8:
             return density
         prev = density
-        dx /= 2
     raise ConvergenceError("oracle quadrature grid refinement exhausted")
 
 
@@ -264,32 +273,45 @@ def _oracle_binned(spec: Spectrum, probe: ProbeConfig, mode: Bin,
     The 1/x envelope never reaches the truncation floor, so the window
     is fixed at X = 1e5; this leaves O(1/(pi X d)) ringing at distance d
     from a plateau edge.  The envelope is real and even, so its transform
-    is real and even too: a real n-point FFT samples the amplitude at
-    u_k = pi k / X, k = 0 .. n/2, and it is interpolated linearly at |u|
-    for the p grid's offsets u.  n starts at the smallest power of two
-    (at least 4096) whose range pi n / (2X) covers 1.2 times the largest
-    |u| on the p grid; each refinement doubles n, which halves dx and
-    widens the u range at the same u step.
+    is real and even too: a real n-point FFT of the periodic sequence
+    G(0), G(dx), ..., G(X), G(X - dx), ..., G(dx), dx = 2X/n, samples the
+    amplitude at u_k = pi k / X, k = 0 .. n/2, and it is interpolated
+    linearly at |u| for the p grid's offsets u.  n starts at the smallest
+    power of two (at least 4096) whose range pi n / (2X) covers 1.2 times
+    the largest |u| on the p grid.  The envelope is evaluated on the
+    half-grid x = 0, dx, ..., X (n/2 + 1 points) and mirrored.  Each
+    refinement doubles n, which halves dx and widens the u range at the
+    same u step; the old sequence fills the even indices of the new one,
+    so the envelope is evaluated only at the odd multiples of the new dx
+    in (0, X) (half the old n points), mirrored onto the odd indices.
     """
     X = 1e5
-    offsets = _line_offsets(spec, probe, p_grid)
-    u_max = max(float(np.abs(u).max()) for _, u in offsets) + 1.0
+    u = np.abs(_line_offsets(spec, probe, p_grid))
+    u_max = float(u.max()) + 1.0
     n = 2 ** int(np.ceil(np.log2(max(4096.0, 2 * X * u_max * 1.2 / np.pi))))
+    dx = 2 * X / n
     prev = None
-    for _ in range(4):
-        dx = 2 * X / n
-        x = -X + dx * np.arange(n)
-        # x = 0 moved to index 0, where the grid is symmetric about it
-        amp = dx * np.fft.rfft(np.fft.ifftshift(_envelope(mode, x))).real
+    for level in range(4):
+        if level == 0:
+            half = _envelope(mode, dx * np.arange(n // 2 + 1))
+            periodic = np.concatenate([half, half[-2:0:-1]])
+        else:
+            n *= 2
+            dx /= 2
+            new = _envelope(mode, dx * (2 * np.arange(n // 4) + 1))
+            finer = np.empty(n)
+            finer[0::2] = periodic
+            finer[1::2] = np.concatenate([new, new[::-1]])
+            periodic = finer
+        amp = dx * np.fft.rfft(periodic).real
         u_grid = np.pi / X * np.arange(n // 2 + 1)
         density = np.zeros_like(p_grid)
-        for pop, u in offsets:
-            a = np.interp(np.abs(u), u_grid, amp)
+        for pop, u_line in zip(spec.populations, u):
+            a = np.interp(u_line, u_grid, amp)
             density += pop * a * a / (2 * np.pi)
         if prev is not None and np.max(np.abs(density - prev)) < 1e-6:
             return density
         prev = density
-        n *= 2
     raise ConvergenceError("oracle quadrature grid refinement exhausted")
 
 
@@ -300,9 +322,13 @@ def distribution_numeric_oracle(state: SystemState, H: HermitianOperator,
     Numerically Fourier-transforms the initial envelope G(x) on a
     trapezoid grid and assembles the density line by line from the
     system's exact eigendecomposition; no closed-form distribution
-    formula is used.  The grid is refined until successive evaluations
-    agree.  Ideal mode is handled with a strongly squeezed surrogate
-    (delta states have no quadrature representation).
+    formula is used.  G is real and even, so the envelope is evaluated
+    only on the half-grid x >= 0.  The grid is refined by halving its
+    step until successive evaluations agree; each refinement level's
+    grid holds every point of the level before, so a level evaluates the
+    envelope only at its new points, in one call.  Ideal mode is handled
+    with a strongly squeezed surrogate (delta states have no quadrature
+    representation).
     """
     p_grid = np.asarray(p_grid, dtype=float)
     if p_grid.size == 0 or not np.all(np.isfinite(p_grid)):

@@ -110,6 +110,17 @@ class TestSpectrumCommand:
         assert [(r["P"], r["g"]) for r in rows] == [(1.0, 1), (0.0, 1)]
         assert rows[1]["E"] == 1e308
 
+    def test_degenerate_line_near_float_max(self, tmp_path):
+        """The mean of two 1e308 eigenvalues is 1e308, not an overflowed sum."""
+        config = {"system": {"diagonal": [1e308, 1e308, 0.0]},
+                  "state": {"maximally_mixed": True}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run(tmp_path, "spectrum", config)
+        assert code == 0
+        _, rows = parse_rows(text)
+        assert [(r["E"], r["g"]) for r in rows] == [(0.0, 1), (1e308, 2)]
+
 
 class TestSampleAndReconstruct:
     def config(self):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +219,16 @@ class TestSpectrumOf:
         # the first line spans [0, 1e-8]; 1.5e-8 starts a line of its own
         assert np.allclose(spec.energies, [5e-9, 1.5e-8, 1.0], rtol=0.0, atol=1e-15)
         assert np.allclose(spec.populations, [0.6, 0.2, 0.2])
+
+    def test_degenerate_line_near_float_max(self):
+        # the plain mean sums 1e308 + 1e308 and overflows
+        h = HermitianOperator(np.diag([1e308, 1e308, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = spectrum_of(SystemState(np.eye(3) / 3), h)
+        assert spec.energies.tolist() == [0.0, 1e308]
+        assert spec.degeneracies.tolist() == [1, 2]
+        assert np.allclose(spec.populations, [1 / 3, 2 / 3])
 
 
 class TestCommutatorNorm:

@@ -19,6 +19,66 @@ from qumode_probe.probe import (
     distribution_numeric_oracle,
 )
 
+_envelope = probe_module._envelope
+
+
+def full_grid_squeezed(spec, probe, mode, p_grid):
+    """Reference: trapezoid quadrature of |int G(x) exp(-iux) dx|^2 per line
+    on the whole grid [-X, X], every level evaluated afresh, with the
+    production oracle's window, steps, level limit and agreement test."""
+    X = 7.5 * mode.s
+    window = 12.0 / mode.s
+    dx = X / 256
+    prev = None
+    for _ in range(8):
+        n = int(np.ceil(2 * X / dx))
+        x = np.linspace(-X, X, n + 1)
+        weights = np.full(n + 1, dx)
+        weights[0] = weights[-1] = dx / 2
+        wenv = weights * _envelope(mode, x)
+        density = np.zeros_like(p_grid)
+        for line in spec.lines:
+            u = p_grid - probe.p0 + probe.g_tau * line.E
+            active = np.abs(u) <= window
+            if not np.any(active):
+                continue
+            ua = u[active]
+            amp = np.zeros(ua.size, dtype=complex)
+            chunk = max(1, (1 << 22) // ua.size)
+            for lo in range(0, x.size, chunk):
+                amp += np.exp(-1j * np.outer(ua, x[lo:lo + chunk])) @ wenv[lo:lo + chunk]
+            density[active] += line.P * np.abs(amp) ** 2 / (2 * np.pi)
+        if prev is not None and np.max(np.abs(density - prev)) < 1e-8:
+            return density
+        prev = density
+        dx /= 2
+    raise ConvergenceError("reference refinement exhausted")
+
+
+def full_grid_binned(spec, probe, mode, p_grid):
+    """Reference: real FFT of the bin envelope on all n points of [-X, X),
+    every level evaluated afresh, with the production oracle's X, first n,
+    level limit and agreement test."""
+    X = 1e5
+    offsets = [p_grid - probe.p0 + probe.g_tau * line.E for line in spec.lines]
+    u_max = max(float(np.abs(u).max()) for u in offsets) + 1.0
+    n = 2 ** int(np.ceil(np.log2(max(4096.0, 2 * X * u_max * 1.2 / np.pi))))
+    prev = None
+    for _ in range(4):
+        dx = 2 * X / n
+        x = -X + dx * np.arange(n)
+        amp = dx * np.fft.rfft(np.fft.ifftshift(_envelope(mode, x))).real
+        u_grid = np.pi / X * np.arange(n // 2 + 1)
+        density = np.zeros_like(p_grid)
+        for line, u in zip(spec.lines, offsets):
+            a = np.interp(np.abs(u), u_grid, amp)
+            density += line.P * a * a / (2 * np.pi)
+        if prev is not None and np.max(np.abs(density - prev)) < 1e-6:
+            return density
+        prev = density
+        n *= 2
+    raise ConvergenceError("reference refinement exhausted")
+
 
 def random_system(dim, seed):
     rng = np.random.default_rng(seed)
@@ -115,11 +175,15 @@ def test_unsettled_envelope_exhausts_refinement(monkeypatch, mode):
     assert len(calls) == (4 if isinstance(mode, Bin) else 8)
 
 
-def test_mixed_state_with_coherences():
-    # off-diagonal c_mn must not affect the momentum distribution
+def coherent_superposition():
     h = HermitianOperator(np.diag([0.0, 1.0]))
     v = np.array([np.sqrt(0.3), np.sqrt(0.7)])
-    state = SystemState(np.outer(v, v))  # coherent superposition
+    return h, SystemState(np.outer(v, v))
+
+
+def test_mixed_state_with_coherences():
+    # off-diagonal c_mn must not affect the momentum distribution
+    h, state = coherent_superposition()
     probe = ProbeConfig(0.0, 1.0, 1.0, Squeezed(2.0))
     grid = np.linspace(-3, 2, 101)
     oracle = distribution_numeric_oracle(state, h, probe, grid)
@@ -132,3 +196,56 @@ def test_rejects_empty_grid():
     probe = ProbeConfig(0.0, 1.0, 1.0, Squeezed(1.0))
     with pytest.raises(ValueError):
         distribution_numeric_oracle(state, h, probe, [])
+
+
+@pytest.mark.parametrize("mode, expected", [
+    (Squeezed(1.0), [257, 256]),
+    (Squeezed(20.0), [257, 256]),
+    (Ideal(), [257, 256]),
+    # max |u| = 1 on this grid sets n = 2^18: x = 0, dx, ..., X, then the odd points
+    (Bin(1.0), [2 ** 17 + 1, 2 ** 17]),
+], ids=["squeezed-1", "squeezed-20", "ideal", "bin"])
+def test_refinement_evaluates_half_grid_then_new_points(monkeypatch, mode, expected):
+    h = HermitianOperator(np.diag([0.0, 1.0]))
+    state = thermal_state(h, 0.7)
+    probe = ProbeConfig(0.0, 1.0, 1.0, mode)
+    sizes = []
+
+    def recording(mode, x):
+        sizes.append(x.size)
+        return _envelope(mode, x)
+
+    monkeypatch.setattr(probe_module, "_envelope", recording)
+    grid = np.linspace(-1.0, 0.0, 41)  # spans both lines, p = -E
+    if isinstance(mode, Ideal):
+        grid = np.concatenate([np.linspace(p - 6e-4, p + 6e-4, 21) for p in (-1.0, 0.0)])
+    distribution_numeric_oracle(state, h, probe, grid)
+    assert sizes == expected
+
+
+def _equivalence_jobs():
+    for seed in range(3):
+        h, state = random_system(3, seed)
+        yield f"random-{seed}", h, state
+    yield "coherences", *coherent_superposition()
+
+
+@pytest.mark.parametrize("job", list(_equivalence_jobs()), ids=lambda job: job[0])
+@pytest.mark.parametrize("mode", [Squeezed(1.0), Squeezed(20.0), Ideal(), Bin(1.0)],
+                         ids=["squeezed-1", "squeezed-20", "ideal", "bin"])
+def test_half_grid_oracle_matches_full_grid_reference(job, mode):
+    _, h, state = job
+    spec = spectrum_of(state, h)
+    probe = ProbeConfig(0.3, 1.0, 1.0, mode)
+    points = distribution_for(spec, probe).points
+    if isinstance(mode, Ideal):
+        grid = np.concatenate([np.linspace(p - 6e-4, p + 6e-4, 41) for p in points])
+        reference = full_grid_squeezed(spec, probe, Squeezed(IDEAL_SURROGATE_SQUEEZING), grid)
+    else:
+        grid = np.linspace(points.min() - 2.0, points.max() + 2.0, 201)
+        full_grid = full_grid_binned if isinstance(mode, Bin) else full_grid_squeezed
+        reference = full_grid(spec, probe, mode, grid)
+    oracle = distribution_numeric_oracle(state, h, probe, grid)
+    # the surrogate's densities reach ~1e3, where float64 spacing is ~2e-13:
+    # there 1e-14 of the peak is the bound, elsewhere 1e-12 absolute
+    assert np.max(np.abs(oracle - reference)) <= max(1e-12, 1e-14 * reference.max())

@@ -134,21 +134,15 @@ def _resolved_header(config: dict) -> str:
     return "# config=" + json.dumps(config, sort_keys=True)
 
 
-def _fmt_value(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
 def _emit_table(config: dict, rows: list[tuple], columns: list[str], fmt: str) -> str:
     sep = "," if fmt == "csv" else " "
     lines = [_resolved_header(config), sep.join(columns)]
-    lines.extend(sep.join(_fmt_value(v) for v in row) for row in rows)
+    lines.extend(sep.join(map(repr, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def _rows(*columns: np.ndarray) -> list[tuple]:
-    """Rows of Python numbers, so ``_fmt_value`` prints an integer column as integers."""
+    """Rows of Python numbers, so ``repr`` prints an integer column as integers."""
     return list(zip(*(column.tolist() for column in columns)))
 
 
@@ -249,8 +243,8 @@ def cmd_reconstruct(config: dict, fmt: str, record_file) -> str:
     res = reconstruct.resolution_params(probe)
     rows = _rows(recon.energies, recon.populations, recon.counts)
     body = _emit_table(config, rows, ["E_hat", "P_hat", "count"], fmt)
-    meta = (f"# residual_mass={_fmt_value(recon.residual_mass)}\n"
-            f"# sigma_E={_fmt_value(res.sigma_E)} delta_E={_fmt_value(res.delta_E)} "
+    meta = (f"# residual_mass={float(recon.residual_mass)!r}\n"
+            f"# sigma_E={float(res.sigma_E)!r} delta_E={float(res.delta_E)!r} "
             f"infinite_resolution={res.infinite_resolution}\n"
             f"# seed={header.seed}\n")
     return body + meta
@@ -481,9 +475,6 @@ def main(argv=None) -> int:
             if record is not None:
                 record.close()
         _write_output(args.out, [output] if isinstance(output, str) else output)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

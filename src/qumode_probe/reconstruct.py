@@ -1,10 +1,11 @@
 """Recovery of spectral lines from sampled momentum records.
 
-The estimator is deliberately simple: histogram the record, cluster
-contiguous occupied bins, and take the mass-weighted centroid of each
-cluster as the line position.  Lines closer than the probe's momentum
-spread merge, mirroring the resolvability limit of a finitely squeezed
-or finitely binned probe.
+The estimator is deliberately simple: histogram the record, cut the
+occupied bins at wide gaps and at significant valleys, and take the
+mass-weighted centroid of each run between two cuts as the line
+position.  Lines closer than the probe's momentum spread merge,
+mirroring the resolvability limit of a finitely squeezed or finitely
+binned probe.
 """
 
 from __future__ import annotations
@@ -182,49 +183,48 @@ def _bases(heights: list[float], valleys: list[float]) -> list[float]:
     return bases
 
 
-def _split_cluster(cluster: list[int], counts: np.ndarray,
-                   smooth_bins: int) -> list[list[int]]:
-    """Split one contiguous cluster at significant valleys.
+def _moving_average(segment: np.ndarray, w: int) -> np.ndarray:
+    """``np.convolve(segment, np.ones(w) / w, "same")`` of an integer ``segment``,
+    as window sums over [i - w//2, i + (w-1)//2] from one cumulative sum: linear
+    time whatever ``w``, and equal sums give exactly equal means."""
+    s = np.cumsum(np.pad(segment, (w // 2 + 1, (w - 1) // 2)))
+    return (s[w:] - s[:-w]) / w
+
+
+def _valley_cuts(counts: np.ndarray, lo: int, hi: int, smooth_bins: int) -> np.ndarray:
+    """Bins at which the cluster of bins ``lo..hi`` splits at significant valleys.
 
     The cluster's counts are smoothed over roughly one momentum spread
     and scanned for local maxima whose prominence exceeds both the
-    Poisson noise floor and 2% of the cluster peak; valleys between
-    surviving maxima become sub-cluster boundaries.  Lines that overlap
-    too heavily show no significant valley and stay merged.
+    Poisson noise floor and 2% of the cluster peak; the lowest bin
+    between each two surviving maxima is a cut.  Lines that overlap too
+    heavily show no significant valley and stay merged.
     """
-    lo, hi = cluster[0], cluster[-1]
-    segment = counts[lo:hi + 1].astype(float)
-    if len(segment) < 3:
-        return [cluster]
-    w = min(smooth_bins, len(segment))
-    smooth = np.convolve(segment, np.ones(w) / w, mode="same")
+    if hi - lo < 2:
+        return np.empty(0, dtype=np.intp)
+    w = min(smooth_bins, hi - lo + 1)
+    smooth = _moving_average(counts[lo:hi + 1], w)
     top = smooth.max()
     prominence = 5.0 * np.sqrt(top / w) + 0.02 * top
-    peaks = _prominent_peaks(smooth, prominence)
-    if len(peaks) < 2:
-        return [cluster]
-    cuts = [lo + a + int(np.argmin(smooth[a:b + 1]))
-            for a, b in zip(peaks[:-1], peaks[1:])]
-    parts: list[list[int]] = [[] for _ in range(len(cuts) + 1)]
-    for i in cluster:
-        parts[int(np.searchsorted(cuts, i, side="left"))].append(i)
-    return [part for part in parts if part]
+    peaks = _prominent_peaks(smooth, prominence).tolist()
+    return np.array([lo + a + int(np.argmin(smooth[a:b + 1]))
+                     for a, b in zip(peaks[:-1], peaks[1:])], dtype=np.intp)
 
 
 def detect_peaks(hist: Histogram, probe: ProbeConfig,
                  min_mass: float | None = None) -> Spectrum:
-    """Cluster occupied histogram bins into spectral lines.
+    """Cut the occupied histogram bins into spectral lines.
 
-    Occupied bins separated by a gap larger than
-    ``max(bin_width, 3 * sigma_p)`` start a new cluster, and clusters
-    are further split at statistically significant local minima, so
-    overlapping-but-distinct lines separate while sparse tail counts
-    cannot bridge well-separated ones.  Clusters whose mass falls below
-    ``min_mass`` (default 10/n) are dropped into the residual.  Cluster
-    centroids are mapped to energies through the probe's p -> E
-    relation.  The result is a :class:`Spectrum` whose populations are
-    the kept clusters' masses, with each cluster's ``counts`` and the
-    dropped mass as ``residual_mass``; its degeneracies are ones.
+    A line is the run of occupied bins between two consecutive cuts.
+    Gap cuts fall where occupied bins lie more than
+    ``max(bin_width, 3 * sigma_p)`` apart, so sparse tail counts cannot
+    bridge well-separated lines.  Valley cuts split each cluster between
+    gap cuts at its significant valleys (``_valley_cuts``), so
+    overlapping-but-distinct lines separate; a bin on a valley cut
+    stays in the line to its left.  Lines of mass below ``min_mass``
+    (default 10/n) go to ``residual_mass``; the others become a
+    :class:`Spectrum` of their masses and counts, unit degeneracies, and
+    energies mapped from the centroids by the probe's p -> E relation.
     """
     n = hist.n
     if n == 0:
@@ -235,24 +235,21 @@ def detect_peaks(hist: Histogram, probe: ProbeConfig,
         raise ValueError("min_mass must be in (0, 1)")
 
     gap = max(hist.bin_width, 3.0 * probe.momentum_std())
-    occupied = np.nonzero(hist.counts)[0]
-    centers = hist.centers
-
-    clusters: list[list[int]] = [[occupied[0]]]
-    for i in occupied[1:]:
-        if centers[i] - centers[clusters[-1][-1]] > gap:
-            clusters.append([i])
-        else:
-            clusters[-1].append(i)
-
     smooth_bins = max(1, int(round(probe.momentum_std() / hist.bin_width)))
-    clusters = [part for cluster in clusters
-                for part in _split_cluster(cluster, hist.counts, smooth_bins)]
+    occupied = np.flatnonzero(hist.counts)
+    centers = hist.centers
+    # cuts are positions in ``occupied``; line k is occupied[cuts[k]:cuts[k + 1]]
+    gap_cuts = [0, *(np.flatnonzero(np.diff(centers[occupied]) > gap) + 1).tolist(),
+                len(occupied)]
+    cuts = [0]
+    for a, b in zip(gap_cuts[:-1], gap_cuts[1:]):
+        valleys = _valley_cuts(hist.counts, occupied[a], occupied[b - 1], smooth_bins)
+        cuts += [*(a + np.searchsorted(occupied[a:b], valleys, side="right")).tolist(), b]
 
     lines = []
     residual = 0.0
-    for cluster in clusters:
-        idx = np.array(cluster)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        idx = occupied[a:b]  # empty if no bin lies between two valley cuts: mass 0
         count = int(hist.counts[idx].sum())
         mass = count / n
         if mass < min_mass:

@@ -21,6 +21,12 @@ from .operators import (
     thermal_state,
 )
 
+# distance from the nearest integer above which a raw degeneracy is not thermal
+RESIDUAL_TOL = 0.25
+# ground-state gap at or below which the overlap protocol calls a ground state degenerate
+DEGENERACY_TOL = 1e-8
+
+
 class NonThermalSpectrumError(ValueError):
     """Populations are inconsistent with a Gibbs state at the claimed beta."""
 
@@ -43,13 +49,12 @@ def estimate_beta(line0: SpectralLine, line1: SpectralLine) -> float:
                  / (line1.E - line0.E))
 
 
-def recover_degeneracies(spec: Spectrum, beta: float, anchor: int = 0,
-                         residual_tol: float = 0.25) -> Spectrum:
+def recover_degeneracies(spec: Spectrum, beta: float, anchor: int = 0) -> Spectrum:
     """Fill in integer degeneracies assuming a thermal population pattern.
 
     g_n = P_n g_a exp(beta (E_n - E_a)) / P_a relative to the anchor
     line whose degeneracy is trusted.  A pre-rounding residual above
-    ``residual_tol`` means the populations are not thermal at this beta;
+    ``RESIDUAL_TOL`` means the populations are not thermal at this beta;
     so does an estimate below 1 or not finite.  The result is ``spec``
     with these degeneracies, its counts and residual mass kept.
     """
@@ -61,7 +66,7 @@ def recover_degeneracies(spec: Spectrum, beta: float, anchor: int = 0,
     with np.errstate(all="ignore"):  # a NaN or inf estimate is rejected below
         raw = P * spec.degeneracies[anchor] * np.exp(beta * (E - E[anchor])) / P[anchor]
         g = np.round(raw)
-        bad = ~(np.abs(raw - g) <= residual_tol) | (g < 1)
+        bad = ~(np.abs(raw - g) <= RESIDUAL_TOL) | (g < 1)
     if bad.any():
         k = int(np.argmax(bad))
         raise NonThermalSpectrumError(
@@ -202,8 +207,7 @@ def quench_work(H0_int: HermitianOperator, H1_int: HermitianOperator,
     return QuenchReport(W_avg=float(w_avg), dF=float(df), W_irr=float(w_avg - df))
 
 
-def ground_state_overlap(H_a: HermitianOperator, H_b: HermitianOperator,
-                         degeneracy_tol: float = 1e-8) -> float:
+def ground_state_overlap(H_a: HermitianOperator, H_b: HermitianOperator) -> float:
     """Two-stage probe protocol for |<ground_a | ground_b>|^2.
 
     Stage one post-selects the lowest line of H_a from a maximally mixed
@@ -219,7 +223,7 @@ def ground_state_overlap(H_a: HermitianOperator, H_b: HermitianOperator,
     def ground_projector(H: HermitianOperator) -> np.ndarray:
         dec = H.eig()
         vals = dec.eigenvalues
-        if d > 1 and vals[1] - vals[0] <= degeneracy_tol:
+        if d > 1 and vals[1] - vals[0] <= DEGENERACY_TOL:
             raise DegenerateGroundStateError(
                 f"ground-state gap {vals[1] - vals[0]:.3g} below tolerance")
         v = dec.eigenvectors[:, 0]

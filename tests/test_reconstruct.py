@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.signal import find_peaks
 
 from qumode_probe import reconstruct, serialize
+from qumode_probe.models import dicke_interaction
 from qumode_probe.operators import (
     HermitianOperator,
     Spectrum,
@@ -19,8 +22,11 @@ from qumode_probe.probe import (
     ProbeConfig,
     Squeezed,
     distribution_for,
+    map_p_to_E,
 )
 from qumode_probe.reconstruct import (
+    Histogram,
+    _moving_average,
     _prominent_peaks,
     detect_peaks,
     histogram,
@@ -216,6 +222,137 @@ class TestDetectPeaks:
         recon = detect_peaks(histogram(rec, 0.1), probe, min_mass=0.05)
         assert len(recon.lines) == 1
         assert recon.residual_mass == pytest.approx(0.01)
+
+
+def split_cluster_reference(cluster, counts, smooth_bins):
+    """Reference: one cluster, a list of bin indices, split at significant valleys,
+    smoothed by ``np.convolve`` and partitioned one index at a time."""
+    lo, hi = cluster[0], cluster[-1]
+    segment = counts[lo:hi + 1].astype(float)
+    if len(segment) < 3:
+        return [cluster]
+    w = min(smooth_bins, len(segment))
+    smooth = np.convolve(segment, np.ones(w) / w, mode="same")
+    top = smooth.max()
+    prominence = 5.0 * np.sqrt(top / w) + 0.02 * top
+    peaks = _prominent_peaks(smooth, prominence)
+    if len(peaks) < 2:
+        return [cluster]
+    cuts = [lo + a + int(np.argmin(smooth[a:b + 1]))
+            for a, b in zip(peaks[:-1], peaks[1:])]
+    parts = [[] for _ in range(len(cuts) + 1)]
+    for i in cluster:
+        parts[int(np.searchsorted(cuts, i, side="left"))].append(i)
+    return [part for part in parts if part]
+
+
+def detect_peaks_reference(hist, probe, min_mass=None):
+    """Reference: clusters built as lists of bin indices, one occupied bin at a time."""
+    n = hist.n
+    if n == 0:
+        raise ValueError("histogram is empty")
+    if min_mass is None:
+        min_mass = 10.0 / n
+    if not 0 < min_mass < 1:
+        raise ValueError("min_mass must be in (0, 1)")
+    gap = max(hist.bin_width, 3.0 * probe.momentum_std())
+    occupied = np.nonzero(hist.counts)[0]
+    centers = hist.centers
+    clusters = [[occupied[0]]]
+    for i in occupied[1:]:
+        if centers[i] - centers[clusters[-1][-1]] > gap:
+            clusters.append([i])
+        else:
+            clusters[-1].append(i)
+    smooth_bins = max(1, int(round(probe.momentum_std() / hist.bin_width)))
+    clusters = [part for cluster in clusters
+                for part in split_cluster_reference(cluster, hist.counts, smooth_bins)]
+    lines = []
+    residual = 0.0
+    for cluster in clusters:
+        idx = np.array(cluster)
+        count = int(hist.counts[idx].sum())
+        mass = count / n
+        if mass < min_mass:
+            residual += mass
+            continue
+        centroid = float(np.average(centers[idx], weights=hist.counts[idx]))
+        lines.append((centroid, mass, count))
+    if not lines:
+        raise ValueError("no cluster above the mass threshold")
+    centroids, masses, counts = zip(*reversed(lines))
+    return Spectrum(map_p_to_E(np.array(centroids), probe), masses,
+                    counts=counts, residual_mass=residual)
+
+
+def outcome(detect, hist, probe, min_mass):
+    """Bytes of E, P, counts and residual, or the ValueError message."""
+    try:
+        spec = detect(hist, probe, min_mass=min_mass)
+    except ValueError as exc:
+        return str(exc)
+    return (spec.energies.tobytes(), spec.populations.tobytes(), spec.counts.tobytes(),
+            np.float64(spec.residual_mass).tobytes())
+
+
+# pieces of a histogram: a run of drawn counts (scaled up, its jags are
+# significant valleys), a gap of empty bins, a plateau, or a Gaussian bump
+_pieces = st.one_of(
+    st.tuples(st.sampled_from([1, 40]), st.lists(st.integers(0, 60), min_size=1, max_size=25))
+    .map(lambda sl: [sl[0] * c for c in sl[1]]),
+    st.integers(1, 40).map(lambda k: [0] * k),
+    st.tuples(st.integers(1, 300), st.integers(1, 20)).map(lambda vk: [vk[0]] * vk[1]),
+    st.tuples(st.integers(20, 5000), st.integers(2, 30)).map(
+        lambda ak: np.round(ak[0] * np.exp(-0.5 * np.linspace(-3, 3, 4 * ak[1]) ** 2))
+        .astype(int).tolist()),
+)
+
+
+class TestDetectPeaksMatchesReference:
+    @settings(max_examples=250, deadline=None)
+    @given(pieces=st.lists(_pieces, min_size=1, max_size=12),
+           mode=st.sampled_from([Ideal(), Bin(0.05), Squeezed(20.0)]),
+           w=st.sampled_from([1, 2, 4, 8]),
+           k_lo=st.integers(-10 ** 6, 10 ** 6),
+           min_mass=st.one_of(st.none(), st.floats(0.0, 1.0)))
+    def test_same_lines_as_the_reference(self, pieces, mode, w, k_lo, min_mass):
+        counts = np.array([c for piece in pieces for c in piece], dtype=np.intp)
+        probe = ProbeConfig(0.3, 1.0, 2.0, mode)
+        bin_width = probe.momentum_std() / w if probe.momentum_std() > 0 else 0.01 / w
+        edges = probe.p0 + bin_width * (k_lo + np.arange(len(counts) + 1))
+        hist = Histogram(counts=counts, edges=edges)
+        assert (outcome(detect_peaks, hist, probe, min_mass)
+                == outcome(detect_peaks_reference, hist, probe, min_mass))
+
+
+class TestMovingAverage:
+    @pytest.mark.parametrize("w", [1, 2, 4, 8])
+    def test_bit_identical_to_convolve(self, w):
+        rng = np.random.default_rng(w)
+        for _ in range(300):
+            n = int(rng.integers(w, 200))
+            segment = rng.integers(0, int(rng.choice([3, 100, 10 ** 6])), n)
+            expected = np.convolve(segment.astype(float), np.ones(w) / w, mode="same")
+            assert _moving_average(segment, w).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("w", [3, 5, 6, 7, 11])
+    def test_equal_window_sums_tie_exactly(self, w):
+        segment = np.random.default_rng(w).integers(0, 4, 500)
+        smooth = _moving_average(segment, w)
+        sums = np.convolve(segment, np.ones(w, dtype=segment.dtype), mode="same")
+        assert np.array_equal(smooth, sums / w)
+
+    def test_narrow_bins_reconstruct_quickly(self):
+        """At bin width 6e-7 the smoothing window is ~6e4 bins over clusters of
+        ~5e5 bins; a convolution costs window times span, tens of seconds here."""
+        H = dicke_interaction(4)
+        spec = spectrum_of(thermal_state(H, 0.5), H)
+        probe = squeezed_probe(s=20.0)
+        rec = sample_measurements(distribution_for(spec, probe), 20_000, seed=3)
+        start = time.perf_counter()
+        recon = reconstruct_record(rec, probe, bin_width=6e-7)
+        assert time.perf_counter() - start < 4.0
+        assert recon.populations.sum() + recon.residual_mass == pytest.approx(1.0)
 
 
 def assert_same_peaks(x, p):

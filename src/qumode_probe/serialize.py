@@ -15,84 +15,38 @@ from __future__ import annotations
 import io
 import json
 from collections.abc import Iterator
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
-from .probe import MODES, ProbeConfig, ProbeMode
+from .config import CONFIG, MATRIX, PROBE
+from .probe import MODES, ProbeConfig
 from .sampling import MeasurementRecord
 
 
-def as_integer(raw) -> int | None:
-    """``raw`` as an int, or None: a float counts only if integral (JSON writes
-    1e6 as one), and a boolean never."""
-    if isinstance(raw, float):
-        return int(raw) if raw.is_integer() else None
-    if isinstance(raw, bool):
-        return None
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        return None
-
-
-def as_float(raw, key: str) -> float:
-    """``float(raw)``, refusing the booleans it would take as 0 and 1."""
-    if isinstance(raw, bool):
-        raise ValueError(f"{key} must be a number, got {raw!r}")
-    return float(raw)
-
-
 def matrix_from_payload(payload) -> np.ndarray:
-    """Square complex matrix from ``{dim, entries: [[re, im], ...]}``, row-major.
+    """Square complex matrix from a literal that ``config.MATRIX`` checks.
 
     A payload whose imaginary parts are all zero is a real matrix: the
     ``HermitianOperator`` or ``SystemState`` built from it stores float64.
     """
-    if not isinstance(payload, dict) or "dim" not in payload or "entries" not in payload:
-        raise ValueError("matrix literal must be {dim, entries: [[re, im], ...]}")
-    dim = as_integer(payload["dim"])
-    if dim is None:
-        raise ValueError(f"matrix dim must be an integer, got {payload['dim']!r}")
-    if dim < 1:
-        raise ValueError(f"matrix dim must be at least 1, got {dim}")
-    try:
-        pairs = np.array(payload["entries"], dtype=float, order="C")
-    except (TypeError, ValueError):
-        pairs = None
-    if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError("matrix entries must be [re, im] pairs of numbers")
-    if len(pairs) != dim * dim:
-        raise ValueError(f"expected {dim * dim} matrix entries, got {len(pairs)}")
+    literal = MATRIX.check(payload, "matrix")
+    pairs = np.array(literal["entries"], dtype=float, order="C")
     # a C-ordered (n, 2) float array is n complex numbers in memory
-    return pairs.view(complex).reshape(dim, dim)
-
-
-def _mode_to_dict(mode: ProbeMode) -> dict:
-    return {"kind": mode.kind, **asdict(mode)}
-
-
-def _mode_from_dict(payload) -> ProbeMode:
-    """A probe mode from ``{kind, <its parameters>}``, or from the bare kind."""
-    if isinstance(payload, str):
-        payload = {"kind": payload}
-    kind = payload["kind"]
-    if kind not in MODES:
-        raise ValueError(f"unknown probe mode {kind!r}")
-    mode = MODES[kind]
-    return mode(**{field.name: as_float(payload[field.name], f"probe.mode.{field.name}")
-                   for field in fields(mode)})
+    return pairs.view(complex).reshape(literal["dim"], -1)
 
 
 def probe_to_dict(probe: ProbeConfig) -> dict:
-    return {"p0": probe.p0, "g": probe.g, "tau": probe.tau, "mode": _mode_to_dict(probe.mode)}
+    mode = {"kind": probe.mode.kind, **asdict(probe.mode)}
+    return {"p0": probe.p0, "g": probe.g, "tau": probe.tau, "mode": mode}
 
 
-def probe_from_dict(payload: dict) -> ProbeConfig:
-    mode = _mode_from_dict(payload["mode"])
-    return ProbeConfig(**{key: as_float(payload.get(key, default), f"probe.{key}")
-                          for key, default in (("p0", 0.0), ("g", 1.0), ("tau", 1.0))},
-                       mode=mode)
+def probe_from_dict(payload) -> ProbeConfig:
+    """The probe of a config section or a record's ``# probe=`` header, checked
+    by ``config.PROBE``."""
+    probe = PROBE.check(payload, "probe")
+    mode = probe["mode"]
+    return ProbeConfig(probe["p0"], probe["g"], probe["tau"], MODES[mode.pop("kind")](**mode))
 
 
 _LINE = 17  # 16 hex digits and "\n"
@@ -186,9 +140,11 @@ def read_record(fh) -> tuple[MeasurementRecord, ProbeConfig | None, Iterator[np.
                  else f"unknown record columns {columns!r}")
         raise ValueError(f"{found}: {_REDRAW}")
     probe = _header_value(meta, "probe", lambda v: probe_from_dict(json.loads(v)), None)
-    header = MeasurementRecord(samples=np.empty(0),
-                               seed=_header_value(meta, "seed", int, 0),
-                               detector_bin=_header_value(meta, "detector_bin", float, 0.0))
+    sampling = CONFIG.keys["sampling"].keys  # the rules of the seed and detector_bin headers
+    seed, detector_bin = (
+        _header_value(meta, key, lambda v: sampling[key].check(json.loads(v), key),
+                      sampling[key].default) for key in ("seed", "detector_bin"))
+    header = MeasurementRecord(samples=np.empty(0), seed=seed, detector_bin=detector_bin)
     return header, probe, _body_blocks(fh)
 
 

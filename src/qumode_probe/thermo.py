@@ -143,7 +143,7 @@ MAX_BETA = float(np.sqrt(np.finfo(float).max))
 
 def default_beta_grid(lo: float = 0.1, hi: float = 10.0, num: int = 50) -> np.ndarray:
     """``num`` geometrically spaced betas from ``lo`` to ``hi``; the CLI
-    holds ``num`` to at most ``MAX_BETA_GRID``."""
+    holds ``num``, and a beta list, to at most ``MAX_BETA_GRID``."""
     return np.geomspace(lo, hi, num)
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,8 @@ class TestOperatorRoundTrip:
     def test_entry_count_validated(self):
         literal = payload(random_hermitian(3, 0).entries)
         literal["entries"] = literal["entries"][:-1]
-        with pytest.raises(ValueError, match="expected 9 matrix entries, got 8"):
+        message = r"^matrix\.entries must hold dim\*\*2 = 9 pairs, got 8$"
+        with pytest.raises(ValueError, match=message):
             matrix_from_payload(literal)
 
 
@@ -134,6 +137,16 @@ class TestRecordRoundTrip:
                                             ("seed", "x"), ("detector_bin", "wide")])
     def test_bad_header_names_its_key(self, key, value):
         with pytest.raises(ValueError, match=f"bad record {key} header"):
+            record_from_text(f"# {key}={value}\n# columns=p_bits\n3ff0000000000000\n")
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", "-5", f"seed must be an integer from 0 to {2 ** 128 - 1}, got -5"),
+        ("seed", "1.5", f"seed must be an integer from 0 to {2 ** 128 - 1}, got 1.5"),
+        ("detector_bin", "Infinity", "detector_bin must be nonnegative and finite, got inf"),
+        ("detector_bin", "-0.5", "detector_bin must be nonnegative and finite, got -0.5"),
+    ])
+    def test_seed_and_detector_bin_headers_follow_the_sampling_rules(self, key, value, message):
+        with pytest.raises(ValueError, match=f"^bad record {key} header: {re.escape(message)}$"):
             record_from_text(f"# {key}={value}\n# columns=p_bits\n3ff0000000000000\n")
 
     @pytest.mark.parametrize("text", ["# seed=1\n# columns=p_bits\n", "# seed=1\n# columns=p_bits"])

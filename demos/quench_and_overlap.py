@@ -45,14 +45,14 @@ for k in (0.25, 0.5, 1.0, 2.0):
 # --- 2. ground-state overlap across a coupling family ----------------------
 n_atoms = 8
 base = HermitianOperator(np.diag(np.arange(n_atoms + 1, dtype=float)))
-family = linear_family("tilted collective spin", base, dicke_interaction(n_atoms))
+build = linear_family(base, dicke_interaction(n_atoms))
 
 print(f"\nGround-state overlap with the lambda = 0 ground state "
       f"({n_atoms} collective atoms):")
 print("  lambda   |<u0(0)|u0(lambda)>|^2")
-H_ref = family.build(0.0)
+H_ref = build(0.0)
 for lam in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0):
-    p0 = ground_state_overlap(H_ref, family.build(lam))
+    p0 = ground_state_overlap(H_ref, build(lam))
     bar = "#" * int(round(40 * p0))
     print(f"  {lam:6.2f}   {p0:8.4f}  {bar}")
 print("The fidelity decays as the transverse coupling reorganizes the "

@@ -1,7 +1,6 @@
 """Continuous-variable qumode probe simulation and thermodynamic inference."""
 
 from .models import (
-    ParamFamily,
     RegimePreset,
     dicke_family,
     dicke_interaction,

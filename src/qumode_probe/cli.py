@@ -200,12 +200,12 @@ def cmd_sweep(config: dict, fmt: str, record_file) -> str:
         report = thermo.thermo_report(spec, float("nan"), options["values"])
         return _emit_table(_thermo_rows(report), ["beta", "Z", "F", "C", "S"], fmt)
     if options["family"] == "dicke":
-        family = models.dicke_family(options["n_atoms"])
+        build = models.dicke_family(options["n_atoms"])
     else:
-        family = models.linear_family("linear", *(HermitianOperator(matrix_from_payload(
-            options[key])) for key in ("base", "coupling")))
-    H_ref = family.build(options["lambda_ref"])
-    rows = [(float(lam), thermo.ground_state_overlap(H_ref, family.build(float(lam))))
+        build = models.linear_family(*(HermitianOperator(matrix_from_payload(options[key]))
+                                       for key in ("base", "coupling")))
+    H_ref = build(options["lambda_ref"])
+    rows = [(float(lam), thermo.ground_state_overlap(H_ref, build(float(lam))))
             for lam in options["values"]]
     return _emit_table(rows, ["lambda", "P0"], fmt)
 

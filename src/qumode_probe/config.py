@@ -26,7 +26,7 @@ from .sampling import MAX_SAMPLES
 from .thermo import MAX_BETA_GRID
 
 SEED_MAX = 2 ** 128 - 1  # the Philox key range
-# values of a 'sweep' of kind 'lambda', one eigensolve each (0.3-0.7 s at d = 1024 on 2 cores)
+# values of a 'sweep' of kind 'lambda', one eigensolve each (0.2-0.3 s at d = 1024 on 2 cores)
 MAX_LAMBDA_VALUES = 256
 REQUIRED = object()  # the default of a key that must be given
 _FLOAT_MAX = int(sys.float_info.max)
@@ -40,6 +40,11 @@ def _numbers(v) -> bool:
     """Every item a number that float64 holds: no boolean, and no integer beyond float64."""
     return all(type(x) is float or isinstance(x, float)
                or type(x) is int and -_FLOAT_MAX <= x <= _FLOAT_MAX for x in v)
+
+
+def _finite(v) -> bool:
+    """Every item a finite number that float64 holds."""
+    return _numbers(v) and all(map(math.isfinite, v))
 
 
 class Rule(NamedTuple):
@@ -66,11 +71,12 @@ def integer(lo: int, hi: int, default=REQUIRED) -> Rule:
 
 _SIGNS = {"any": ("a finite number", lambda x: True),
           "nonnegative": ("nonnegative and finite", lambda x: x >= 0),
-          "positive": ("a finite number > 0", lambda x: x > 0)}
+          "positive": ("a finite number > 0", lambda x: x > 0),
+          "fraction": ("a number in (0, 1)", lambda x: 0 < x < 1)}
 
 
 def number(sign: str, default=REQUIRED) -> Rule:
-    """A finite number of any sign, nonnegative or positive, read as a float."""
+    """A finite number of any sign, nonnegative, positive or in (0, 1), read as a float."""
     need, holds = _SIGNS[sign]
     return Rule(need, lambda v: _numbers([v]) and math.isfinite(v) and holds(v), default, float)
 
@@ -196,7 +202,7 @@ CONFIG = Table({
     }, default={}),
     "reconstruct": Table({
         "bin_width": number("positive", None),
-        "min_mass": number("positive", None),
+        "min_mass": number("fraction", None),
     }, default={}),
     "thermo": Table({
         # a list of betas, or a geometric grid
@@ -219,7 +225,8 @@ CONFIG = Table({
     }, default=None),
     "sweep": Table({
         "kind": tag({"beta": {"values": numbers(MAX_BETA_GRID, None)},
-                     "lambda": {"values": numbers(MAX_LAMBDA_VALUES),
+                     "lambda": {"values": numbers(MAX_LAMBDA_VALUES, what="finite numbers",
+                                                  items=_finite),
                                 "lambda_ref": number("any", 0.0),
                                 "family": tag({"dicke": {"n_atoms": integer(1, sys.maxsize, 2)},
                                                "linear": {"base": MATRIX,

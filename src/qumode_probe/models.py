@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .operators import HermitianOperator, site_sum, spin_x
 
 
@@ -53,36 +55,27 @@ def preset_by_name(name: str) -> RegimePreset:
     raise KeyError(f"unknown regime preset {name!r}")
 
 
-@dataclass(frozen=True)
-class ParamFamily:
-    """Coupling-parameterized Hamiltonian family for criticality scans."""
-
-    name: str
-    build: Callable[[float], HermitianOperator]
-    lambda_c: float | None = None
-
-
-def linear_family(name: str, base: HermitianOperator, coupling: HermitianOperator,
-                  lambda_c: float | None = None) -> ParamFamily:
-    """Family H(lambda) = base + lambda * coupling."""
+def linear_family(base: HermitianOperator,
+                  coupling: HermitianOperator) -> Callable[[float], HermitianOperator]:
+    """The builder lambda -> H(lambda) = base + lambda * coupling, for criticality scans."""
     if base.dim != coupling.dim:
         raise ValueError(f"dimension mismatch: {base.dim} vs {coupling.dim}")
 
     def build(lam: float) -> HermitianOperator:
-        return HermitianOperator(base.entries + lam * coupling.entries)
+        with np.errstate(over="ignore"):  # HermitianOperator refuses an entry beyond float64
+            entries = base.entries + lam * coupling.entries
+        return HermitianOperator(entries)
 
-    return ParamFamily(name=name, build=build, lambda_c=lambda_c)
+    return build
 
 
-def dicke_family(n_atoms: int, lambda_c: float = 1.0) -> ParamFamily:
-    """Collective J_x scaled by a coupling lambda.
-
-    The critical coupling default is illustrative only; it is not fixed
-    by the probe protocol itself.
-    """
+def dicke_family(n_atoms: int) -> Callable[[float], HermitianOperator]:
+    """The builder lambda -> lambda J_x, the collective J_x scaled by a coupling."""
     base = dicke_interaction(n_atoms)
 
     def build(lam: float) -> HermitianOperator:
-        return HermitianOperator(lam * base.entries)
+        with np.errstate(over="ignore"):  # as in linear_family
+            entries = lam * base.entries
+        return HermitianOperator(entries)
 
-    return ParamFamily(name=f"dicke_{n_atoms}", build=build, lambda_c=lambda_c)
+    return build

@@ -7,7 +7,7 @@ operator and the populations of its eigenstates in a given system state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -69,19 +69,14 @@ def _is_diagonal(a: np.ndarray) -> bool:
     return np.count_nonzero(a) == np.count_nonzero(a.diagonal())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     """Ascending eigenvalues and the unitary of column eigenvectors."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
 
-
-@dataclass
 class HermitianOperator:
     """Hermitian matrix with a cached eigendecomposition.
 
@@ -104,7 +99,7 @@ class HermitianOperator:
     """
 
     entries: np.ndarray
-    _eig: EigenDecomposition | None = field(default=None, repr=False, compare=False)
+    _eig: EigenDecomposition | None
 
     def __init__(self, entries):
         a = _as_square(entries)
@@ -340,7 +335,8 @@ def thermal_state(H: HermitianOperator, beta: float) -> SystemState:
     if not np.isfinite(beta) or beta < 0:
         raise ValueError(f"beta must be finite and nonnegative, got {beta}")
     vals = H.eig().eigenvalues
-    weights = np.exp(-beta * (vals - vals.min()))
+    with np.errstate(over="ignore"):  # beta (E - E_min) -> inf weighs exp(-inf) = 0
+        weights = np.exp(-beta * (vals - vals.min()))
     weights /= weights.sum()
     return SystemState._in_eigenbasis(H, weights)
 

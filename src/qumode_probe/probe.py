@@ -368,9 +368,11 @@ def apply_detector_binning(dist: LineMixture, bin_width: float,
                          f"over the cap of {MAX_BINS}")
     first, last = (first - k_lo).astype(int), (last - k_lo).astype(int)
     masses = np.zeros(int(span))
-    for p, m, a, b in zip(dist.points, dist.weights, first, last):
-        edges = origin + w * (k_lo + np.arange(a, b + 2))
-        masses[a:b + 1] += m * np.diff(dist.mode.cdf(edges - p))
+    # an edge beyond the float64 range is +-inf, where every kernel's CDF is 0 or 1
+    with np.errstate(over="ignore"):
+        for p, m, a, b in zip(dist.points, dist.weights, first, last):
+            edges = origin + w * (k_lo + np.arange(a, b + 2))
+            masses[a:b + 1] += m * np.diff(dist.mode.cdf(edges - p))
 
     total = masses.sum()
     if abs(total - 1.0) > 1e-9:

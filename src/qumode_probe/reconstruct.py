@@ -56,7 +56,7 @@ def required_samples(sigma_E: float, P_n: float, scale: float = 1.0) -> int:
     return int(np.ceil(scale / (sigma_E ** 2 * P_n)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Histogram:
     counts: np.ndarray
     edges: np.ndarray
@@ -231,6 +231,9 @@ def detect_peaks(hist: Histogram, probe: ProbeConfig,
         raise ValueError("histogram is empty")
     if min_mass is None:
         min_mass = 10.0 / n
+        if n <= 10:
+            raise ValueError(f"the default min_mass 10/n is {min_mass:.6g} for n = {n} samples; "
+                             "it needs n > 10")
     if not 0 < min_mass < 1:
         raise ValueError("min_mass must be in (0, 1)")
 

@@ -22,7 +22,7 @@ from .probe import LineMixture
 MAX_SAMPLES = 10 ** 7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementRecord:
     """Measurement outcomes plus the provenance needed to reproduce them."""
 

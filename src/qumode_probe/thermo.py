@@ -2,8 +2,8 @@
 
 Works on either exact spectra (from `spectrum_of`) or reconstructed
 ones; everything reduces to Boltzmann algebra over (E_n, P_n, g_n)
-triples plus a few density-matrix traces for the quench and overlap
-protocols.
+triples, plus the ground eigenvectors of two operators for the overlap
+protocol.
 """
 
 from __future__ import annotations
@@ -110,8 +110,11 @@ def _boltzmann(E: np.ndarray, g: np.ndarray, betas: np.ndarray):
         dev = np.subtract(E, U[block, None], out=np.zeros_like(w), where=w > 0)
         var = np.sum(w * dev ** 2, axis=-1)
         # libm pow(beta, 2), as Python's beta ** 2: numpy's b ** 2 is b * b, an
-        # ulp away on about one beta in 2000, which would change printed C digits
-        C[block] = np.float_power(b[:, 0], 2) * var
+        # ulp away on about one beta in 2000, which would change printed C digits.
+        # Above MAX_BETA it overflows, and C is inf or NaN: thermo_report refuses
+        # such a beta, and quench_work reads only log Z
+        with np.errstate(over="ignore", invalid="ignore"):
+            C[block] = np.float_power(b[:, 0], 2) * var
     return log_z, U, C
 
 
@@ -121,7 +124,7 @@ def log_partition_function(spec: Spectrum, beta: float) -> float:
     return float(_boltzmann(spec.energies, spec.degeneracies, betas)[0][0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThermoReport:
     """Each grid is an (n, 2) array of (beta, value) rows."""
     beta_hat: float
@@ -214,29 +217,23 @@ def ground_state_overlap(H_a: HermitianOperator, H_b: HermitianOperator) -> floa
     input, collapsing the system onto its ground state; stage two reads
     off the population of the lowest line of H_b for that state (ground
     energies are gauged to zero internally, so the "zero outcome" of the
-    second circuit is its ground line).
+    second circuit is its ground line).  That population is
+    tr(P_b |g_a><g_a|) = |<g_a|g_b>|^2, so the read-out is the inner
+    product of the two ground eigenvectors.
     """
     if H_a.dim != H_b.dim:
         raise ValueError(f"dimension mismatch: {H_a.dim} vs {H_b.dim}")
-    d = H_a.dim
 
-    def ground_projector(H: HermitianOperator) -> np.ndarray:
+    def ground_vector(H: HermitianOperator) -> np.ndarray:
         dec = H.eig()
         vals = dec.eigenvalues
-        if d > 1 and vals[1] - vals[0] <= DEGENERACY_TOL:
+        if H.dim > 1 and vals[1] - vals[0] <= DEGENERACY_TOL:
             raise DegenerateGroundStateError(
                 f"ground-state gap {vals[1] - vals[0]:.3g} below tolerance")
-        v = dec.eigenvectors[:, 0]
-        return np.outer(v, v.conj())
+        return dec.eigenvectors[:, 0]
 
-    proj_a = ground_projector(H_a)
-    proj_b = ground_projector(H_b)
-
-    # stage 1: maximally mixed input, post-select the lowest line of H_a
-    rho = proj_a @ (np.eye(d) / d) @ proj_a
-    rho = rho / np.trace(rho).real
-    # stage 2: probability of the lowest line of H_b
-    return float(np.trace(proj_b @ rho).real)
+    a, b = ground_vector(H_a), ground_vector(H_b)
+    return float(abs(np.vdot(a, b)) ** 2)
 
 
 @dataclass(frozen=True)

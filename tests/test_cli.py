@@ -410,11 +410,15 @@ class TestExitCodes:
         assert main(["reconstruct", "--config", path]) == 2
 
     def test_degenerate_ground_state_contract(self, tmp_path, capsys):
-        config = {"system": {"diagonal": [0.0, 0.0, 1.0]},
-                  "overlap": {"system_b": {"diagonal": [0.0, 1.0, 2.0]}}}
-        code, _ = run(tmp_path, "overlap", config)
-        assert code == 4
-        assert "contract violation" in capsys.readouterr().err
+        """Either system's ground state may be the degenerate one."""
+        for system, system_b in (([0.0, 0.0, 1.0], [0.0, 1.0, 2.0]),
+                                 ([0.0, 1.0, 2.0], [3.0, 1.0, 1.0])):
+            config = {"system": {"diagonal": system},
+                      "overlap": {"system_b": {"diagonal": system_b}}}
+            code, _ = run(tmp_path, "overlap", config)
+            assert code == 4
+            assert capsys.readouterr().err == (
+                "contract violation: ground-state gap 0 below tolerance\n")
 
     def test_non_finite_system_matrix(self, tmp_path, capsys):
         config = {"system": {"diagonal": [0.0, float("nan")]}}
@@ -572,13 +576,13 @@ class TestExitCodes:
         pytest.param("thermo", dict(QUBIT, thermo={"beta_grid": "1.0"}),
                      "thermo.beta_grid", 100000, "'1.0'", id="thermo-string"),
         pytest.param("sweep", {"sweep": {"kind": "lambda", "values": 1.0}},
-                     "sweep.values", 256, "1.0", id="lambda-sweep-scalar"),
+                     "sweep.values", "256 finite", "1.0", id="lambda-sweep-scalar"),
         pytest.param("sweep", {"sweep": {"kind": "lambda", "values": [[1.0, 2.0]]}},
-                     "sweep.values", 256, "[[1.0, 2.0]]", id="lambda-sweep-2d"),
+                     "sweep.values", "256 finite", "[[1.0, 2.0]]", id="lambda-sweep-2d"),
         pytest.param("sweep", {"sweep": {"kind": "lambda", "values": []}},
-                     "sweep.values", 256, "[]", id="lambda-sweep-empty"),
+                     "sweep.values", "256 finite", "[]", id="lambda-sweep-empty"),
         pytest.param("sweep", {"sweep": {"kind": "lambda", "values": None}},
-                     "sweep.values", 256, "None", id="lambda-sweep-null"),
+                     "sweep.values", "256 finite", "None", id="lambda-sweep-null"),
     ])
     def test_grid_must_be_a_flat_list(self, tmp_path, capsys, command, config, key, cap, got):
         code, text = run(tmp_path, command, config)
@@ -629,7 +633,7 @@ class TestExitCodes:
                                                    "beta": [1]}),
                      "quench.beta must be a finite number > 0, got [1]", id="quench-beta"),
         pytest.param("reconstruct", dict(QUBIT, reconstruct={"min_mass": "x"}),
-                     "reconstruct.min_mass must be a finite number > 0, got 'x'", id="min-mass"),
+                     "reconstruct.min_mass must be a number in (0, 1), got 'x'", id="min-mass"),
         pytest.param("sample", dict(QUBIT, sampling={"n": 10.9}),
                      "sampling.n must be an integer from 1 to 10000000, got 10.9",
                      id="n-fraction"),
@@ -812,6 +816,39 @@ SQUEEZED_PAIR = {"system": {"diagonal": [0.0, 1.0]}, "state": {"thermal_beta": 1
                  "probe": {"p0": 0.0, "g": 1.0, "tau": 1.0,
                            "mode": {"kind": "squeezed", "s": 20.0}},
                  "sampling": {"n": 20_000, "seed": 5}, "thermo": {"beta_grid": [0.5, 1.0]}}
+
+
+@pytest.mark.parametrize("command, config, code, err", [
+    pytest.param("quench", dict(QUBIT, quench={"system2": {"diagonal": [1.0, 0.0]},
+                                               "beta": 1e308}), 0, "", id="quench-beta"),
+    pytest.param("quench", {"system": {"model": "dicke", "n_atoms": 2},
+                            "quench": {"system2": {"model": "dicke", "n_atoms": 2},
+                                       "beta": 1e308}}, 0, "", id="quench-beta-dense"),
+    pytest.param("sample", dict(SQUEEZED_PAIR, sampling={"n": 10, "detector_bin": 1e308}),
+                 0, "", id="squeezed-detector-bin"),
+    pytest.param("sample", dict(QUBIT, probe={"mode": {"kind": "bin", "L": 0.5}},
+                                sampling={"n": 10, "detector_bin": 1e308}),
+                 0, "", id="bin-detector-bin"),
+    pytest.param("sweep", {"sweep": {"kind": "lambda", "values": [float("inf")]}}, EXIT_CONFIG,
+                 "config error: sweep.values must be a list of 1 to 256 finite numbers, "
+                 "got [inf]\n", id="lambda-inf"),
+    pytest.param("sweep", {"sweep": {"kind": "lambda", "n_atoms": 30, "values": [1e308]}},
+                 EXIT_CONFIG, "config error: matrix has non-finite entries\n",
+                 id="lambda-1e308"),
+])
+def test_extreme_inputs_print_no_warning(tmp_path, command, config, code, err):
+    """An overflow that the code handles prints no numpy warning in a CLI child."""
+    src = os.path.dirname(os.path.dirname(qumode_probe.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-m", "qumode_probe.cli", command, "--config",
+         write_config(tmp_path, config), "--out", str(tmp_path / "out.txt")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert "Warning" not in child.stderr
+    assert (child.returncode, child.stderr) == (code, err)
+
+
 BAD_BODY = "config error: record body must be lines of 16 hex digits\n"
 
 

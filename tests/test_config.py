@@ -128,22 +128,22 @@ def test_defaults_are_filled_in_and_lists_not_copied():
     assert checked["quench"] is checked["overlap"] is checked["sweep"] is None
 
 
-@pytest.mark.parametrize("command, key, cap, config", [
-    ("thermo", "thermo.beta_grid", thermo.MAX_BETA_GRID,
+@pytest.mark.parametrize("command, key, cap, items, config", [
+    ("thermo", "thermo.beta_grid", thermo.MAX_BETA_GRID, "numbers",
      lambda grid: dict(QUBIT, thermo={"beta_grid": grid})),
-    ("sweep", "sweep.values", thermo.MAX_BETA_GRID,
+    ("sweep", "sweep.values", thermo.MAX_BETA_GRID, "numbers",
      lambda grid: dict(QUBIT, sweep={"kind": "beta", "values": grid})),
-    ("sweep", "sweep.values", MAX_LAMBDA_VALUES,
+    ("sweep", "sweep.values", MAX_LAMBDA_VALUES, "finite numbers",
      lambda grid: {"sweep": {"kind": "lambda", "values": grid}}),
 ], ids=["beta-grid", "beta-sweep", "lambda-sweep"])
-def test_list_caps(tmp_path, monkeypatch, command, key, cap, config):
+def test_list_caps(tmp_path, monkeypatch, command, key, cap, items, config):
     """A list at its cap passes the walker; one more value exits 2 before any work."""
     section, name = key.split(".")
     assert len(CONFIG.check(config([1.0] * cap))[section][name]) == cap
     no_work(monkeypatch)
     code, text, err = run(tmp_path, command, config([1.0] * (cap + 1)))
     assert (code, text) == (EXIT_CONFIG, "")
-    assert err == (f"config error: {key} must be a list of 1 to {cap} numbers, "
+    assert err == (f"config error: {key} must be a list of 1 to {cap} {items}, "
                    "got [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, ...]\n")
 
 
@@ -166,6 +166,27 @@ def test_record_from_a_misspelt_config_exits_2(tmp_path):
     assert code == EXIT_CONFIG
     assert err.getvalue() == ("config error: sampling has unknown key 'seeed'; known keys: "
                               "detector_bin, n, seed\n")
+
+
+def test_min_mass_outside_0_1_exits_2_before_the_record_is_read(tmp_path, monkeypatch):
+    no_work(monkeypatch)
+    config = dict(QUBIT, reconstruct={"min_mass": 2})
+    assert run(tmp_path, "reconstruct", config, ["--record", str(tmp_path / "none.txt")]) == (
+        EXIT_CONFIG, "", "config error: reconstruct.min_mass must be a number in (0, 1), got 2\n")
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "thermo"])
+@pytest.mark.parametrize("n, default", [(3, "3.33333"), (10, "1")])
+def test_default_min_mass_on_a_short_record_names_the_sample_count(tmp_path, command, n,
+                                                                   default):
+    """No min_mass is given, so the message names the record's size, not the key."""
+    code, text, err = run(tmp_path, "sample", dict(QUBIT, sampling={"n": n}))
+    assert (code, err) == (0, "")
+    record = tmp_path / "rec.txt"
+    record.write_text(text)
+    assert run(tmp_path, command, QUBIT, ["--record", str(record)]) == (
+        EXIT_CONFIG, "", f"config error: the default min_mass 10/n is {default} for n = {n} "
+                         "samples; it needs n > 10\n")
 
 
 @pytest.mark.parametrize("state", [{"maximally_mixed": True}, {"ground_of": True},

@@ -102,19 +102,17 @@ class TestRegimePresets:
 
 class TestParamFamilies:
     def test_dicke_family_scales_coupling(self):
-        family = dicke_family(4)
-        assert np.allclose(family.build(2.5).entries, 2.5 * dicke_interaction(4).entries)
-        assert family.lambda_c == 1.0
+        build = dicke_family(4)
+        assert np.allclose(build(2.5).entries, 2.5 * dicke_interaction(4).entries)
 
     def test_family_members_hermitian(self):
-        family = dicke_family(3)
+        build = dicke_family(3)
         for lam in (-1.0, 0.5, 3.0):
-            op = family.build(lam)
+            op = build(lam)
             assert np.allclose(op.entries, op.entries.conj().T)
 
     def test_linear_family(self):
         base = sigma_x()
         coupling = dicke_interaction(1)
-        family = linear_family("mix", base, coupling)
-        assert np.allclose(family.build(2.0).entries,
-                           base.entries + 2.0 * coupling.entries)
+        build = linear_family(base, coupling)
+        assert np.allclose(build(2.0).entries, base.entries + 2.0 * coupling.entries)

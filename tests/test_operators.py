@@ -21,7 +21,10 @@ from qumode_probe.operators import (
     spin_x,
     thermal_state,
 )
+from qumode_probe.reconstruct import Histogram
+from qumode_probe.sampling import MeasurementRecord
 from qumode_probe.serialize import matrix_from_payload
+from qumode_probe.thermo import thermo_report
 
 
 def random_hermitian(dim, seed):
@@ -543,3 +546,23 @@ class TestDiagonalSpectrumMatchesEigh:
             edges = np.cumsum([0, *ours.degeneracies])
             expected = np.array([theirs[i:j].sum() for i, j in zip(edges, edges[1:])])
             assert ours.populations.tobytes() == expected.tobytes()
+
+
+def test_array_holders_compare_by_identity():
+    """Equal arrays make distinct instances; == says so without asking an array
+    for its truth value."""
+    m = np.diag([0.0, 1.0])
+    dec = HermitianOperator(m).eig()
+    spec = Spectrum([0.0, 1.0], [0.5, 0.5])
+    builders = [
+        lambda: HermitianOperator(m),
+        lambda: EigenDecomposition(dec.eigenvalues, dec.eigenvectors),
+        lambda: MeasurementRecord(np.zeros(3), seed=1),
+        lambda: Histogram(np.ones(2, dtype=np.intp), np.arange(3.0)),
+        lambda: thermo_report(spec, 1.0, [1.0, 2.0]),
+    ]
+    for build in builders:
+        a, b = build(), build()
+        assert a == a
+        assert (a == b) is False
+        assert a != b

@@ -253,6 +253,9 @@ def detect_peaks_reference(hist, probe, min_mass=None):
         raise ValueError("histogram is empty")
     if min_mass is None:
         min_mass = 10.0 / n
+        if n <= 10:
+            raise ValueError(f"the default min_mass 10/n is {min_mass:.6g} for n = {n} samples; "
+                             "it needs n > 10")
     if not 0 < min_mass < 1:
         raise ValueError("min_mass must be in (0, 1)")
     gap = max(hist.bin_width, 3.0 * probe.momentum_std())

@@ -342,6 +342,31 @@ class TestGroundStateOverlap:
         with pytest.raises(DegenerateGroundStateError):
             ground_state_overlap(h, random_hermitian(3, 0))
 
+    @pytest.mark.parametrize("dim", [2, 17, 64])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_matches_the_two_stage_protocol(self, dim, field):
+        for seed in range(3):
+            a, b = (random_hermitian(dim, 10 * seed + k) for k in (1, 2))
+            if field == "real":
+                a, b = (HermitianOperator(h.entries.real) for h in (a, b))
+            assert a.entries.dtype == (np.float64 if field == "real" else np.complex128)
+            assert ground_state_overlap(a, b) == pytest.approx(two_stage_overlap(a, b),
+                                                               rel=0, abs=1e-12)
+
+
+def two_stage_overlap(H_a, H_b):
+    """Reference: the protocol's two circuits as density-matrix algebra.
+
+    Post-select the ground line of H_a from the maximally mixed I/d,
+    normalise, and take the trace with the ground projector of H_b.
+    """
+    d = H_a.dim
+    proj_a, proj_b = (np.outer(v, v.conj()) for v in
+                      (np.linalg.eigh(H.entries)[1][:, 0] for H in (H_a, H_b)))
+    rho = proj_a @ (np.eye(d) / d) @ proj_a
+    rho = rho / np.trace(rho).real
+    return float(np.trace(proj_b @ rho).real)
+
 
 class TestValidityCheck:
     def test_commuting_exemption(self):

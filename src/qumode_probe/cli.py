@@ -30,7 +30,8 @@ from .operators import (
 )
 from .probe import apply_detector_binning, distribution_for
 from .sampling import sample_measurements
-from .serialize import matrix_from_payload, probe_from_dict, read_record, record_body, record_header
+from .serialize import (matrix_from_payload, probe_from_dict, read_header, read_record,
+                        record_body, record_header)
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -91,13 +92,13 @@ def _exact_lines(config: dict, command: str, **options):
     return spectrum_of(build_state(config["state"], H), H, **options)
 
 
-def cmd_spectrum(config: dict, fmt: str, record_file) -> str:
+def cmd_spectrum(config: dict, fmt: str, record_path) -> str:
     spec = _exact_lines(config, "spectrum", merge_tol=config["merge_tol"])
     return _emit_table(_rows(spec.energies, spec.populations, spec.degeneracies),
                        ["E", "P", "g"], fmt)
 
 
-def cmd_sample(config: dict, fmt: str, record_file):
+def cmd_sample(config: dict, fmt: str, record_path):
     """The record as an iterator of text pieces, drawn SAMPLE_CHUNK draws at a time."""
     probe = probe_from_dict(config["probe"])
     n, seed, detector_bin = (config["sampling"][key] for key in ("n", "seed", "detector_bin"))
@@ -117,21 +118,27 @@ def _record_pieces(header: str, dist, n: int, seed: int, detector_bin: float):
                                               detector_bin=detector_bin, start=start).samples)
 
 
-def _reconstruction(config: dict, record_file, **options):
+def _reconstruction(config: dict, record_path: str | None):
     """The record's header, the probe that drew it (the record's own, else the
-    config's) and the lines reconstructed from it, read one block at a time."""
-    if record_file is None:
+    config's) and the lines that the ``reconstruct`` section reconstructs from
+    it, read one block at a time."""
+    if record_path is None:
         raise ConfigError("reconstruct requires --record")
     probe = probe_from_dict(config["probe"])
-    record, embedded_probe, blocks = read_record(record_file)
-    probe = probe if embedded_probe is None else embedded_probe
-    return record, probe, reconstruct.reconstruct_blocks(blocks, probe, record.detector_bin,
-                                                         **options)
+    try:
+        with open(record_path, "rb") as fh:
+            record, embedded_probe, blocks = read_record(fh)
+            probe = probe if embedded_probe is None else embedded_probe
+            # the section's keys are reconstruct_blocks' bin_width and min_mass
+            recon = reconstruct.reconstruct_blocks(blocks, probe, record.detector_bin,
+                                                   **config["reconstruct"])
+    except OSError as exc:
+        raise ConfigError(f"cannot read record {record_path}: {exc}") from exc
+    return record, probe, recon
 
 
-def cmd_reconstruct(config: dict, fmt: str, record_file) -> str:
-    # the section's keys are reconstruct_blocks' bin_width and min_mass
-    record, probe, recon = _reconstruction(config, record_file, **config["reconstruct"])
+def cmd_reconstruct(config: dict, fmt: str, record_path) -> str:
+    record, probe, recon = _reconstruction(config, record_path)
     res = reconstruct.resolution_params(probe)
     rows = _rows(recon.energies, recon.populations, recon.counts)
     body = _emit_table(rows, ["E_hat", "P_hat", "count"], fmt)
@@ -147,15 +154,15 @@ def _thermo_rows(report: thermo.ThermoReport) -> list[list]:
                             report.S_grid[:, 1])).tolist()
 
 
-def cmd_thermo(config: dict, fmt: str, record_file) -> str:
+def cmd_thermo(config: dict, fmt: str, record_path) -> str:
     options = config["thermo"]
     beta_grid = options["beta_grid"]  # a list, or {lo, hi, num}
     if type(beta_grid) is dict:
         beta_grid = thermo.default_beta_grid(beta_grid["lo"], beta_grid["hi"], beta_grid["num"])
-    if record_file is None:
+    if record_path is None:
         spec = _exact_lines(config, "thermo")
     else:
-        recon = _reconstruction(config, record_file)[2]
+        recon = _reconstruction(config, record_path)[2]
         # thermometry reads the kept lines as the whole spectrum
         spec = replace(recon, populations=recon.populations / recon.populations.sum(),
                        residual_mass=0.0)
@@ -175,7 +182,7 @@ def cmd_thermo(config: dict, fmt: str, record_file) -> str:
     return body + f"# beta_hat={report.beta_hat!r}\n"
 
 
-def cmd_quench(config: dict, fmt: str, record_file) -> str:
+def cmd_quench(config: dict, fmt: str, record_path) -> str:
     options = _needed(config, "quench", "quench")
     H0 = build_system(_needed(config, "system", "quench"))
     report = thermo.quench_work(H0, build_system(options["system2"]), options["beta"])
@@ -183,14 +190,14 @@ def cmd_quench(config: dict, fmt: str, record_file) -> str:
     return _emit_table(rows, ["W_avg", "dF", "W_irr"], fmt)
 
 
-def cmd_overlap(config: dict, fmt: str, record_file) -> str:
+def cmd_overlap(config: dict, fmt: str, record_path) -> str:
     options = _needed(config, "overlap", "overlap")
     H_a = build_system(_needed(config, "system", "overlap"))
     p0 = thermo.ground_state_overlap(H_a, build_system(options["system_b"]))
     return _emit_table([(p0,)], ["P0"], fmt)
 
 
-def cmd_sweep(config: dict, fmt: str, record_file) -> str:
+def cmd_sweep(config: dict, fmt: str, record_path) -> str:
     options = _needed(config, "sweep", "sweep")
     if options["kind"] == "beta":
         H = build_system(_needed(config, "system", "sweep"))
@@ -212,16 +219,11 @@ def cmd_sweep(config: dict, fmt: str, record_file) -> str:
 
 def _load_config(path: str) -> dict:
     try:
-        with open(path) as fh:
-            text = fh.readline()
-            if text.startswith("#"):
-                # a report or record names its config in its leading '#' lines;
-                # the first other line ends them, so a record body is never read
-                while text.startswith("#") and not text.startswith("# config="):
-                    text = fh.readline()
-                text = text[len("# config="):] if text.startswith("#") else ""
-            else:
-                text += fh.read()
+        with open(path, "rb") as fh:
+            # a report or record names its config in its leading '#' lines;
+            # the first other line ends them, so a record body is never read
+            header = read_header(fh)
+            text = header.get("config", "") if header else fh.read().decode()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
@@ -245,8 +247,8 @@ def _write_output(path: str | None, pieces) -> None:
         raise ConfigError(f"cannot write output {path}: {exc}") from exc
 
 
-# each command takes the checked config, the output format and the --record file
-# open in binary mode, or None; it returns a string, or text pieces for ``sample``
+# each command takes the checked config, the output format and the --record path,
+# or None; it returns a string, or text pieces for ``sample``
 COMMANDS = {"spectrum": cmd_spectrum, "sample": cmd_sample, "reconstruct": cmd_reconstruct,
             "thermo": cmd_thermo, "quench": cmd_quench, "overlap": cmd_overlap,
             "sweep": cmd_sweep}
@@ -273,17 +275,7 @@ def main(argv=None) -> int:
         # the whole config is checked once, before any work
         checked = CONFIG.check(config)
 
-        record = None
-        try:
-            record = None if args.record is None else open(args.record, "rb")
-            output = COMMANDS[args.command](checked, args.format, record)
-        except OSError as exc:
-            if args.record is None:
-                raise
-            raise ConfigError(f"cannot read record {args.record}: {exc}") from exc
-        finally:
-            if record is not None:
-                record.close()
+        output = COMMANDS[args.command](checked, args.format, args.record)
         # every output opens with the config as given, so it can be rerun from its
         # header; no name holds the header, so it is freed once written
         _write_output(args.out, chain(["# config=" + json.dumps(config, sort_keys=True) + "\n"],

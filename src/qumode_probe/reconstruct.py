@@ -216,7 +216,7 @@ def detect_peaks(hist: Histogram, probe: ProbeConfig,
     """Cut the occupied histogram bins into spectral lines.
 
     A line is the run of occupied bins between two consecutive cuts.
-    Gap cuts fall where occupied bins lie more than
+    Gap cuts fall where occupied bins that are not adjacent lie more than
     ``max(bin_width, 3 * sigma_p)`` apart, so sparse tail counts cannot
     bridge well-separated lines.  Valley cuts split each cluster between
     gap cuts at its significant valleys (``_valley_cuts``), so
@@ -241,9 +241,10 @@ def detect_peaks(hist: Histogram, probe: ProbeConfig,
     smooth_bins = max(1, int(round(probe.momentum_std() / hist.bin_width)))
     occupied = np.flatnonzero(hist.counts)
     centers = hist.centers
-    # cuts are positions in ``occupied``; line k is occupied[cuts[k]:cuts[k + 1]]
-    gap_cuts = [0, *(np.flatnonzero(np.diff(centers[occupied]) > gap) + 1).tolist(),
-                len(occupied)]
+    # cuts are positions in ``occupied``; line k is occupied[cuts[k]:cuts[k + 1]].
+    # Adjacent bins are never cut, as rounding lifts half their gaps above bin_width
+    apart = (np.diff(occupied) > 1) & (np.diff(centers[occupied]) > gap)
+    gap_cuts = [0, *(np.flatnonzero(apart) + 1).tolist(), len(occupied)]
     cuts = [0]
     for a, b in zip(gap_cuts[:-1], gap_cuts[1:]):
         valleys = _valley_cuts(hist.counts, occupied[a], occupied[b - 1], smooth_bins)

@@ -86,7 +86,8 @@ _BLOCK_ENTRIES = 2 ** 16
 
 
 def _boltzmann(E: np.ndarray, g: np.ndarray, betas: np.ndarray):
-    """log Z, U = <E> and C = beta^2 Var(E) at every beta over lines (E, g).
+    """log Z, F = -log Z / beta, U = <E> and C = beta^2 Var(E) at every beta
+    over lines (E, g).
 
     log Z is a max-shifted log-sum-exp (Blanchard, Higham & Higham, IMA
     J. Numer. Anal. 41, 2021), so it stays finite where Z itself
@@ -95,14 +96,21 @@ def _boltzmann(E: np.ndarray, g: np.ndarray, betas: np.ndarray):
     shift = E.min()
     de = E - shift
     log_g = np.log(g)
-    log_z, U, C = (np.empty(len(betas)) for _ in range(3))
+    log_z, F, U, C = (np.empty(len(betas)) for _ in range(4))
     rows = max(1, _BLOCK_ENTRIES // len(E))
     for lo in range(0, len(betas), rows):
         block = slice(lo, lo + rows)
         b = betas[block, None]
         with np.errstate(over="ignore"):  # beta (E - E_min) -> inf weighs exp(-inf) = 0
             x = -b * de
-        log_z[block] = _logsumexp(x + log_g) - b[:, 0] * shift
+        lse = _logsumexp(x + log_g)
+        # beta E_min -> inf makes log Z infinite, but not F = E_min - lse / beta,
+        # taken only there; F is undefined at beta = 0, where only log Z is read
+        with np.errstate(over="ignore", divide="ignore"):
+            log_z[block] = lse - b[:, 0] * shift
+            F[block] = -log_z[block] / b[:, 0]
+        over = np.isinf(log_z[block])
+        F[block][over] = shift - lse[over] / b[over, 0]
         w = np.exp(x) * g
         w /= w.sum(axis=-1, keepdims=True)
         U[block] = np.sum(w * E, axis=-1)
@@ -112,10 +120,10 @@ def _boltzmann(E: np.ndarray, g: np.ndarray, betas: np.ndarray):
         # libm pow(beta, 2), as Python's beta ** 2: numpy's b ** 2 is b * b, an
         # ulp away on about one beta in 2000, which would change printed C digits.
         # Above MAX_BETA it overflows, and C is inf or NaN: thermo_report refuses
-        # such a beta, and quench_work reads only log Z
+        # such a beta, and quench_work reads only F
         with np.errstate(over="ignore", invalid="ignore"):
             C[block] = np.float_power(b[:, 0], 2) * var
-    return log_z, U, C
+    return log_z, F, U, C
 
 
 def log_partition_function(spec: Spectrum, beta: float) -> float:
@@ -154,8 +162,9 @@ def thermo_report(spec: Spectrum, beta_hat: float, beta_grid=None) -> ThermoRepo
     """Z, F, C, S curves from a spectrum with known degeneracies.
 
     F = -log Z / beta and S = beta (U - F) come from log Z, so they stay
-    finite where Z = exp(log Z) reads inf or 0.0. F and S are undefined
-    at beta <= 0, and C = beta^2 Var(E) needs beta^2 finite in float64.
+    finite where Z = exp(log Z) reads inf or 0.0, and F also where log Z
+    does. F and S are undefined at beta <= 0, and C = beta^2 Var(E) needs
+    beta^2 finite in float64.
     """
     if beta_grid is None:
         beta_grid = default_beta_grid()
@@ -167,8 +176,7 @@ def thermo_report(spec: Spectrum, beta_hat: float, beta_grid=None) -> ThermoRepo
     if not np.all(betas <= MAX_BETA):
         raise ValueError(f"thermo report requires beta <= {MAX_BETA!r} at every grid point, "
                          "so that beta**2 is finite")
-    log_z, U, C = _boltzmann(spec.energies, spec.degeneracies, betas)
-    F = -log_z / betas
+    log_z, F, U, C = _boltzmann(spec.energies, spec.degeneracies, betas)
     with np.errstate(over="ignore", under="ignore"):
         Z = np.exp(log_z)
     return ThermoReport(
@@ -204,7 +212,7 @@ def quench_work(H0_int: HermitianOperator, H1_int: HermitianOperator,
     spec1 = spectrum_of(rho0, H1_int)
     w_avg = spec1.moment(1) - spec0.moment(1)
 
-    F0, F1 = (-_boltzmann(H.eig().eigenvalues, np.ones(H.dim), np.array([beta]))[0][0] / beta
+    F0, F1 = (_boltzmann(H.eig().eigenvalues, np.ones(H.dim), np.array([beta]))[1][0]
               for H in (H0_int, H1_int))
     df = F1 - F0
     return QuenchReport(W_avg=float(w_avg), dF=float(df), W_irr=float(w_avg - df))

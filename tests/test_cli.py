@@ -48,6 +48,18 @@ def run(tmp_path, command, config, extra=None, out_name="out.txt"):
     return code, text
 
 
+def fresh_cli(tmp_path, command, config):
+    """One CLI call in a fresh interpreter, writing to out.txt, so numpy's
+    warnings reach its stderr."""
+    src = os.path.dirname(os.path.dirname(qumode_probe.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "qumode_probe.cli", command, "--config",
+         write_config(tmp_path, config), "--out", str(tmp_path / "out.txt")],
+        env=env, capture_output=True, text=True, timeout=120)
+
+
 def parse_rows(text):
     lines = [l for l in text.splitlines() if l and not l.startswith("#")]
     header = lines[0].replace(",", " ").split()
@@ -148,6 +160,21 @@ class TestSampleAndReconstruct:
         z = 1 + np.exp(-1.0)
         assert rows[0]["P_hat"] == pytest.approx(1 / z, abs=0.01)
 
+    def test_ideal_probe_keeps_adjacent_bins_in_one_line(self, tmp_path):
+        """An ideal probe's gap is one bin width, which rounding puts below about
+        half of the adjacent bins' centre differences; each line stays whole."""
+        config = {"system": {"diagonal": [0, 1]}, "state": {"thermal_beta": 0.5},
+                  "probe": {"p0": 0.001, "mode": "ideal"},
+                  "sampling": {"n": 20_000, "seed": 1, "detector_bin": 0.007}}
+        code, _ = run(tmp_path, "sample", config, out_name="rec.txt")
+        assert code == 0
+        code, text = run(tmp_path, "reconstruct", config,
+                         extra=["--record", str(tmp_path / "rec.txt")])
+        assert code == 0
+        _, rows = parse_rows(text)
+        assert [row["E_hat"] for row in rows] == pytest.approx([0.0, 1.0], abs=0.007)
+        assert sum(row["count"] for row in rows) == 20_000
+
     def test_byte_identical_reruns(self, tmp_path):
         code1, text1 = run(tmp_path, "sample", self.config(), out_name="a.txt")
         code2, text2 = run(tmp_path, "sample", self.config(), out_name="b.txt")
@@ -219,6 +246,36 @@ class TestThermoCommand:
         beta_hat = float(text.split("# beta_hat=")[1].strip())
         assert beta_hat == pytest.approx(0.8, abs=0.05)
 
+    def test_record_lines_follow_the_reconstruct_section(self, tmp_path):
+        """A min_mass above the top line's mass (0.09) leaves it out of Z, as it
+        leaves it out of the reconstruct report."""
+        config = dict(SQUEEZED_PAIR, system={"diagonal": [0.0, 1.0, 2.0]},
+                      thermo={"beta_grid": [1.0]})
+        code, _ = run(tmp_path, "sample", config, out_name="rec.txt")
+        assert code == 0
+        z = {}
+        for min_mass in (None, 0.15):
+            options = {} if min_mass is None else {"min_mass": min_mass}
+            code, text = run(tmp_path, "thermo", dict(config, reconstruct=options),
+                             extra=["--record", str(tmp_path / "rec.txt")])
+            assert code == 0
+            z[min_mass] = parse_rows(text)[1][0]["Z"]
+        assert z[None] == pytest.approx(1 + np.exp(-1.0) + np.exp(-2.0), rel=0.05)
+        assert z[0.15] == pytest.approx(1 + np.exp(-1.0), rel=0.05)
+
+    def test_short_record_needs_min_mass(self, tmp_path, capsys):
+        """The default min_mass 10/n needs n > 10; a given one reads any record."""
+        record = record_file(tmp_path, b"0000000000000000\n0000000000000000\n"
+                                       b"bff0000000000000\n")  # 0.0, 0.0, -1.0
+        code, _ = run(tmp_path, "thermo", SQUEEZED_PAIR, extra=["--record", record])
+        assert code == EXIT_CONFIG
+        assert "it needs n > 10" in capsys.readouterr().err
+        code, text = run(tmp_path, "thermo", dict(SQUEEZED_PAIR, reconstruct={"min_mass": 0.1}),
+                         extra=["--record", record])
+        assert code == 0
+        # 2 samples at E = 0 and one at E = 1, each read at its bin's centre
+        assert float(text.split("# beta_hat=")[1]) == pytest.approx(np.log(2.0), rel=0.01)
+
 
 def ladder(e0, step, n, beta):
     """log Z, U and Var(E) of the n levels e0 + k step, each once."""
@@ -249,16 +306,9 @@ class TestThermoOnLogZ:
                                              levels, betas):
         config = {"system": system, "state": {"thermal_beta": thermal_beta},
                   "thermo": {"beta_grid": betas}, "sweep": {"kind": "beta", "values": betas}}
-        out = tmp_path / "out.txt"
-        src = os.path.dirname(os.path.dirname(qumode_probe.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        child = subprocess.run(
-            [sys.executable, "-m", "qumode_probe.cli", command, "--config",
-             write_config(tmp_path, config), "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=120)
+        child = fresh_cli(tmp_path, command, config)
         assert (child.returncode, child.stderr) == (0, "")
-        _, rows = parse_rows(out.read_text())
+        _, rows = parse_rows((tmp_path / "out.txt").read_text())
         assert [row["beta"] for row in rows] == betas
         for row in rows:
             b = row["beta"]
@@ -271,6 +321,25 @@ class TestThermoOnLogZ:
             assert [(row["Z"], row["F"]) for row in rows] == [(0.0, 100.0)]
         if levels[2] == 1:  # one level: no variance, so C is exactly 0
             assert [row["C"] for row in rows] == [0.0] * len(betas)
+
+    @pytest.mark.parametrize("command, config, expected", [
+        pytest.param("sweep", {"system": {"diagonal": [1e200, 2e200]},
+                               "sweep": {"kind": "beta", "values": [1e120]}},
+                     {"beta": 1e120, "Z": 0.0, "F": 1e200, "C": 0.0, "S": 0.0},
+                     id="sweep-diagonal-1e200"),
+        # the Dicke ground energy is -1.5 an ulp out, as at any finite beta
+        pytest.param("quench", {"system": {"model": "dicke", "n_atoms": 3},
+                                "quench": {"system2": {"model": "rabi", "n_sites": 2},
+                                           "beta": 1e308}},
+                     {"W_avg": 1.5, "dF": -0.4999999999999998, "W_irr": 1.9999999999999998},
+                     id="quench-dicke-rabi"),
+    ])
+    def test_free_energy_where_log_z_overflows(self, tmp_path, command, config, expected):
+        """beta E_min overflows, so log Z is infinite; F = E_min - logsumexp / beta is not."""
+        child = fresh_cli(tmp_path, command, config)
+        assert (child.returncode, child.stderr) == (0, "")
+        _, rows = parse_rows((tmp_path / "out.txt").read_text())
+        assert rows == [expected]
 
 
 class TestQuenchCommand:
@@ -838,13 +907,7 @@ SQUEEZED_PAIR = {"system": {"diagonal": [0.0, 1.0]}, "state": {"thermal_beta": 1
 ])
 def test_extreme_inputs_print_no_warning(tmp_path, command, config, code, err):
     """An overflow that the code handles prints no numpy warning in a CLI child."""
-    src = os.path.dirname(os.path.dirname(qumode_probe.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    child = subprocess.run(
-        [sys.executable, "-m", "qumode_probe.cli", command, "--config",
-         write_config(tmp_path, config), "--out", str(tmp_path / "out.txt")],
-        env=env, capture_output=True, text=True, timeout=120)
+    child = fresh_cli(tmp_path, command, config)
     assert "Warning" not in child.stderr
     assert (child.returncode, child.stderr) == (code, err)
 
@@ -919,6 +982,10 @@ class TestRecordFormat:
         pytest.param(b"3ff0000000000000 3ff000000000000\n", id="newline-moved"),
         pytest.param("3ff000000000000é\n".encode(), id="non-ascii-utf8"),
         pytest.param(b"3ff00000000000\xff\xfe\n", id="non-ascii-bytes"),
+        # whitespace in the digit columns; bytes.fromhex would skip the newlines
+        # and read these 8 lines as 7 samples
+        pytest.param(b"00000000000000\n\n\n" * 8, id="newlines-in-digits"),
+        pytest.param(b"3ff000000000000\r\n", id="carriage-return"),
     ])
     @pytest.mark.parametrize("command", ["reconstruct", "thermo"])
     def test_malformed_body_exits_2(self, tmp_path, capsys, command, body):
@@ -999,7 +1066,8 @@ class TestFileErrors:
                 raise OSError(errno.EIO, "Input/output error")
 
         def open_failing(file, mode="r", *args, **kwargs):
-            if mode == "rb":
+            # the config is opened "rb" too, so the record is told apart by its path
+            if file == path:
                 return FailingBody(io.FileIO(file))
             return open(file, mode, *args, **kwargs)
 

@@ -263,7 +263,7 @@ def detect_peaks_reference(hist, probe, min_mass=None):
     centers = hist.centers
     clusters = [[occupied[0]]]
     for i in occupied[1:]:
-        if centers[i] - centers[clusters[-1][-1]] > gap:
+        if i - clusters[-1][-1] > 1 and centers[i] - centers[clusters[-1][-1]] > gap:
             clusters.append([i])
         else:
             clusters[-1].append(i)

@@ -12,7 +12,9 @@ CDF, inverse CDF and density.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar, Union
 
 import numpy as np
@@ -24,6 +26,78 @@ MAX_BINS = 2 ** 24  # bins one histogram or detector binning may span, occupied 
 # delta initial states are not representable in quadrature; the oracle
 # substitutes a strongly squeezed Gaussian instead
 IDEAL_SURROGATE_SQUEEZING = 1e4
+
+
+# Cephes ndtri, the inverse normal CDF (S. L. Moshier, Methods and Programs for
+# Mathematical Functions, 1989), ported with its coefficients, branch points and
+# order of operations, so it returns the C original's float64 bits.
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_SQRT_2PI = 2.50662827463100050242
+# centre, exp(-2) < y <= 1 - exp(-2): y - 1/2 times a rational in (y - 1/2)^2
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+# tails, x = sqrt(-2 log y) in (2, 8) for the tail mass y: rational in 1/x
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+# far tails, x >= 8 (y < exp(-32))
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _rational(x: np.ndarray, P: tuple, Q: tuple) -> np.ndarray:
+    """x * P(x) / Q(x) in Cephes's order: Horner from the leading coefficient,
+    Q monic with its leading 1 not stored, and the product before the quotient."""
+    p = np.full_like(x, P[0])
+    q = x + Q[0]
+    for c in P[1:]:
+        p *= x
+        p += c
+    for c in Q[1:]:
+        q *= x
+        q += c
+    return x * p / q
+
+
+def _log(y: np.ndarray) -> np.ndarray:
+    """libm's log, one element at a time: numpy's SIMD log differs from it in the
+    last bits on some inputs."""
+    return np.fromiter(map(math.log, y.tolist()), float, count=y.size)
+
+
+def _ndtri(u) -> np.ndarray:
+    """Inverse standard normal CDF, bit for bit Cephes's ndtri: -inf at 0, inf
+    at 1, nan outside [0, 1]."""
+    u = np.asarray(u, dtype=float)
+    flat = u.reshape(-1)
+    upper = flat > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - flat, flat)  # the upper tail folded onto the lower, as Cephes does
+    # the central rational everywhere (Q0 has no zero for (y - 1/2)^2 <= 1/4),
+    # then the tails over it
+    c = y - 0.5
+    x = (c + c * _rational(c * c, _P0, _Q0)) * _SQRT_2PI
+    tail = np.flatnonzero(~(y > _EXP_M2))
+    y = y[tail]
+    t = np.where(y == 0, np.inf, np.nan)
+    inside = y > 0
+    r = np.sqrt(-2.0 * _log(y[inside]))
+    z = 1.0 / r
+    x1 = _rational(z, _P1, _Q1)
+    far = r >= 8.0
+    x1[far] = _rational(z[far], _P2, _Q2)
+    t[inside] = r - _log(r) / r - x1
+    x[tail] = np.where(upper[tail], t, -t)
+    return x.reshape(u.shape)
 
 
 def _check_positive(name: str, value: float):
@@ -104,8 +178,7 @@ class Squeezed:
         return ndtr(np.asarray(x) / self.std)
 
     def inverse_cdf(self, u) -> np.ndarray:
-        from scipy.special import ndtri  # lazy, as in cdf
-        return self.std * ndtri(u)
+        return self.std * _ndtri(u)
 
     def density(self, x) -> np.ndarray:
         sd = self.std
@@ -167,6 +240,14 @@ class LineMixture:
         points.flags.writeable = weights.flags.writeable = False
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
+
+    @cached_property
+    def cumulative_weights(self) -> np.ndarray:
+        """Running sum of ``weights``, read-only, built on first read: a draw's
+        line is the first whose cumulative weight reaches its uniform."""
+        cumulative = np.cumsum(self.weights)
+        cumulative.flags.writeable = False
+        return cumulative
 
     def density(self, p) -> np.ndarray:
         """Probability density at ``p``; a delta kernel has none."""

@@ -7,8 +7,12 @@ and independent of how the draws are split into chunks:
 ``sample_measurements(..., start=s)`` draws j in [s, s + n) without
 generating the draws before s.
 
-``MAX_SAMPLES`` (10**7) is the largest ``sampling.n`` the command line
-accepts; its record is 170 MB of text.
+A squeezed draw costs about 0.23 us, most of it the inverse normal CDF
+(a numpy port of Cephes ``ndtri``), against 0.07 us for a bin probe's
+(2-core Xeon, 2**16-draw chunks).  ``MAX_SAMPLES`` (10**7) is the largest
+``sampling.n`` the command line accepts; its record is 170 MB of text, and
+a fresh ``sample`` child that writes it for a squeezed probe takes about
+2.4 s there.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ def sample_measurements(dist: LineMixture, n: int, seed: int,
     if n < 1:
         raise ValueError("need at least one sample")
     u_line, u_kernel = _uniform_pairs(seed, start, n)
-    idx = np.searchsorted(np.cumsum(dist.weights), u_line, side="left")
+    idx = np.searchsorted(dist.cumulative_weights, u_line, side="left")
     idx = np.minimum(idx, len(dist.weights) - 1)
     return MeasurementRecord(samples=dist.points[idx] + dist.mode.inverse_cdf(u_kernel),
                              seed=seed, detector_bin=detector_bin)

@@ -838,8 +838,9 @@ print(json.dumps(loaded))
 """
 
 
-def test_cli_calls_leave_scipy_unloaded_unless_a_squeezed_probe_is_sampled(tmp_path):
-    """Only sampling or detector-binning a squeezed probe needs scipy.special."""
+def test_cli_calls_leave_scipy_unloaded_unless_a_squeezed_probe_is_detector_binned(tmp_path):
+    """Only detector-binning a squeezed probe needs scipy (``scipy.special.ndtr``);
+    sampling one loads no scipy module."""
     two_lines = {"system": {"diagonal": [0.0, 1.0]}, "state": {"thermal_beta": 1.0},
                  "sampling": {"n": 20_000, "seed": 3}, "thermo": {"beta_grid": [1.0]}}
     bin_probe = dict(two_lines, probe={"p0": 0.0, "g": 1.0, "tau": 1.0,
@@ -850,6 +851,7 @@ def test_cli_calls_leave_scipy_unloaded_unless_a_squeezed_probe_is_sampled(tmp_p
     squeezed = dict(two_lines, probe={"p0": 0.0, "g": 1.0, "tau": 1.0,
                                       "mode": {"kind": "squeezed", "s": 20.0}},
                     sampling={"n": 1000, "seed": 3})
+    squeezed_binned = dict(squeezed, sampling={"n": 1000, "seed": 3, "detector_bin": 0.05})
     quench = dict(two_lines, quench={"system2": {"diagonal": [1.0, 0.0]}})
     overlap = dict(two_lines, overlap={"system_b": {"diagonal": [0.0, 2.0]}})
     record = ["--record", str(tmp_path / "rec.txt")]
@@ -863,6 +865,7 @@ def test_cli_calls_leave_scipy_unloaded_unless_a_squeezed_probe_is_sampled(tmp_p
         ("quench", quench, []),
         ("overlap", overlap, []),
         ("sample-squeezed", squeezed, []),
+        ("sample-squeezed-binned", squeezed_binned, []),  # last: the modules stay loaded
     ]
     argvs = []
     for name, config, extra in steps:
@@ -876,9 +879,9 @@ def test_cli_calls_leave_scipy_unloaded_unless_a_squeezed_probe_is_sampled(tmp_p
                          env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     loaded = json.loads(out.stdout)
-    squeezed_modules = loaded.pop("sample-squeezed")
+    binned_modules = loaded.pop("sample-squeezed-binned")
     assert loaded == {name: [] for name in loaded}
-    assert "scipy.special" in squeezed_modules
+    assert "scipy.special" in binned_modules
 
 
 SQUEEZED_PAIR = {"system": {"diagonal": [0.0, 1.0]}, "state": {"thermal_beta": 1.0},
@@ -925,7 +928,7 @@ class TestRecordFormat:
     def test_squeezed_record_bytes_are_pinned(self, tmp_path):
         """The whole ``sample`` output for a squeezed probe, as written before the three
         distribution types became one ``LineMixture``; it rests on numpy's Philox
-        stream and scipy's ``ndtri``."""
+        stream and Cephes's ``ndtri``, evaluated in numpy."""
         code, text = run(tmp_path, "sample", dict(SQUEEZED_PAIR, sampling={"n": 5000, "seed": 5}))
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest() == (

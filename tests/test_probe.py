@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtri
 
 from qumode_probe.operators import (
     HermitianOperator,
@@ -19,12 +22,13 @@ from qumode_probe.probe import (
     LineMixture,
     ProbeConfig,
     Squeezed,
+    _ndtri,
     apply_detector_binning,
     dephasing_function,
     distribution_for,
     map_p_to_E,
 )
-from qumode_probe.sampling import sample_measurements
+from qumode_probe.sampling import _uniform_pairs, sample_measurements
 
 
 def ideal_probe(p0=0.0, g=1.0, tau=1.0):
@@ -163,6 +167,35 @@ class TestSqueezedDistribution:
     def test_integrates_to_one(self, spec, s):
         dist = distribution_for(spec, ProbeConfig(0.0, 1.0, 1.0, Squeezed(s)))
         assert dist.weights.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def neighbours(y):
+    return [np.nextafter(y, 0.0), y, np.nextafter(y, 1.0)]
+
+
+class TestNdtriPort:
+    """The numpy port of Cephes ndtri returns scipy's float64 bits."""
+
+    EDGES = [0.0, 2.0 ** -53, 5e-324, 1e-300, 0.5, 1 - 2.0 ** -53,
+             *neighbours(math.exp(-2)), *neighbours(1 - math.exp(-2)),
+             *neighbours(math.exp(-32))]  # branch points: central/tail, then x = 8 in the tail
+
+    @staticmethod
+    def assert_same_bits(u):
+        np.testing.assert_array_equal(_ndtri(u).view(np.int64), ndtri(u).view(np.int64))
+
+    def test_edges_and_branch_points(self):
+        self.assert_same_bits(np.array(self.EDGES))
+
+    def test_kernel_uniforms_of_the_sampling_stream(self):
+        for seed in (0, 7):
+            self.assert_same_bits(_uniform_pairs(seed, 0, 2 ** 19)[1])
+
+    def test_shapes_and_out_of_range(self):
+        assert _ndtri(0.5).shape == ()
+        assert _ndtri(np.full((2, 3), 0.01)).shape == (2, 3)
+        assert np.isnan(_ndtri(np.array([-0.5, 1.5, np.nan]))).all()
+        np.testing.assert_array_equal(_ndtri(np.array([0.0, 1.0])), [-np.inf, np.inf])
 
 
 class TestMapPToE:

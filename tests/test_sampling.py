@@ -119,6 +119,14 @@ def test_chunks_from_start_tile_the_single_draw(chunk):
     assert np.array_equal(np.concatenate([p.samples for p in parts]), whole.samples)
 
 
+def test_cumulative_weights_are_summed_once():
+    dist = two_peak_mixture()
+    cumulative = dist.cumulative_weights
+    assert dist.cumulative_weights is cumulative
+    assert np.array_equal(cumulative, np.cumsum(dist.weights))
+    assert not cumulative.flags.writeable
+
+
 def test_odd_start_rejected():
     with pytest.raises(ValueError, match="partition start must be even"):
         sample_measurements(two_peak_mixture(), 10, seed=1, start=3)

@@ -30,8 +30,7 @@ from .operators import (
 )
 from .probe import apply_detector_binning, distribution_for
 from .sampling import sample_measurements
-from .serialize import (matrix_from_payload, probe_from_dict, read_header, read_record,
-                        record_body, record_header)
+from .serialize import read_header, read_record, record_body, record_header
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -51,7 +50,7 @@ def _needed(config: dict, section: str, command: str) -> dict:
 def build_system(spec: dict) -> HermitianOperator:
     """The operator of a checked system section."""
     if "matrix" in spec:
-        return HermitianOperator(matrix_from_payload(spec["matrix"]))
+        return HermitianOperator(spec["matrix"])
     if "diagonal" in spec:
         return HermitianOperator(np.diag(np.asarray(spec["diagonal"], dtype=float)))
     if spec["model"] == "rabi":
@@ -63,7 +62,7 @@ def build_state(spec: dict, H: HermitianOperator) -> SystemState:
     """The state of a checked state section.  Every alternative but 'matrix'
     is a vector of populations on H's eigenbasis."""
     if "matrix" in spec:
-        return SystemState(matrix_from_payload(spec["matrix"]))
+        return SystemState(spec["matrix"])
     if "thermal_beta" in spec:
         return thermal_state(H, spec["thermal_beta"])
     if "random_populations" in spec:
@@ -86,21 +85,21 @@ def _rows(*columns: np.ndarray) -> list[tuple]:
     return list(zip(*(column.tolist() for column in columns)))
 
 
-def _exact_lines(config: dict, command: str, **options):
-    """The lines of the config's state on its system."""
+def _exact_lines(config: dict, command: str):
+    """The lines of the config's state on its system, merged within ``merge_tol``."""
     H = build_system(_needed(config, "system", command))
-    return spectrum_of(build_state(config["state"], H), H, **options)
+    return spectrum_of(build_state(config["state"], H), H, merge_tol=config["merge_tol"])
 
 
 def cmd_spectrum(config: dict, fmt: str, record_path) -> str:
-    spec = _exact_lines(config, "spectrum", merge_tol=config["merge_tol"])
+    spec = _exact_lines(config, "spectrum")
     return _emit_table(_rows(spec.energies, spec.populations, spec.degeneracies),
                        ["E", "P", "g"], fmt)
 
 
 def cmd_sample(config: dict, fmt: str, record_path):
     """The record as an iterator of text pieces, drawn SAMPLE_CHUNK draws at a time."""
-    probe = probe_from_dict(config["probe"])
+    probe = config["probe"]
     n, seed, detector_bin = (config["sampling"][key] for key in ("n", "seed", "detector_bin"))
     dist = distribution_for(_exact_lines(config, "sample"), probe)
     if detector_bin > 0:
@@ -124,11 +123,10 @@ def _reconstruction(config: dict, record_path: str | None):
     it, read one block at a time."""
     if record_path is None:
         raise ConfigError("reconstruct requires --record")
-    probe = probe_from_dict(config["probe"])
     try:
         with open(record_path, "rb") as fh:
-            record, embedded_probe, blocks = read_record(fh)
-            probe = probe if embedded_probe is None else embedded_probe
+            record, probe, blocks = read_record(fh)
+            probe = config["probe"] if probe is None else probe
             # the section's keys are reconstruct_blocks' bin_width and min_mass
             recon = reconstruct.reconstruct_blocks(blocks, probe, record.detector_bin,
                                                    **config["reconstruct"])
@@ -156,9 +154,6 @@ def _thermo_rows(report: thermo.ThermoReport) -> list[list]:
 
 def cmd_thermo(config: dict, fmt: str, record_path) -> str:
     options = config["thermo"]
-    beta_grid = options["beta_grid"]  # a list, or {lo, hi, num}
-    if type(beta_grid) is dict:
-        beta_grid = thermo.default_beta_grid(beta_grid["lo"], beta_grid["hi"], beta_grid["num"])
     if record_path is None:
         spec = _exact_lines(config, "thermo")
     else:
@@ -177,7 +172,7 @@ def cmd_thermo(config: dict, fmt: str, record_path) -> str:
     anchor = options["anchor"]
     g = np.where(np.arange(n_lines) == anchor, options["anchor_g"], 1)
     with_g = thermo.recover_degeneracies(replace(spec, degeneracies=g), beta_hat, anchor=anchor)
-    report = thermo.thermo_report(with_g, beta_hat, beta_grid)
+    report = thermo.thermo_report(with_g, beta_hat, options["beta_grid"])
     body = _emit_table(_thermo_rows(report), ["beta", "Z", "F", "C", "S"], fmt)
     return body + f"# beta_hat={report.beta_hat!r}\n"
 
@@ -202,15 +197,15 @@ def cmd_sweep(config: dict, fmt: str, record_path) -> str:
     if options["kind"] == "beta":
         H = build_system(_needed(config, "system", "sweep"))
         # populations unused; only E and g drive the grid
-        spec = spectrum_of(thermal_state(H, 0.0), H)
+        spec = spectrum_of(thermal_state(H, 0.0), H, merge_tol=config["merge_tol"])
         # the grid is given, so there is no estimated beta to report
         report = thermo.thermo_report(spec, float("nan"), options["values"])
         return _emit_table(_thermo_rows(report), ["beta", "Z", "F", "C", "S"], fmt)
     if options["family"] == "dicke":
         build = models.dicke_family(options["n_atoms"])
     else:
-        build = models.linear_family(*(HermitianOperator(matrix_from_payload(options[key]))
-                                       for key in ("base", "coupling")))
+        build = models.linear_family(HermitianOperator(options["base"]),
+                                     HermitianOperator(options["coupling"]))
     H_ref = build(options["lambda_ref"])
     rows = [(float(lam), thermo.ground_state_overlap(H_ref, build(float(lam))))
             for lam in options["values"]]

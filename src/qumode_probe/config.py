@@ -8,6 +8,9 @@ alternatives together, or a value its rule refuses is a ConfigError naming the
 key (JSON Schema's ``additionalProperties: false`` and ``oneOf``, as an idea).
 ``CONFIG.check`` returns the config with values converted and defaults filled
 in; lists come back as given, and an absent section whose default is None as None.
+A table's ``read`` builds the value of its checked dict, so each literal is parsed
+once: a matrix to its complex ndarray, the probe to a ``ProbeConfig``, and a
+``{lo, hi, num}`` beta grid to its betas.
 """
 
 from __future__ import annotations
@@ -20,10 +23,12 @@ from dataclasses import fields
 from itertools import chain
 from typing import NamedTuple
 
+import numpy as np
+
 from .operators import DEGENERACY_MERGE_TOL, DIMENSION_CAP
-from .probe import MODES
+from .probe import MODES, ProbeConfig
 from .sampling import MAX_SAMPLES
-from .thermo import MAX_BETA_GRID
+from .thermo import MAX_BETA_GRID, default_beta_grid
 
 SEED_MAX = 2 ** 128 - 1  # the Philox key range
 # values of a 'sweep' of kind 'lambda', one eigensolve each (0.2-0.3 s at d = 1024 on 2 cores)
@@ -110,13 +115,14 @@ class Table(NamedTuple):
     """An object of known keys.  With ``one_of``, exactly one of ``keys`` is given
     (a variant's keys aside).  With ``bare``, a string s stands for {bare: s};
     ``other`` is the rule of a value that is no object; ``relate`` checks the
-    checked keys against each other."""
+    checked keys against each other, and ``read`` builds the value from them."""
     keys: dict
     default: object = REQUIRED
     one_of: bool = False
     bare: str | None = None
     other: Rule | None = None
     relate: Callable | None = None
+    read: Callable | None = None
 
     def rules(self, value: dict, path: str) -> dict:
         """The rule of every key that ``value`` may hold: the table's own, and
@@ -150,7 +156,7 @@ class Table(NamedTuple):
                    if key in value or not (self.one_of and key in self.keys)}
         if self.relate is not None:
             self.relate(checked, path)
-        return checked
+        return checked if self.read is None else self.read(checked)
 
 
 def _square(matrix: dict, path: str) -> None:
@@ -164,13 +170,19 @@ def _ascending(grid: dict, path: str) -> None:
         raise ConfigError(f"{path} needs lo <= hi, got lo={grid['lo']!r}, hi={grid['hi']!r}")
 
 
+def _matrix(literal: dict) -> np.ndarray:
+    """The complex matrix of a checked literal; operators store a real one as float64."""
+    # a C-ordered (n, 2) float array is n complex numbers in memory
+    return np.array(literal["entries"], dtype=float).view(complex).reshape(literal["dim"], -1)
+
+
 # {dim, entries}: dim**2 [re, im] pairs, row-major
 MATRIX = Table({
     "dim": integer(1, DIMENSION_CAP),
     "entries": numbers(DIMENSION_CAP ** 2, what="[re, im] pairs of numbers",
                        items=lambda v: set(map(type, v)) <= {list} and set(map(len, v)) <= {2}
                        and _numbers(chain.from_iterable(v))),
-}, relate=_square)
+}, relate=_square, read=_matrix)
 SYSTEM = Table({
     "model": tag({"rabi": {"n_sites": integer(1, sys.maxsize, 1)},
                   "dicke": {"n_atoms": integer(1, sys.maxsize)}}),
@@ -183,8 +195,9 @@ PROBE = Table({
     "tau": number("positive", 1.0),
     # the keys of a mode are 'kind' and the fields of MODES[kind]
     "mode": Table({"kind": tag({kind: {field.name: number("positive") for field in fields(mode)}
-                                for kind, mode in MODES.items()})}, bare="kind"),
-}, default={"mode": "ideal"})
+                                for kind, mode in MODES.items()})}, bare="kind",
+                  read=lambda mode: MODES[mode.pop("kind")](**mode)),
+}, default={"mode": "ideal"}, read=lambda probe: ProbeConfig(**probe))
 CONFIG = Table({
     "system": SYSTEM._replace(default=None),
     "state": Table({
@@ -210,7 +223,8 @@ CONFIG = Table({
             "lo": number("positive", 0.1),
             "hi": number("positive", 10.0),
             "num": integer(1, MAX_BETA_GRID, 50),
-        }, default={}, other=numbers(MAX_BETA_GRID), relate=_ascending),
+        }, default={}, other=numbers(MAX_BETA_GRID), relate=_ascending,
+            read=lambda grid: default_beta_grid(**grid)),
         "line0": integer(-sys.maxsize, sys.maxsize, 0),
         "line1": integer(-sys.maxsize, sys.maxsize, 1),
         "anchor": integer(-sys.maxsize, sys.maxsize, 0),

@@ -7,12 +7,12 @@ from typing import Callable
 
 import numpy as np
 
-from .operators import HermitianOperator, site_sum, spin_x
+from .operators import HermitianOperator, sigma_x, site_sum, spin_x
 
 
 def rabi_interaction(n_sites: int = 1) -> HermitianOperator:
     """sigma_x summed over an array of two-level systems (one by default)."""
-    return site_sum(spin_x(1, pauli=True), n_sites)
+    return site_sum(sigma_x(), n_sites)
 
 
 def dicke_interaction(n_atoms: int) -> HermitianOperator:

@@ -280,12 +280,9 @@ class Spectrum:
         return float(np.sum(self.populations * self.energies ** m))
 
 
-def spin_x(two_j: int, pauli: bool = False) -> HermitianOperator:
-    """Spin-x operator for total spin j = two_j / 2 (dimension two_j + 1).
-
-    Uses the physics normalization J_x built from ladder operators; with
-    ``pauli=True`` and two_j == 1 the result is doubled to sigma_x.
-    """
+def spin_x(two_j: int) -> HermitianOperator:
+    """Spin-x operator for total spin j = two_j / 2 (dimension two_j + 1), in
+    the physics normalization J_x built from ladder operators."""
     if two_j < 0:
         raise ValueError("two_j must be nonnegative")
     j = two_j / 2.0
@@ -298,15 +295,11 @@ def spin_x(two_j: int, pauli: bool = False) -> HermitianOperator:
     jx = np.zeros((dim, dim), dtype=complex)
     jx[np.arange(dim - 1), np.arange(1, dim)] = upper
     jx[np.arange(1, dim), np.arange(dim - 1)] = upper
-    if pauli:
-        if two_j != 1:
-            raise ValueError("pauli normalization only applies to two_j = 1")
-        jx *= 2.0
     return HermitianOperator(jx)
 
 
 def sigma_x() -> HermitianOperator:
-    return spin_x(1, pauli=True)
+    return HermitianOperator(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def sigma_z() -> HermitianOperator:

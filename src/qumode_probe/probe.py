@@ -21,7 +21,8 @@ import numpy as np
 
 from .operators import ConvergenceError, HermitianOperator, Spectrum, SystemState, spectrum_of
 
-MAX_BINS = 2 ** 24  # bins one histogram or detector binning may span, occupied or not
+# bins one histogram or detector binning may span, occupied or not, and binning may visit
+MAX_BINS = 2 ** 24
 
 # delta initial states are not representable in quadrature; the oracle
 # substitutes a strongly squeezed Gaussian instead
@@ -201,6 +202,7 @@ class ProbeConfig:
             raise ValueError(f"probe p0 must be finite, got {self.p0!r}")
         _check_positive("coupling g", self.g)
         _check_positive("interaction time tau", self.tau)
+        _check_positive(f"probe g*tau = {self.g!r}*{self.tau!r}", self.g_tau)
 
     @property
     def g_tau(self) -> float:
@@ -269,8 +271,6 @@ def distribution_for(spec: Spectrum, probe: ProbeConfig) -> LineMixture:
 
 def map_p_to_E(p, probe: ProbeConfig):
     """Invert the line position map: E = (p0 - p)/(g tau)."""
-    if probe.g_tau == 0:
-        raise ValueError("g*tau must be nonzero")
     return (probe.p0 - np.asarray(p, dtype=float)) / probe.g_tau
 
 
@@ -424,6 +424,17 @@ def distribution_numeric_oracle(state: SystemState, H: HermitianOperator,
     return _oracle_binned(spec, probe, mode, p_grid)
 
 
+def bin_index(x, width: float, origin: float, what: str) -> np.ndarray:
+    """floor((x - origin) / width) as floats: the index k of the bin [origin + k*width,
+    origin + (k+1)*width) that holds each x.  Past 2**53 a float64 index no longer
+    names one bin, so ``what``, the x, may not lie that far from the origin."""
+    idx = np.floor((x - origin) / width)
+    if not np.abs(idx).max() < 2 ** 53:
+        raise ValueError(f"{what} lie over 2**53 bins of width {float(width)!r} "
+                         f"from the bin origin {float(origin)!r}")
+    return idx
+
+
 def apply_detector_binning(dist: LineMixture, bin_width: float,
                            origin: float = 0.0) -> LineMixture:
     """Integrate a distribution over detector bins of the given width.
@@ -432,21 +443,24 @@ def apply_detector_binning(dist: LineMixture, bin_width: float,
     a bin is the difference of its kernel's CDF at the bin's edges, taken
     over the bins the line reaches only.  The result holds one line per
     bin that receives mass, at the bin centre with a uniform kernel of
-    width w.  A span over MAX_BINS bins is rejected before any array of
-    that length is allocated.
+    width w.  A span over MAX_BINS bins, or lines that reach more than
+    MAX_BINS bins in all, are rejected before any array of that length is
+    allocated: near 2**24 bins in all, binning takes 0.1 to 0.5 s over 64
+    to 1024 lines and 1.4 to 1.7 s on one line (2-core Xeon).
     """
     if not bin_width > 0:
         raise ValueError("bin width must be positive")
     w = bin_width
     reach = dist.mode.half_width
     # each line's first and last bin, with one bin of margin against rounding
-    first = np.floor((dist.points - reach - origin) / w) - 1
-    last = np.floor((dist.points + reach - origin) / w) + 1
+    first = bin_index(dist.points - reach, w, origin, "line supports") - 1
+    last = bin_index(dist.points + reach, w, origin, "line supports") + 1
     k_lo = first.min()
     span = last.max() - k_lo + 1
-    if not span <= MAX_BINS:
-        raise ValueError(f"binning at width {w!r} spans {span:.6g} bins, "
-                         f"over the cap of {MAX_BINS}")
+    work = (last - first + 1).sum()
+    if not max(span, work) <= MAX_BINS:
+        raise ValueError(f"binning at width {w!r} spans {span:.6g} bins and visits {work:.6g} "
+                         f"over its {len(first)} lines, over the cap of {MAX_BINS}")
     first, last = (first - k_lo).astype(int), (last - k_lo).astype(int)
     masses = np.zeros(int(span))
     # an edge beyond the float64 range is +-inf, where every kernel's CDF is 0 or 1

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import Spectrum
-from .probe import MAX_BINS, Bin, ProbeConfig, Squeezed, map_p_to_E
+from .probe import MAX_BINS, Bin, ProbeConfig, Squeezed, bin_index, map_p_to_E
 from .sampling import MeasurementRecord
 
 
@@ -88,7 +88,8 @@ def histogram_blocks(blocks: Iterable[np.ndarray], bin_width: float,
     The bins run from the lowest sample's to the highest's.  Each block that
     reaches past them widens them, after the widened span is checked against
     ``MAX_BINS``.  Once the span is over the cap, the remaining blocks are
-    still read, so the error names the record's whole span, but not counted.
+    still read, so the error names the record's whole span, but not counted;
+    a sample 2**53 bins or more from the origin is refused at once.
     """
     if not bin_width > 0:
         raise ValueError("bin width must be positive")
@@ -97,15 +98,11 @@ def histogram_blocks(blocks: Iterable[np.ndarray], bin_width: float,
     for samples in blocks:
         if len(samples) == 0:
             continue
-        idx = np.floor((samples - origin) / bin_width)
+        idx = bin_index(samples, bin_width, origin, "record samples")
         b_lo, b_hi = idx.min(), idx.max()
         lo = b_lo if k_lo is None else min(k_lo, b_lo)
         hi = b_hi if k_hi is None else max(k_hi, b_hi)
         if counts is not None and hi - lo < MAX_BINS:
-            if not max(-lo, hi) < 2 ** 53:
-                # past 2**53 a float64 bin index no longer names one bin
-                raise ValueError(f"record samples lie over 2**53 bins of width "
-                                 f"{float(bin_width)!r} from the bin origin {float(origin)!r}")
             if k_lo is None:
                 counts = np.zeros(int(hi - lo) + 1, dtype=np.intp)
             elif lo < k_lo or hi > k_hi:

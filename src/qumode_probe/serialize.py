@@ -1,14 +1,13 @@
-"""Text formats the command line exchanges: matrix and probe literals in
-a config, and the measurement record.
+"""The measurement record: the text format ``sample`` writes and
+``reconstruct`` and ``thermo --record`` read.
 
-A matrix literal is {dim, entries} with entries a row-major list of
-[re, im] pairs.  A record is a `# key=value` header ending in
-``# columns=p_bits``, followed by one line per sample, the 16 hex digits
-of the sample's float64 bits (see ``record_body``).  The writers are
-deterministic (sorted keys, repr floats) so identical inputs produce
-byte-identical files.  ``read_header`` reads the leading ``#`` lines of a
-record or report, and ``read_record`` then reads a record's body one
-block of lines at a time, so its memory does not grow with the record.
+A record is a `# key=value` header ending in ``# columns=p_bits``,
+followed by one line per sample, the 16 hex digits of the sample's
+float64 bits (see ``record_body``).  The writers are deterministic
+(sorted keys, repr floats) so identical inputs produce byte-identical
+files.  ``read_header`` reads the leading ``#`` lines of a record or
+report, and ``read_record`` then reads a record's body one block of
+lines at a time, so its memory does not grow with the record.
 """
 
 from __future__ import annotations
@@ -21,21 +20,9 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .config import CONFIG, MATRIX, PROBE
-from .probe import MODES, ProbeConfig
+from .config import CONFIG, PROBE
+from .probe import ProbeConfig
 from .sampling import MeasurementRecord
-
-
-def matrix_from_payload(payload) -> np.ndarray:
-    """Square complex matrix from a literal that ``config.MATRIX`` checks.
-
-    A payload whose imaginary parts are all zero is a real matrix: the
-    ``HermitianOperator`` or ``SystemState`` built from it stores float64.
-    """
-    literal = MATRIX.check(payload, "matrix")
-    pairs = np.array(literal["entries"], dtype=float, order="C")
-    # a C-ordered (n, 2) float array is n complex numbers in memory
-    return pairs.view(complex).reshape(literal["dim"], -1)
 
 
 def probe_to_dict(probe: ProbeConfig) -> dict:
@@ -45,10 +32,8 @@ def probe_to_dict(probe: ProbeConfig) -> dict:
 
 def probe_from_dict(payload) -> ProbeConfig:
     """The probe of a config section or a record's ``# probe=`` header, checked
-    by ``config.PROBE``."""
-    probe = PROBE.check(payload, "probe")
-    mode = probe["mode"]
-    return ProbeConfig(probe["p0"], probe["g"], probe["tau"], MODES[mode.pop("kind")](**mode))
+    and built by ``config.PROBE``."""
+    return PROBE.check(payload, "probe")
 
 
 _LINE = 17  # 16 hex digits and "\n"

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .operators import (
+    DEGENERACY_MERGE_TOL,
     HermitianOperator,
     SpectralLine,
     Spectrum,
@@ -23,8 +24,6 @@ from .operators import (
 
 # distance from the nearest integer above which a raw degeneracy is not thermal
 RESIDUAL_TOL = 0.25
-# ground-state gap at or below which the overlap protocol calls a ground state degenerate
-DEGENERACY_TOL = 1e-8
 
 
 class NonThermalSpectrumError(ValueError):
@@ -227,7 +226,8 @@ def ground_state_overlap(H_a: HermitianOperator, H_b: HermitianOperator) -> floa
     energies are gauged to zero internally, so the "zero outcome" of the
     second circuit is its ground line).  That population is
     tr(P_b |g_a><g_a|) = |<g_a|g_b>|^2, so the read-out is the inner
-    product of the two ground eigenvectors.
+    product of the two ground eigenvectors.  A ground state whose gap is at
+    most ``DEGENERACY_MERGE_TOL`` is degenerate, as ``spectrum_of`` merges it.
     """
     if H_a.dim != H_b.dim:
         raise ValueError(f"dimension mismatch: {H_a.dim} vs {H_b.dim}")
@@ -235,7 +235,7 @@ def ground_state_overlap(H_a: HermitianOperator, H_b: HermitianOperator) -> floa
     def ground_vector(H: HermitianOperator) -> np.ndarray:
         dec = H.eig()
         vals = dec.eigenvalues
-        if H.dim > 1 and vals[1] - vals[0] <= DEGENERACY_TOL:
+        if H.dim > 1 and vals[1] - vals[0] <= DEGENERACY_MERGE_TOL:
             raise DegenerateGroundStateError(
                 f"ground-state gap {vals[1] - vals[0]:.3g} below tolerance")
         return dec.eigenvectors[:, 0]

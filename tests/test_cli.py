@@ -30,6 +30,8 @@ from qumode_probe.reconstruct import detect_peaks, histogram
 from qumode_probe.sampling import MAX_SAMPLES, sample_measurements
 from qumode_probe.serialize import probe_from_dict, record_from_text, record_to_text
 
+from conftest import WORKLOADS
+
 
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
@@ -457,6 +459,28 @@ class TestSweepCommand:
         _, rows = parse_rows(text)
         # the family only rescales the coupling, so ground states coincide
         assert all(row["P0"] == pytest.approx(1.0) for row in rows)
+
+
+def test_exact_commands_read_merge_tol(tmp_path, capsys):
+    """At merge_tol 0.1 the levels 0 and 0.05 are one line of g = 2 at 0.025, for
+    spectrum, sample, thermo and a beta sweep alike, so thermo's line indices
+    count spectrum's rows."""
+    config = {"system": {"diagonal": [0.0, 0.05, 1.0]}, "state": {"maximally_mixed": True},
+              "probe": {"mode": "ideal"}, "sampling": {"n": 50, "seed": 1},
+              "thermo": {"line1": 2}, "sweep": {"kind": "beta", "values": [1.0]},
+              "merge_tol": 0.1}
+    code, text = run(tmp_path, "spectrum", config)
+    assert code == 0
+    assert [(row["E"], row["g"]) for row in parse_rows(text)[1]] == [(0.025, 2), (1.0, 1)]
+    code, text = run(tmp_path, "sample", config)
+    assert code == 0
+    assert set(record_from_text(text)[0].samples.tolist()) == {-0.025, -1.0}
+    assert run(tmp_path, "thermo", config, out_name="thermo.txt") == (EXIT_CONFIG, "")
+    assert capsys.readouterr().err == (
+        "config error: thermo.line1 index 2 out of range for 2 lines\n")
+    code, text = run(tmp_path, "sweep", config)
+    assert code == 0
+    assert parse_rows(text)[1][0]["Z"] == pytest.approx(2 * np.exp(-0.025) + np.exp(-1.0))
 
 
 class TestExitCodes:
@@ -1049,6 +1073,40 @@ class TestPinnedReports:
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("workload, digests", [
+        pytest.param("eigen-dense", {
+            "spectrum": "bc794809f4c6a2facdf7db94835e1b823c3fec86e0a6915c5ae9384905365749",
+            "sample": "953554d7c77e6a3297826b557b61eb8d4aebf46b1b6606c66957579e64e252c0",
+            "reconstruct": "22eaaa258e1b2272323e5146df4ec0b9992cb24bb8e05bacd490aff8056a28da",
+            "quench": "366270683ab22d465eb61115dcb0389893a944b88d58a52e2a0e0e062f11e3fb",
+            "overlap": "2fa0e2a04515b8d393f7e96c3b652a13ebd5dab385df8ed2894a9ec21d60d2fc"},
+            id="eigen-dense"),
+        pytest.param("record-heavy", {
+            "sample": "158758de40ba60f27eb1a6afad12b2ebef76e652908dbac7f8aa6305bd6ab5b7",
+            "reconstruct": "3ea9064d3815615198226b6f9ce44ce70af72ba7b45b0ef05b59e5290b4eb2dd",
+            "thermo": "a27dfe3bf1c65f3e6ff13a29897bce1ca445006557b387ea871ca89648e4cde0"},
+            id="record-heavy"),
+        pytest.param("many-lines", {
+            "spectrum": "155e58d547e81b32eea44471f478c993b56cc6d7bba8e5d24f8e1b58dc3adc0d",
+            "sample": "db5826da5f15c9a7c4e7b49d885bbc97fd36eb8a967c2f29e9af7a87fd0a254e",
+            "reconstruct": "6d4e0dd735d2b708e988474bafdd57c0d3a95094b21e2ecc5e47f3caf77f3699",
+            "thermo": "41510a6bc20a7f30d7b6498f170a40462167aed867736dfd5065f485a3e023de"},
+            id="many-lines"),
+    ])
+    def test_benchmark_chains(self, tmp_path, workload, digests):
+        """Every step of a benchmark workload's chain at seed 1, with the arguments
+        the benchmark gives it; ``sample`` writes the record the later steps read."""
+        inputs = WORKLOADS.make_inputs(workload, 1)
+        assert inputs["steps"] == list(digests)
+        for command in inputs["steps"]:
+            reads_record = command == "reconstruct" or (
+                command == "thermo" and inputs["thermo_from_record"])
+            extra = ["--record", str(tmp_path / "rec.txt")] if reads_record else None
+            out_name = "rec.txt" if command == "sample" else f"{command}.txt"
+            code, text = run(tmp_path, command, inputs["config"], extra=extra, out_name=out_name)
+            assert code == 0
+            assert hashlib.sha256(text.encode()).hexdigest() == digests[command], command
+
 
 class TestFileErrors:
     @pytest.mark.parametrize("command", ["reconstruct", "thermo"])
@@ -1119,6 +1177,17 @@ class TestSamplingKeys:
         assert text == ""
         assert capsys.readouterr().err.startswith("config error: sampling.detector_bin must "
                                                   "be nonnegative")
+
+    def test_detector_bin_index_past_2_53_exits_2(self, tmp_path, capsys):
+        """At p0 = 1e12 the index of a 1e-8 bin is past 2**53, where a float64 index
+        names no one bin; binning lost the line's whole mass there instead."""
+        config = {"system": {"diagonal": [0.0]}, "probe": {"p0": 1e12, "mode": "ideal"},
+                  "sampling": {"n": 10, "detector_bin": 1e-8}}
+        code, text = run(tmp_path, "sample", config)
+        assert (code, text) == (EXIT_CONFIG, "")
+        assert capsys.readouterr().err == (
+            "config error: sampling.detector_bin: line supports lie over 2**53 bins of "
+            "width 1e-08 from the bin origin 0.0\n")
 
 
 CLI_CHILD = """
@@ -1226,6 +1295,20 @@ class TestBoundedChildren:
                 peaks[command].append(rss)
         # the 2**22 record is 68 MiB of text holding 32 MiB of samples
         assert all(abs(b - a) < 8 for a, b in peaks.values()), peaks
+
+
+def test_detector_binning_work_is_capped(tmp_path):
+    """1024 lines, each reaching 10**7 bins of width 1e-4, lie in one span under the
+    cap, but took about 4 minutes to bin line by line, past ``fresh_cli``'s 120 s
+    limit.  The bins all lines reach are capped too, so the child exits 2 at once."""
+    config = {"system": {"diagonal": np.linspace(0.0, 1.0, DIMENSION_CAP).tolist()},
+              "state": {"maximally_mixed": True},
+              "probe": {"mode": {"kind": "bin", "L": 1000.0}},
+              "sampling": {"n": 10, "detector_bin": 1e-4}}
+    child = fresh_cli(tmp_path, "sample", config)
+    assert (child.returncode, child.stderr) == (EXIT_CONFIG, (
+        "config error: sampling.detector_bin: binning at width 0.0001 spans 1.001e+07 bins "
+        "and visits 1.024e+10 over its 1024 lines, over the cap of 16777216\n"))
 
 
 FUZZ_CONFIG = dict(SQUEEZED_PAIR, sampling={"n": 2 * SAMPLE_CHUNK + 37, "seed": 3},

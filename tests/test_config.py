@@ -6,7 +6,6 @@ end draws its mutations from the table itself.
 """
 
 import contextlib
-import importlib.util
 import io
 import json
 import math
@@ -18,9 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qumode_probe import cli, thermo
+from qumode_probe import cli, serialize, thermo
 from qumode_probe.cli import EXIT_CONFIG, main
-from qumode_probe.config import CONFIG, MAX_LAMBDA_VALUES, Table
+from qumode_probe.config import CONFIG, MATRIX, MAX_LAMBDA_VALUES, Table
+from qumode_probe.probe import Ideal, ProbeConfig
+
+from conftest import WORKLOADS
 
 ROOT = Path(__file__).resolve().parents[1]
 QUBIT = {"system": {"diagonal": [0.0, 1.0]}, "state": {"thermal_beta": 1.0}}
@@ -93,16 +95,6 @@ def readme_config() -> dict:
     return json.loads(re.search(r"Example config:\n\n```json\n(.*?)```", text, re.S).group(1))
 
 
-def load_workloads():
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-WORKLOADS = load_workloads()
-
-
 @pytest.mark.parametrize("config", [
     *(pytest.param(WORKLOADS.make_inputs(name, seed)["config"], id=f"{name}-{seed}")
       for name in WORKLOADS.WORKLOADS for seed in (1, 2, 3)),
@@ -122,9 +114,9 @@ def test_defaults_are_filled_in_and_lists_not_copied():
     checked = CONFIG.check({"system": {"diagonal": diagonal}})
     assert checked["system"]["diagonal"] is diagonal
     assert checked["state"] == {"thermal_beta": 1.0}
-    assert checked["probe"] == {"p0": 0.0, "g": 1.0, "tau": 1.0, "mode": {"kind": "ideal"}}
+    assert checked["probe"] == ProbeConfig(0.0, 1.0, 1.0, Ideal())
     assert checked["sampling"] == {"n": 1000, "seed": 0, "detector_bin": 0.0}
-    assert checked["thermo"]["beta_grid"] == {"lo": 0.1, "hi": 10.0, "num": 50}
+    assert checked["thermo"]["beta_grid"].tobytes() == thermo.default_beta_grid().tobytes()
     assert checked["quench"] is checked["overlap"] is checked["sweep"] is None
 
 
@@ -166,6 +158,39 @@ def test_record_from_a_misspelt_config_exits_2(tmp_path):
     assert code == EXIT_CONFIG
     assert err.getvalue() == ("config error: sampling has unknown key 'seeed'; known keys: "
                               "detector_bin, n, seed\n")
+
+
+def test_quench_walks_its_matrix_literal_once(tmp_path, monkeypatch):
+    """The table reads a matrix literal to its ndarray, so no command checks it again."""
+    entries = MATRIX.keys["entries"]
+    walks = []
+    monkeypatch.setitem(MATRIX.keys, "entries",
+                        entries._replace(ok=lambda v: walks.append(v) or entries.ok(v)))
+    system2 = {"matrix": {"dim": 2, "entries": [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]}}
+    code, _, err = run(tmp_path, "quench", dict(QUBIT, quench={"system2": system2}))
+    assert (code, err) == (0, "")
+    assert walks == [system2["matrix"]["entries"]]
+
+
+@pytest.mark.parametrize("g_tau", [1e-200, 1e200])
+def test_g_tau_beyond_float64_exits_2_before_any_work(tmp_path, monkeypatch, g_tau):
+    """g and tau are each fine, but their product under- or overflows float64."""
+    message = (f"probe g*tau = {g_tau!r}*{g_tau!r} must be a finite number > 0, "
+               f"got {g_tau * g_tau!r}")
+    config = dict(QUBIT, probe={"g": g_tau, "tau": g_tau, "mode": "ideal"})
+    record = tmp_path / "rec.txt"
+    record.write_text("# probe=" + json.dumps(config["probe"])
+                      + "\n# columns=p_bits\n3ff0000000000000\n")
+    no_work(monkeypatch)
+    assert run(tmp_path, "sample", config) == (EXIT_CONFIG, "", f"config error: {message}\n")
+    # the record's own probe header is refused before its body is read
+
+    def read_body(*args, **kwargs):
+        raise AssertionError("the record body was read")
+    monkeypatch.setattr(cli, "read_record", serialize.read_record)
+    monkeypatch.setattr(cli.reconstruct, "reconstruct_blocks", read_body)
+    assert run(tmp_path, "reconstruct", QUBIT, ["--record", str(record)]) == (
+        EXIT_CONFIG, "", f"config error: bad record probe header: {message}\n")
 
 
 def test_min_mass_outside_0_1_exits_2_before_the_record_is_read(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qumode_probe.config import MATRIX
 from qumode_probe.operators import (
     DIMENSION_CAP,
     EigenDecomposition,
@@ -23,7 +24,6 @@ from qumode_probe.operators import (
 )
 from qumode_probe.reconstruct import Histogram
 from qumode_probe.sampling import MeasurementRecord
-from qumode_probe.serialize import matrix_from_payload
 from qumode_probe.thermo import thermo_report
 
 
@@ -38,8 +38,9 @@ class TestSpinX:
         assert np.allclose(spin_x(1).entries, [[0.0, 0.5], [0.5, 0.0]])
 
     def test_pauli_normalization(self):
-        vals = spin_x(1, pauli=True).eig().eigenvalues
-        assert np.allclose(vals, [-1.0, 1.0])
+        """sigma_x is twice the spin-1/2 J_x, bit for bit."""
+        assert sigma_x().entries.tobytes() == (2.0 * spin_x(1).entries).tobytes()
+        assert np.allclose(sigma_x().eig().eigenvalues, [-1.0, 1.0])
 
     def test_spin_one_spectrum(self):
         vals = spin_x(2).eig().eigenvalues
@@ -49,10 +50,6 @@ class TestSpinX:
         op = spin_x(0)
         assert op.dim == 1
         assert np.allclose(op.entries, 0.0)
-
-    def test_pauli_flag_requires_two_level(self):
-        with pytest.raises(ValueError):
-            spin_x(2, pauli=True)
 
 
 class TestSiteSum:
@@ -423,7 +420,7 @@ class TestDiagonalDecomposition:
         entries = [[2.0, 0.0], [0.0, 0.0], [0.0, 0.0],
                    [0.0, 0.0], [-1.0, 0.0], [0.0, 0.0],
                    [0.0, 0.0], [0.0, 0.0], [2.0, 0.0]]
-        h = HermitianOperator(matrix_from_payload({"dim": 3, "entries": entries}))
+        h = HermitianOperator(MATRIX.check({"dim": 3, "entries": entries}, "matrix"))
         assert h.eig().eigenvalues.tolist() == [-1.0, 2.0, 2.0]
         assert h.eig().eigenvalues.tobytes() == np.linalg.eigh(h.entries)[0].tobytes()
         assert_permutation_decomposition(h)

@@ -3,11 +3,11 @@ import re
 import numpy as np
 import pytest
 
+from qumode_probe.config import MATRIX
 from qumode_probe.operators import HermitianOperator, Spectrum, SystemState, thermal_state
 from qumode_probe.probe import Bin, Ideal, ProbeConfig, Squeezed, distribution_for
 from qumode_probe.sampling import MeasurementRecord, sample_measurements
 from qumode_probe.serialize import (
-    matrix_from_payload,
     probe_from_dict,
     probe_to_dict,
     record_from_text,
@@ -30,7 +30,7 @@ class TestOperatorRoundTrip:
     @pytest.mark.parametrize("dim", [1, 2, 5, 8])
     def test_exact_round_trip(self, dim):
         op = random_hermitian(dim, dim)
-        back = HermitianOperator(matrix_from_payload(payload(op.entries)))
+        back = HermitianOperator(MATRIX.check(payload(op.entries), "matrix"))
         assert np.array_equal(back.entries, op.entries)
 
     def test_entry_count_validated(self):
@@ -38,13 +38,13 @@ class TestOperatorRoundTrip:
         literal["entries"] = literal["entries"][:-1]
         message = r"^matrix\.entries must hold dim\*\*2 = 9 pairs, got 8$"
         with pytest.raises(ValueError, match=message):
-            matrix_from_payload(literal)
+            MATRIX.check(literal, "matrix")
 
 
 class TestStateRoundTrip:
     def test_thermal_state(self):
         state = thermal_state(random_hermitian(4, 3), 1.5)
-        back = SystemState(matrix_from_payload(payload(state.rho)))
+        back = SystemState(MATRIX.check(payload(state.rho), "matrix"))
         assert np.array_equal(back.rho, state.rho)
 
 

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import qumode_probe
 from qumode_probe import probe as probe_module
 from qumode_probe.operators import (
     ConvergenceError,
@@ -249,3 +254,78 @@ def test_half_grid_oracle_matches_full_grid_reference(job, mode):
     # the surrogate's densities reach ~1e3, where float64 spacing is ~2e-13:
     # there 1e-14 of the peak is the bound, elsewhere 1e-12 absolute
     assert np.max(np.abs(oracle - reference)) <= max(1e-12, 1e-14 * reference.max())
+
+
+def cosine_sum(M, h, k, j, phase):
+    """O(M^2) reference: sum_j h[j] cos(pi phase(j, k) / M) with the phase
+    reduced exactly modulo 2M before it is scaled."""
+    return np.cos(np.pi / M * (phase(j[None, :], k[:, None]) % (2 * M))) @ h
+
+
+def relative_error(got, reference):
+    return np.abs(got - reference).max() / np.abs(reference).max()
+
+
+@pytest.mark.parametrize("M", [8, 16, 1024])
+def test_dct1_matches_mirrored_fft_and_cosine_sum(M):
+    h = np.random.default_rng(M).normal(size=M + 1)
+    got = probe_module._dct1(h)
+    mirrored = np.fft.rfft(np.concatenate([h, h[-2:0:-1]])).real
+    j = np.arange(M + 1)
+    weights = np.where((j == 0) | (j == M), 1.0, 2.0)
+    direct = cosine_sum(M, weights * h, j, j, lambda j, k: j * k)
+    assert relative_error(got, mirrored) <= 1e-13
+    assert relative_error(got, direct) <= 1e-13
+
+
+@pytest.mark.parametrize("M", [8, 16, 1024])
+def test_dct2_matches_cosine_sum(M):
+    g = np.random.default_rng(M + 1).normal(size=M)
+    direct = cosine_sum(2 * M, g, np.arange(M + 1), np.arange(M), lambda j, k: (2 * j + 1) * k)
+    assert relative_error(probe_module._dct2(g), direct) <= 1e-13
+
+
+@pytest.mark.parametrize("M", [8, 16, 1024])
+def test_refinement_identity_gives_dct1_of_interleaved_half_grid(M):
+    rng = np.random.default_rng(M + 2)
+    h, new = rng.normal(size=M + 1), rng.normal(size=M)
+    finer = np.empty(2 * M + 1)
+    finer[0::2], finer[1::2] = h, new
+    C, S = probe_module._dct1(h), probe_module._dct2(new)
+    # C'[k] = C[k] + 2 S[k] and C'[2M - k] = C[k] - 2 S[k], k = 0 .. M
+    refined = np.concatenate([C + 2 * S, (C - 2 * S)[-2::-1]])
+    assert relative_error(refined, probe_module._dct1(finer)) <= 1e-13
+
+
+BIN_ORACLE_CHILD = """
+import numpy as np
+from qumode_probe.models import dicke_interaction
+from qumode_probe.operators import thermal_state
+from qumode_probe.probe import Bin, ProbeConfig, distribution_numeric_oracle
+
+def vmhwm():
+    with open("/proc/self/status") as status:
+        return int(next(line for line in status if line.startswith("VmHWM:")).split()[1])
+
+H = dicke_interaction(4)
+state = thermal_state(H, 0.5)
+before = vmhwm()
+# max |u| = 5 on this grid sets n = 2^19, the bin job of the oracle-verify benchmark
+distribution_numeric_oracle(state, H, ProbeConfig(0.0, 1.0, 1.0, Bin(0.8)),
+                            np.linspace(-3.0, 3.0, 40))
+print(before, vmhwm())
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_bin_oracle_peak_memory_growth():
+    """The bin oracle's transforms stay at half-grid length: at n = 2^19 the
+    child's VmHWM grows by under 24 MiB (a 2^20-point FFT of the mirrored
+    sequence grew it by 51 MiB)."""
+    src = os.path.dirname(os.path.dirname(qumode_probe.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", BIN_ORACLE_CHILD], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    before, after = map(int, out.split())
+    assert (after - before) / 1024 < 24

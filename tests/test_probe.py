@@ -17,11 +17,13 @@ from qumode_probe.operators import (
     thermal_state,
 )
 from qumode_probe.probe import (
+    BINNING_BLOCK,
     Bin,
     Ideal,
     LineMixture,
     ProbeConfig,
     Squeezed,
+    _log,
     _ndtri,
     apply_detector_binning,
     dephasing_function,
@@ -198,6 +200,17 @@ class TestNdtriPort:
         np.testing.assert_array_equal(_ndtri(np.array([0.0, 1.0])), [-np.inf, np.inf])
 
 
+# tail masses y < exp(-2), and r = sqrt(-2 log y) in [2, 9]: the inputs of ndtri's tails
+@pytest.mark.parametrize("seed, lo, hi", [(3, 0.0, math.exp(-2)), (4, 2.0, 9.0)],
+                         ids=["tail-y", "tail-r"])
+def test_log_returns_libm_bits(seed, lo, hi):
+    # a contiguous np.log may take a SIMD loop that differs from libm in the last bit;
+    # on an AVX-512 host hundreds of each set of 2^21 inputs show it
+    x = np.random.default_rng(seed).uniform(lo, hi, 2 ** 21)
+    libm = np.fromiter(map(math.log, x.tolist()), float, count=x.size)
+    np.testing.assert_array_equal(_log(x).view(np.int64), libm.view(np.int64))
+
+
 class TestMapPToE:
     def test_center(self):
         assert map_p_to_E(0.3, ProbeConfig(0.3, 1.0, 1.0, Ideal())) == 0.0
@@ -274,6 +287,22 @@ class TestDetectorBinning:
     def test_rejects_bad_width(self):
         with pytest.raises(ValueError):
             apply_detector_binning(line(0.0, Ideal()), 0.0)
+
+    @pytest.mark.parametrize("mode", [Bin(1.0), Squeezed(1.0)], ids=["bin", "squeezed"])
+    def test_blocks_give_the_whole_line_masses(self, mode):
+        p, origin = 0.3, 0.1
+        width = 2 * mode.half_width / (3 * BINNING_BLOCK + 2)
+        binned = apply_detector_binning(line(p, mode), width, origin=origin)
+        # the whole line at once: every bin edge, its CDF and their differences
+        first = np.floor((p - mode.half_width - origin) / width) - 1
+        last = np.floor((p + mode.half_width - origin) / width) + 1
+        assert last - first + 1 > 3 * BINNING_BLOCK
+        masses = np.diff(mode.cdf(origin + width * (first + np.arange(last - first + 2)) - p))
+        keep = np.flatnonzero(masses > 0)
+        np.testing.assert_array_equal(binned.weights.view(np.int64),
+                                      (masses[keep] / masses.sum()).view(np.int64))
+        np.testing.assert_array_equal(binned.points.view(np.int64),
+                                      (origin + width * (first + keep + 0.5)).view(np.int64))
 
 
 def test_gaussian_density_is_normalized_quadrature():

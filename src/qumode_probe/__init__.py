@@ -2,7 +2,6 @@
 
 from .models import (
     RegimePreset,
-    dicke_family,
     dicke_interaction,
     linear_family,
     preset_by_name,

@@ -202,10 +202,12 @@ def cmd_sweep(config: dict, fmt: str, record_path) -> str:
         report = thermo.thermo_report(spec, float("nan"), options["values"])
         return _emit_table(_thermo_rows(report), ["beta", "Z", "F", "C", "S"], fmt)
     if options["family"] == "dicke":
-        build = models.dicke_family(options["n_atoms"])
+        # lambda J_x: the linear family with a zero base
+        coupling = models.dicke_interaction(options["n_atoms"])
+        base = HermitianOperator(np.zeros((coupling.dim, coupling.dim)))
     else:
-        build = models.linear_family(HermitianOperator(options["base"]),
-                                     HermitianOperator(options["coupling"]))
+        base, coupling = HermitianOperator(options["base"]), HermitianOperator(options["coupling"])
+    build = models.linear_family(base, coupling)
     H_ref = build(options["lambda_ref"])
     rows = [(float(lam), thermo.ground_state_overlap(H_ref, build(float(lam))))
             for lam in options["values"]]

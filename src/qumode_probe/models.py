@@ -67,15 +67,3 @@ def linear_family(base: HermitianOperator,
         return HermitianOperator(entries)
 
     return build
-
-
-def dicke_family(n_atoms: int) -> Callable[[float], HermitianOperator]:
-    """The builder lambda -> lambda J_x, the collective J_x scaled by a coupling."""
-    base = dicke_interaction(n_atoms)
-
-    def build(lam: float) -> HermitianOperator:
-        with np.errstate(over="ignore"):  # as in linear_family
-            entries = lam * base.entries
-        return HermitianOperator(entries)
-
-    return build

@@ -20,7 +20,8 @@ import numpy as np
 
 from .operators import ConvergenceError, HermitianOperator, Spectrum, SystemState, spectrum_of
 
-# bins one histogram or detector binning may span, occupied or not, and binning may visit
+# bins one cluster's smoothing window or detector binning may span, occupied or not,
+# and binning may visit
 MAX_BINS = 2 ** 24
 # bins of one line that detector binning builds edges and kernel CDFs for at a time
 BINNING_BLOCK = 2 ** 16
@@ -472,14 +473,13 @@ def bin_index(x, width: float, origin: float, what: str) -> np.ndarray:
     return idx
 
 
-def apply_detector_binning(dist: LineMixture, bin_width: float,
-                           origin: float = 0.0) -> LineMixture:
+def apply_detector_binning(dist: LineMixture, bin_width: float) -> LineMixture:
     """Integrate a distribution over detector bins of the given width.
 
-    Bins are half-open [origin + k*w, origin + (k+1)*w).  A line's mass in
-    a bin is the difference of its kernel's CDF at the bin's edges, taken
-    over the bins the line reaches only, BINNING_BLOCK bins at a time, so
-    no per-line array outgrows a block.  The result holds one line per
+    Bins are half-open [k*w, (k+1)*w).  A line's mass in a bin is the
+    difference of its kernel's CDF at the bin's edges, taken over the bins
+    the line reaches only, BINNING_BLOCK bins at a time, so no per-line
+    array outgrows a block.  The result holds one line per
     bin that receives mass, at the bin centre with a uniform kernel of
     width w.  A span over MAX_BINS bins, or lines that reach more than
     MAX_BINS bins in all, are rejected before any array of that length is
@@ -491,8 +491,8 @@ def apply_detector_binning(dist: LineMixture, bin_width: float,
     w = bin_width
     reach = dist.mode.half_width
     # each line's first and last bin, with one bin of margin against rounding
-    first = bin_index(dist.points - reach, w, origin, "line supports") - 1
-    last = bin_index(dist.points + reach, w, origin, "line supports") + 1
+    first = bin_index(dist.points - reach, w, 0.0, "line supports") - 1
+    last = bin_index(dist.points + reach, w, 0.0, "line supports") + 1
     k_lo = first.min()
     span = last.max() - k_lo + 1
     work = (last - first + 1).sum()
@@ -507,11 +507,11 @@ def apply_detector_binning(dist: LineMixture, bin_width: float,
             # blocks of bins [lo, hi) share their edge at hi; every step is elementwise
             for lo in range(a, b + 1, BINNING_BLOCK):
                 hi = min(lo + BINNING_BLOCK, b + 1)
-                edges = origin + w * (k_lo + np.arange(lo, hi + 1))
+                edges = w * (k_lo + np.arange(lo, hi + 1))
                 masses[lo:hi] += m * np.diff(dist.mode.cdf(edges - p))
 
     total = masses.sum()
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"binned mass {total} lost more than 1e-9")
     keep = np.flatnonzero(masses > 0)
-    return LineMixture(origin + w * (k_lo + keep + 0.5), masses[keep] / total, Bin(w))
+    return LineMixture(w * (k_lo + keep + 0.5), masses[keep] / total, Bin(w))

@@ -34,10 +34,12 @@ class ResolutionParams:
     infinite_resolution: bool = False
 
     def resolvability(self, spacing: float) -> float:
-        """Line spacing over sigma_E; lines blur together below ~1."""
-        if self.infinite_resolution or self.sigma_E == 0.0:
+        """Line spacing over sigma_E, or over a bin probe's delta_E; lines blur
+        together below ~1."""
+        width = self.sigma_E or self.delta_E
+        if self.infinite_resolution or width == 0.0:
             return float("inf")
-        return spacing / self.sigma_E
+        return spacing / width
 
 
 def resolution_params(probe: ProbeConfig) -> ResolutionParams:
@@ -58,67 +60,60 @@ def required_samples(sigma_E: float, P_n: float, scale: float = 1.0) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Histogram:
+    """Counts of the occupied half-open bins [origin + k*width, origin + (k+1)*width):
+    ``bins`` holds their indices k, ascending, as floats, and ``counts`` their counts."""
+    bins: np.ndarray
     counts: np.ndarray
-    edges: np.ndarray
+    width: float
+    origin: float = 0.0
 
     @property
     def n(self) -> int:
         return int(self.counts.sum())
 
+    def edge(self, k):
+        """Lower edge of bin ``k``."""
+        return self.origin + self.width * k
+
     @property
     def bin_width(self) -> float:
-        return float(self.edges[1] - self.edges[0])
+        """Width of the lowest occupied bin, edge to edge."""
+        k = self.bins[0]
+        return float(self.edge(k + 1) - self.edge(k))
 
     @property
     def centers(self) -> np.ndarray:
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
+        return 0.5 * (self.edge(self.bins) + self.edge(self.bins + 1))
 
 
 def histogram(record: MeasurementRecord, bin_width: float,
               origin: float = 0.0) -> Histogram:
-    """Counts per half-open bin [origin + k*w, origin + (k+1)*w); see ``histogram_blocks``."""
+    """Counts per occupied half-open bin [origin + k*w, origin + (k+1)*w); see
+    ``histogram_blocks``."""
     return histogram_blocks([record.samples], bin_width, origin)
 
 
 def histogram_blocks(blocks: Iterable[np.ndarray], bin_width: float,
                      origin: float = 0.0) -> Histogram:
-    """Counts per half-open bin [origin + k*w, origin + (k+1)*w) of the samples
-    in ``blocks``, added one block at a time.
+    """Counts per occupied half-open bin [origin + k*w, origin + (k+1)*w) of the
+    samples in ``blocks``.
 
-    The bins run from the lowest sample's to the highest's.  Each block that
-    reaches past them widens them, after the widened span is checked against
-    ``MAX_BINS``.  Once the span is over the cap, the remaining blocks are
-    still read, so the error names the record's whole span, but not counted;
-    a sample 2**53 bins or more from the origin is refused at once.
+    Each block's occupied bins are counted as it is read, and the blocks' counts
+    are merged once, after the last block, so memory follows the occupied bins,
+    never the span between them.  A sample 2**53 bins or more from the origin is
+    refused.
     """
     if not bin_width > 0:
         raise ValueError("bin width must be positive")
-    k_lo = k_hi = None  # lowest and highest bin index so far, as floats
-    counts = np.zeros(0, dtype=np.intp)  # bins k_lo..k_hi, or None once over the cap
-    for samples in blocks:
-        if len(samples) == 0:
-            continue
-        idx = bin_index(samples, bin_width, origin, "record samples")
-        b_lo, b_hi = idx.min(), idx.max()
-        lo = b_lo if k_lo is None else min(k_lo, b_lo)
-        hi = b_hi if k_hi is None else max(k_hi, b_hi)
-        if counts is not None and hi - lo < MAX_BINS:
-            if k_lo is None:
-                counts = np.zeros(int(hi - lo) + 1, dtype=np.intp)
-            elif lo < k_lo or hi > k_hi:
-                counts = np.pad(counts, (int(k_lo - lo), int(hi - k_hi)))
-            a = int(b_lo - lo)
-            counts[a:a + int(b_hi - b_lo) + 1] += np.bincount((idx - b_lo).astype(np.intp))
-        else:
-            counts = None
-        k_lo, k_hi = lo, hi
-    if k_lo is None:
+    parts = [np.unique(bin_index(samples, bin_width, origin, "record samples"),
+                       return_counts=True)
+             for samples in blocks if len(samples)]
+    if not parts:
         raise ValueError("record is empty")
-    if counts is None:
-        raise ValueError(f"histogram of the record spans {k_hi - k_lo + 1:.6g} bins of "
-                         f"width {float(bin_width)!r}, over the cap of {MAX_BINS}")
-    edges = origin + bin_width * (k_lo + np.arange(len(counts) + 1))
-    return Histogram(counts=counts, edges=edges)
+    bins, inverse = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
+    # float sums of integer counts are exact below 2**53
+    counts = np.bincount(inverse, weights=np.concatenate([c for _, c in parts]))
+    return Histogram(bins, counts.astype(np.intp), bin_width, origin)
 
 
 def _prominent_peaks(x: np.ndarray, min_prominence: float) -> np.ndarray:
@@ -184,28 +179,37 @@ def _moving_average(segment: np.ndarray, w: int) -> np.ndarray:
     """``np.convolve(segment, np.ones(w) / w, "same")`` of an integer ``segment``,
     as window sums over [i - w//2, i + (w-1)//2] from one cumulative sum: linear
     time whatever ``w``, and equal sums give exactly equal means."""
-    s = np.cumsum(np.pad(segment, (w // 2 + 1, (w - 1) // 2)))
+    zeros = np.zeros(w // 2 + 1, dtype=segment.dtype)
+    s = np.cumsum(np.concatenate((zeros, segment, zeros[:(w - 1) // 2])))
     return (s[w:] - s[:-w]) / w
 
 
-def _valley_cuts(counts: np.ndarray, lo: int, hi: int, smooth_bins: int) -> np.ndarray:
-    """Bins at which the cluster of bins ``lo..hi`` splits at significant valleys.
+def _valley_cuts(hist: Histogram, a: int, b: int, smooth_bins: int) -> np.ndarray:
+    """Positions in ``hist.bins`` at which the cluster of occupied bins a..b-1
+    splits at significant valleys; a bin on a cut stays left of it.
 
-    The cluster's counts are smoothed over roughly one momentum spread
-    and scanned for local maxima whose prominence exceeds both the
-    Poisson noise floor and 2% of the cluster peak; the lowest bin
-    between each two surviving maxima is a cut.  Lines that overlap too
-    heavily show no significant valley and stay merged.
+    The cluster's counts, laid out over its whole span with its empty bins as
+    zeros, are smoothed over roughly one momentum spread and scanned for local
+    maxima whose prominence exceeds both the Poisson noise floor and 2% of
+    the cluster peak; the lowest bin between each two surviving maxima is a
+    cut.  Lines that overlap too heavily show no significant valley and stay
+    merged.  A span over ``MAX_BINS`` bins is refused before it is laid out.
     """
-    if hi - lo < 2:
-        return np.empty(0, dtype=np.intp)
-    w = min(smooth_bins, hi - lo + 1)
-    smooth = _moving_average(counts[lo:hi + 1], w)
+    offsets = hist.bins[a:b] - hist.bins[a]
+    span = offsets[-1] + 1
+    if not span <= MAX_BINS:
+        raise ValueError(f"a cluster of the histogram spans {span:.6g} bins of width "
+                         f"{float(hist.width)!r} from p = {float(hist.edge(hist.bins[a]))!r}, "
+                         f"over the cap of {MAX_BINS}")
+    window = np.zeros(int(span), dtype=np.intp)
+    window[offsets.astype(np.intp)] = hist.counts[a:b]
+    w = min(smooth_bins, len(window))
+    smooth = _moving_average(window, w)
     top = smooth.max()
     prominence = 5.0 * np.sqrt(top / w) + 0.02 * top
     peaks = _prominent_peaks(smooth, prominence).tolist()
-    return np.array([lo + a + int(np.argmin(smooth[a:b + 1]))
-                     for a, b in zip(peaks[:-1], peaks[1:])], dtype=np.intp)
+    valleys = [i + int(np.argmin(smooth[i:j + 1])) for i, j in zip(peaks[:-1], peaks[1:])]
+    return a + np.searchsorted(offsets, valleys, side="right")
 
 
 def detect_peaks(hist: Histogram, probe: ProbeConfig,
@@ -217,8 +221,8 @@ def detect_peaks(hist: Histogram, probe: ProbeConfig,
     ``max(bin_width, 3 * sigma_p)`` apart, so sparse tail counts cannot
     bridge well-separated lines.  Valley cuts split each cluster between
     gap cuts at its significant valleys (``_valley_cuts``), so
-    overlapping-but-distinct lines separate; a bin on a valley cut
-    stays in the line to its left.  Lines of mass below ``min_mass``
+    overlapping-but-distinct lines separate; a cluster of fewer than three
+    occupied bins has no valley to cut at.  Lines of mass below ``min_mass``
     (default 10/n) go to ``residual_mass``; the others become a
     :class:`Spectrum` of their masses and counts, unit degeneracies, and
     energies mapped from the centroids by the probe's p -> E relation.
@@ -236,27 +240,29 @@ def detect_peaks(hist: Histogram, probe: ProbeConfig,
 
     gap = max(hist.bin_width, 3.0 * probe.momentum_std())
     smooth_bins = max(1, int(round(probe.momentum_std() / hist.bin_width)))
-    occupied = np.flatnonzero(hist.counts)
     centers = hist.centers
-    # cuts are positions in ``occupied``; line k is occupied[cuts[k]:cuts[k + 1]].
+    # cuts are positions in ``hist.bins``; line k is bins cuts[k]:cuts[k + 1].
     # Adjacent bins are never cut, as rounding lifts half their gaps above bin_width
-    apart = (np.diff(occupied) > 1) & (np.diff(centers[occupied]) > gap)
-    gap_cuts = [0, *(np.flatnonzero(apart) + 1).tolist(), len(occupied)]
+    apart = (np.diff(hist.bins) > 1) & (np.diff(centers) > gap)
+    gap_cuts = [0, *(np.flatnonzero(apart) + 1).tolist(), len(hist.bins)]
     cuts = [0]
     for a, b in zip(gap_cuts[:-1], gap_cuts[1:]):
-        valleys = _valley_cuts(hist.counts, occupied[a], occupied[b - 1], smooth_bins)
-        cuts += [*(a + np.searchsorted(occupied[a:b], valleys, side="right")).tolist(), b]
+        if b - a >= 3:
+            cuts += _valley_cuts(hist, a, b, smooth_bins).tolist()
+        cuts.append(b)
 
     lines = []
     residual = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
-        idx = occupied[a:b]  # empty if no bin lies between two valley cuts: mass 0
-        count = int(hist.counts[idx].sum())
+        # empty if no bin lies between two valley cuts: mass 0
+        count = int(hist.counts[a:b].sum())
         mass = count / n
         if mass < min_mass:
             residual += mass
             continue
-        centroid = float(np.average(centers[idx], weights=hist.counts[idx]))
+        # np.average(centers[a:b], weights=counts[a:b]) to the bit, as its float sum
+        # of the counts is exact, without its per-call checks
+        centroid = float((centers[a:b] * hist.counts[a:b]).sum() / count)
         lines.append((centroid, mass, count))
     if not lines:
         raise ValueError("no cluster above the mass threshold")

@@ -1234,7 +1234,6 @@ class TestBoundedChildren:
                      "sampling.n must be an integer from 1 to 10000000", id="sampling-n"),
         pytest.param("spectrum", {"system": {"model": "dicke", "n_atoms": 100_000}},
                      "dimension 100001 exceeds cap 1024", id="dicke-n-atoms"),
-        pytest.param("reconstruct", QUBIT, "over the cap of 16777216", id="histogram-span"),
         pytest.param("thermo", dict(QUBIT, thermo={"beta_grid": {"num": 1e11}}),
                      "thermo.beta_grid.num must be an integer from 1 to 100000",
                      id="beta-grid-num"),
@@ -1257,6 +1256,31 @@ class TestBoundedChildren:
         assert "MemoryError" not in err
         assert code == EXIT_CONFIG, err
         assert message in err
+
+    def test_far_outlier_record_reconstructs(self, tmp_path):
+        """The histogram holds its two occupied bins, not the 10**15 bins between them."""
+        record = record_file(tmp_path, b"0000000000000000\n41cdcd6500000000\n")  # 0.0, 1e9
+        out = tmp_path / "out.txt"
+        argv = ["reconstruct", "--config", write_config(tmp_path, dict(QUBIT, reconstruct={
+            "min_mass": 0.1})), "--out", str(out), "--record", record]
+        code, err, _ = cli_child(tmp_path, argv, address_space=self.ADDRESS_SPACE)
+        assert code == 0, err
+        _, rows = parse_rows(out.read_text())
+        assert [(row["P_hat"], row["count"]) for row in rows] == [(0.5, 1), (0.5, 1)]
+
+    def test_oversized_cluster_exits_2(self, tmp_path):
+        """At width 1e-9 each line of a squeezed pair spans some 10**8 bins, which
+        are laid out to find the line's valleys: the cluster is refused."""
+        config = write_config(tmp_path, dict(SQUEEZED_PAIR, reconstruct={"bin_width": 1e-9}))
+        record = str(tmp_path / "rec.txt")
+        assert main(["sample", "--config", config, "--out", record]) == 0
+        argv = ["reconstruct", "--config", config, "--out", str(tmp_path / "out.txt"),
+                "--record", record]
+        code, err, _ = cli_child(tmp_path, argv, address_space=self.ADDRESS_SPACE)
+        assert "MemoryError" not in err
+        assert code == EXIT_CONFIG, err
+        assert "a cluster of the histogram spans" in err
+        assert "bins of width 1e-09 from p = " in err and "over the cap of 16777216" in err
 
     def test_sample_memory_does_not_grow_with_n(self, tmp_path):
         """The record is written as it is drawn, SAMPLE_CHUNK draws at a time."""

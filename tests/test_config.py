@@ -48,7 +48,7 @@ def no_work(monkeypatch):
         raise AssertionError("work started before the config was checked")
     for name in ("build_system", "spectrum_of", "read_record"):
         monkeypatch.setattr(cli, name, fail)
-    monkeypatch.setattr(cli.models, "dicke_family", fail)
+    monkeypatch.setattr(cli.models, "linear_family", fail)
 
 
 @pytest.mark.parametrize("command, config, message", [

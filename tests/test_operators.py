@@ -555,7 +555,7 @@ def test_array_holders_compare_by_identity():
         lambda: HermitianOperator(m),
         lambda: EigenDecomposition(dec.eigenvalues, dec.eigenvectors),
         lambda: MeasurementRecord(np.zeros(3), seed=1),
-        lambda: Histogram(np.ones(2, dtype=np.intp), np.arange(3.0)),
+        lambda: Histogram(np.arange(2.0), np.ones(2, dtype=np.intp), 0.1),
         lambda: thermo_report(spec, 1.0, [1.0, 2.0]),
     ]
     for build in builders:

@@ -96,10 +96,10 @@ class TestIdealDistribution:
 
     def test_coincident_positions_merge(self):
         spec = Spectrum.from_lines([(0.0, 0.5, 1), (1.0, 0.5, 1)])
-        dist = distribution_for(spec, ProbeConfig(0.0, 1.0, 1e-13, Ideal()))
-        # both lines sit within 1e-13 of p = 0; draws and binning see one point
-        assert np.abs(sample_measurements(dist, 1000, seed=2).samples).max() <= 1e-12
-        binned = apply_detector_binning(dist, 0.5, origin=-0.25)
+        dist = distribution_for(spec, ProbeConfig(0.25, 1.0, 1e-13, Ideal()))
+        # both lines sit within 1e-13 of p = 0.25; draws and binning see one point
+        assert np.abs(sample_measurements(dist, 1000, seed=2).samples - 0.25).max() <= 1e-12
+        binned = apply_detector_binning(dist, 0.5)
         assert binned.weights.tolist() == pytest.approx([1.0])
 
 
@@ -255,25 +255,23 @@ def line(position, mode):
 
 class TestDetectorBinning:
     def test_point_mass_single_bin(self):
-        binned = apply_detector_binning(line(0.37, Ideal()), 0.5, origin=0.0)
+        binned = apply_detector_binning(line(0.37, Ideal()), 0.5)
         assert binned.weights.tolist() == pytest.approx([1.0])
         assert binned.points[0] == pytest.approx(0.25)
         assert binned.mode == Bin(0.5)
 
     def test_point_on_edge_goes_up(self):
-        binned = apply_detector_binning(line(0.5, Ideal()), 0.5, origin=0.0)
+        binned = apply_detector_binning(line(0.5, Ideal()), 0.5)
         assert binned.points[0] == pytest.approx(0.75)
 
     def test_narrow_gaussian_concentrates(self):
-        binned = apply_detector_binning(line(1.25, Squeezed(1 / (0.001 * np.sqrt(2)))),
-                                        0.5, origin=0.0)
+        binned = apply_detector_binning(line(1.25, Squeezed(1 / (0.001 * np.sqrt(2)))), 0.5)
         assert binned.weights.max() >= 0.999
 
     def test_gaussian_matches_erf_differences(self):
         import math
         sd = 0.5
-        binned = apply_detector_binning(line(0.2, Squeezed(1 / (sd * np.sqrt(2)))), sd,
-                                        origin=0.0)
+        binned = apply_detector_binning(line(0.2, Squeezed(1 / (sd * np.sqrt(2)))), sd)
         for c, m in zip(binned.points, binned.weights):
             lo, hi = c - sd / 2, c + sd / 2
             expected = 0.5 * (math.erf((hi - 0.2) / (sd * math.sqrt(2)))
@@ -281,7 +279,7 @@ class TestDetectorBinning:
             assert m == pytest.approx(expected, abs=1e-9)
 
     def test_piecewise_uniform_split(self):
-        binned = apply_detector_binning(line(0.5, Bin(1.0)), 0.25, origin=0.0)  # support [0, 1]
+        binned = apply_detector_binning(line(0.5, Bin(1.0)), 0.25)  # support [0, 1]
         assert binned.weights.tolist() == pytest.approx([0.25] * 4)
 
     def test_rejects_bad_width(self):
@@ -290,19 +288,19 @@ class TestDetectorBinning:
 
     @pytest.mark.parametrize("mode", [Bin(1.0), Squeezed(1.0)], ids=["bin", "squeezed"])
     def test_blocks_give_the_whole_line_masses(self, mode):
-        p, origin = 0.3, 0.1
+        p = 0.2
         width = 2 * mode.half_width / (3 * BINNING_BLOCK + 2)
-        binned = apply_detector_binning(line(p, mode), width, origin=origin)
+        binned = apply_detector_binning(line(p, mode), width)
         # the whole line at once: every bin edge, its CDF and their differences
-        first = np.floor((p - mode.half_width - origin) / width) - 1
-        last = np.floor((p + mode.half_width - origin) / width) + 1
+        first = np.floor((p - mode.half_width) / width) - 1
+        last = np.floor((p + mode.half_width) / width) + 1
         assert last - first + 1 > 3 * BINNING_BLOCK
-        masses = np.diff(mode.cdf(origin + width * (first + np.arange(last - first + 2)) - p))
+        masses = np.diff(mode.cdf(width * (first + np.arange(last - first + 2)) - p))
         keep = np.flatnonzero(masses > 0)
         np.testing.assert_array_equal(binned.weights.view(np.int64),
                                       (masses[keep] / masses.sum()).view(np.int64))
         np.testing.assert_array_equal(binned.points.view(np.int64),
-                                      (origin + width * (first + keep + 0.5)).view(np.int64))
+                                      (width * (first + keep + 0.5)).view(np.int64))
 
 
 def test_gaussian_density_is_normalized_quadrature():

@@ -1,4 +1,5 @@
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -58,6 +59,10 @@ class TestResolutionParams:
         assert res.sigma_E == 0.0 and res.delta_E == 0.0
         assert res.resolvability(1.0) == np.inf
 
+    def test_bin_resolvability_is_spacing_over_plateau_width(self):
+        res = resolution_params(ProbeConfig(0.0, 1.0, 200.0, Bin(0.5)))
+        assert res.resolvability(0.005) == pytest.approx(2.0)
+
 
 class TestRequiredSamples:
     def test_direct_formula(self):
@@ -96,8 +101,8 @@ class TestHistogram:
     def test_edge_sample_counts_upper(self):
         rec = MeasurementRecord(samples=np.array([0.5]), seed=0)
         hist = histogram(rec, bin_width=0.5, origin=0.0)
-        idx = np.nonzero(hist.counts)[0][0]
-        assert hist.edges[idx] == pytest.approx(0.5)
+        assert hist.bins.tolist() == [1.0]
+        assert hist.edge(hist.bins[0]) == pytest.approx(0.5)
 
     def test_empty_record_rejected(self):
         rec = MeasurementRecord(samples=np.array([]), seed=0)
@@ -110,26 +115,20 @@ class TestHistogram:
         with pytest.raises(ValueError, match="bin width must be positive"):
             histogram(rec, width)
 
-    def test_bin_span_capped(self, monkeypatch):
-        monkeypatch.setattr(reconstruct, "MAX_BINS", 10)
-        rec = MeasurementRecord(samples=np.array([0.0, 0.95]), seed=0)
-        assert len(histogram(rec, 0.1).counts) == 10
-        rec = MeasurementRecord(samples=np.array([0.0, 1.0]), seed=0)
-        with pytest.raises(ValueError, match="spans 11 bins of width 0.1, over the cap of 10"):
-            histogram(rec, 0.1)
-
     @staticmethod
     def whole_array_histogram(samples, bin_width, origin):
-        """Counts and edges from one ``bincount`` over all the samples at once."""
-        idx = np.floor((samples - origin) / bin_width).astype(int)
-        lo, hi = idx.min(), idx.max()
-        return (np.bincount(idx - lo, minlength=hi - lo + 1),
-                origin + bin_width * np.arange(lo, hi + 2))
+        """Occupied bins and their counts from one ``bincount`` over all the samples
+        at once."""
+        idx = np.floor((samples - origin) / bin_width)
+        lo = idx.min()
+        counts = np.bincount((idx - lo).astype(int))
+        occupied = np.flatnonzero(counts)
+        return lo + occupied, counts[occupied]
 
     @pytest.mark.parametrize("n", [1, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 3 * 2 ** 16 + 5])
     def test_block_seams(self, tmp_path, n):
         """A record read block by block bins exactly as all its samples at once, also
-        when later blocks widen the bins above and below."""
+        when later blocks reach past the bins so far, above and below."""
         block = 2 ** 16
         assert serialize._DECODE_LINES == block
         samples = np.random.default_rng(n).normal(size=n)
@@ -146,17 +145,10 @@ class TestHistogram:
         with open(tmp_path / "rec.txt", "rb") as fh:
             _, _, blocks = serialize.read_record(fh)
             streamed = reconstruct.histogram_blocks(blocks, 0.01, origin=0.3)
-        counts, edges = self.whole_array_histogram(samples, 0.01, 0.3)
+        bins, counts = self.whole_array_histogram(samples, 0.01, 0.3)
         for hist in (streamed, histogram(back, 0.01, origin=0.3)):
-            assert np.array_equal(hist.counts, counts)
-            assert hist.edges.tobytes() == edges.tobytes()
-
-    def test_span_error_names_the_whole_span(self, monkeypatch):
-        """Blocks past the cap are still read, so the error gives the record's span."""
-        monkeypatch.setattr(reconstruct, "MAX_BINS", 10)
-        blocks = [np.array([0.0]), np.array([1.0]), np.array([-1.0])]
-        with pytest.raises(ValueError, match="spans 21 bins of width 0.1, over the cap of 10"):
-            reconstruct.histogram_blocks(blocks, 0.1)
+            assert hist.bins.tobytes() == bins.tobytes()
+            assert hist.counts.tobytes() == counts.astype(np.intp).tobytes()
 
     def test_far_bin_indices_rejected(self):
         """Past 2**53 bins from the origin a float64 index no longer names one bin."""
@@ -165,10 +157,11 @@ class TestHistogram:
             histogram(rec, 1e-6)
         assert histogram(rec, 1e-2).n == 20
 
-    def test_outlier_rejected_at_the_real_cap(self):
-        rec = MeasurementRecord(samples=np.array([0.0, 1e9]), seed=0)
-        with pytest.raises(ValueError, match=f"over the cap of {2 ** 24}"):
-            histogram(rec, 1e-6)
+    def test_far_outlier_is_one_more_bin(self):
+        """Only occupied bins are held, however far apart they lie."""
+        rec = MeasurementRecord(samples=np.array([1e9, 0.0]), seed=0)
+        hist = histogram(rec, 1e-6)
+        assert (hist.bins.tolist(), hist.counts.tolist()) == ([0.0, 1e15], [1, 1])
 
 
 class TestDetectPeaks:
@@ -223,6 +216,32 @@ class TestDetectPeaks:
         assert len(recon.lines) == 1
         assert recon.residual_mass == pytest.approx(0.01)
 
+    def test_three_bin_cluster_splits(self):
+        """Three occupied bins two apart, smoothed over three, overlap in two peaks
+        with a valley on the middle bin, which stays in the line to its left."""
+        probe = ProbeConfig(0.0, 1.0, 1.0, Squeezed(2.0))  # sigma_p / 0.12 rounds to 3
+        samples = np.repeat(0.12 * np.array([0, 2, 4]) + 0.06, 1000)
+        hist = histogram(MeasurementRecord(samples=samples, seed=0), 0.12)
+        assert detect_peaks(hist, probe).counts.tolist() == [1000, 2000]
+
+    def test_cluster_span_capped(self, monkeypatch):
+        """A cluster of three or more bins is laid out over its span to find its
+        valleys, so that span is capped, not the record's."""
+        monkeypatch.setattr(reconstruct, "MAX_BINS", 10)
+        probe = ProbeConfig(0.0, 1.0, 1.0, Squeezed(5.0))  # gap 3 sigma_p ~ 4 bins, no smoothing
+
+        def detect(bins):
+            counts = [10, 50, 10, 2, 2, 10, 50, 10, 100]
+            samples = np.repeat(0.1 * np.array(bins) + 0.05, counts)
+            hist = histogram(MeasurementRecord(samples=samples, seed=0), 0.1)
+            return detect_peaks(hist, probe, min_mass=0.01)
+
+        # bins 0..9 cut at the valley over bins 4 and 5; bin 500 is a cluster of its own
+        assert detect([0, 1, 2, 3, 6, 7, 8, 9, 500]).counts.tolist() == [100, 72, 72]
+        with pytest.raises(ValueError, match="a cluster of the histogram spans 11 bins of "
+                                             "width 0.1 from p = 0.0, over the cap of 10"):
+            detect([0, 1, 2, 3, 6, 7, 8, 10, 500])
+
 
 def split_cluster_reference(cluster, counts, smooth_bins):
     """Reference: one cluster, a list of bin indices, split at significant valleys,
@@ -244,6 +263,34 @@ def split_cluster_reference(cluster, counts, smooth_bins):
     for i in cluster:
         parts[int(np.searchsorted(cuts, i, side="left"))].append(i)
     return [part for part in parts if part]
+
+
+@dataclass(frozen=True)
+class DenseHistogram:
+    """Counts of every bin from the lowest occupied one to the highest, and their
+    edges: the layout that ``detect_peaks_reference`` reads."""
+    counts: np.ndarray
+    edges: np.ndarray
+
+    @classmethod
+    def of(cls, hist):
+        lo = hist.bins[0] if len(hist.bins) else 0.0
+        ks = lo + np.arange(hist.bins[-1] - lo + 2 if len(hist.bins) else 1)
+        counts = np.zeros(len(ks) - 1, dtype=np.intp)
+        counts[(hist.bins - lo).astype(int)] = hist.counts
+        return cls(counts, hist.edge(ks))
+
+    @property
+    def n(self):
+        return int(self.counts.sum())
+
+    @property
+    def bin_width(self):
+        return float(self.edges[1] - self.edges[0])
+
+    @property
+    def centers(self):
+        return 0.5 * (self.edges[:-1] + self.edges[1:])
 
 
 def detect_peaks_reference(hist, probe, min_mass=None):
@@ -322,10 +369,10 @@ class TestDetectPeaksMatchesReference:
         counts = np.array([c for piece in pieces for c in piece], dtype=np.intp)
         probe = ProbeConfig(0.3, 1.0, 2.0, mode)
         bin_width = probe.momentum_std() / w if probe.momentum_std() > 0 else 0.01 / w
-        edges = probe.p0 + bin_width * (k_lo + np.arange(len(counts) + 1))
-        hist = Histogram(counts=counts, edges=edges)
+        hist = Histogram(k_lo + np.flatnonzero(counts).astype(float), counts[counts > 0],
+                         bin_width, probe.p0)
         assert (outcome(detect_peaks, hist, probe, min_mass)
-                == outcome(detect_peaks_reference, hist, probe, min_mass))
+                == outcome(detect_peaks_reference, DenseHistogram.of(hist), probe, min_mass))
 
 
 class TestMovingAverage:

@@ -25,6 +25,10 @@ from .operators import ConvergenceError, HermitianOperator, Spectrum, SystemStat
 MAX_BINS = 2 ** 24
 # bins of one line that detector binning builds edges and kernel CDFs for at a time
 BINNING_BLOCK = 2 ** 16
+# points or coefficients the bin oracle's envelope and transforms work on at a time
+TRANSFORM_BLOCK = 2 ** 13
+# bands of the frequency range whose FFTs the bin oracle runs one after another
+FFT_BANDS = 4
 
 # delta initial states are not representable in quadrature; the oracle
 # substitutes a strongly squeezed Gaussian instead
@@ -278,15 +282,26 @@ def map_p_to_E(p, probe: ProbeConfig):
 
 
 def _envelope(mode: ProbeMode, x: np.ndarray) -> np.ndarray:
-    """Initial wavefunction G(x) with its exp(i p0 x) carrier removed."""
+    """Initial wavefunction G(x) with its exp(i p0 x) carrier removed.  A ``Bin``
+    envelope is written over the float array x, which is returned."""
     if isinstance(mode, Squeezed):
         s = mode.s
         return (1.0 / (np.pi * s * s)) ** 0.25 * np.exp(-x * x / (2 * s * s))
     L = mode.L
-    # integral of exp(ikx) over the momentum window, done analytically
-    safe = np.where(x == 0, 1.0, x)
-    w = np.where(x == 0, L, 2 * np.sin(L * x / 2) / safe)
-    return w / np.sqrt(2 * np.pi * L)
+    # integral of exp(ikx) over the momentum window, done analytically:
+    # 2 sin(L x / 2) / x, and L at x = 0, a block at a time
+    for lo in range(0, x.size, TRANSFORM_BLOCK):
+        xb = x[lo:lo + TRANSFORM_BLOCK]
+        zero = xb == 0
+        w = L * xb
+        w /= 2
+        np.sin(w, out=w)
+        w *= 2
+        xb[zero] = 1.0
+        np.divide(w, xb, out=xb)
+        xb[zero] = L
+        xb /= np.sqrt(2 * np.pi * L)
+    return x
 
 
 def _line_offsets(spec: Spectrum, probe: ProbeConfig, p_grid: np.ndarray) -> np.ndarray:
@@ -318,14 +333,15 @@ def _oracle_squeezed(spec: Spectrum, probe: ProbeConfig, mode: Squeezed,
     u = _line_offsets(spec, probe, p_grid)
     line, col = np.nonzero(np.abs(u) <= window)
     u = u[line, col]  # every line's active offsets in one array
-    # the cosine matrix holds at most 2^22 entries when a dense p grid
-    # meets a late refinement level (up to 2^14 new x points)
-    chunk = max(1, (1 << 22) // max(1, u.size))
+    # the cosine matrix, formed in place, holds at most 2^19 entries (4 MiB)
+    # when a dense p grid meets a late refinement level (up to 2^14 new x points)
+    chunk = max(1, (1 << 19) // max(1, u.size))
 
     def cosine_sum(x: np.ndarray, c: np.ndarray) -> np.ndarray:
         total = np.zeros(u.size)
         for lo in range(0, x.size, chunk):
-            total += np.cos(np.outer(u, x[lo:lo + chunk])) @ c[lo:lo + chunk]
+            m = np.outer(u, x[lo:lo + chunk])
+            total += np.cos(m, out=m) @ c[lo:lo + chunk]
         return total
 
     n = 256  # intervals on [0, X]
@@ -350,38 +366,113 @@ def _oracle_squeezed(spec: Spectrum, probe: ProbeConfig, mode: Squeezed,
     raise ConvergenceError("oracle quadrature grid refinement exhausted")
 
 
-def _dct1(h: np.ndarray) -> np.ndarray:
-    """DCT-I of the M + 1 samples h (M even): C[k] = h[0] + (-1)^k h[M]
-    + 2 sum_{j=1}^{M-1} h[j] cos(pi j k / M), k = 0 .. M, the real FFT of
-    the 2M-point mirrored sequence h[0..M], h[M-1..1], from one M-point
-    real FFT (Numerical Recipes' cosft1).  The FFT of
-    y[j] = (h[j] + h[M-j])/2 - sin(pi j / M) (h[j] - h[M-j]) gives the even
-    k as twice its real part; the odd k follow from C[1] by the running sum
-    C[k + 2] = C[k] - 2 Im Y[(k + 1)/2]."""
+def _fft_in_bands(z: np.ndarray) -> np.ndarray:
+    """The FFT Z of z, in z's buffer, band by band, returned as the B x L view
+    of that buffer whose [r, q] entry is Z[B q + r] (B = gcd(FFT_BANDS, N),
+    L = N/B).  One decimation-in-frequency step writes
+    w_r[n] = exp(-2 pi i n r / N) sum_m z[n + L m] exp(-2 pi i m r / B) over
+    z[r L + n], a block of n at a time, and the L-point FFT of w_r is
+    Z[B q + r], q < L; so numpy's FFT never works on more than L points."""
+    N = z.size
+    B = int(np.gcd(FFT_BANDS, N))
+    L = N // B
+    bands = z.reshape(B, L)
+    r = np.arange(B)
+    dft = np.exp(-2j * np.pi / B * np.outer(r, r))
+    step = max(1, TRANSFORM_BLOCK // B)
+    for lo in range(0, L, step):
+        hi = min(lo + step, L)
+        w = dft @ bands[:, lo:hi]
+        w *= np.exp(-1j * (2 * np.pi / N * np.outer(r, np.arange(lo, hi))))
+        bands[:, lo:hi] = w
+    for band in bands:
+        np.fft.fft(band, out=band)
+    return bands
+
+
+def _real_fft(bands: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Y[k], 0 <= k <= N, of the real FFT of 2N reals, given the N-point complex
+    FFT Z of those reals taken in pairs as complex numbers, as ``_fft_in_bands``
+    returns it (Numerical Recipes, section 12.3):
+    Y[k] = (Z[k] + conj Z[N-k])/2 - i exp(-i pi k/N) (Z[k] - conj Z[N-k])/2, Z[N] = Z[0]."""
+    B, N = len(bands), bands.size
+
+    def Z(k):  # Z[k], 0 <= k < N
+        return bands[k % B, k // B]
+
+    a, b = Z(k % N), Z(-k % N).conj()
+    return (a + b) / 2 - 0.5j * np.exp(-1j * (np.pi / N * k)) * (a - b)
+
+
+def _add_dct1(h: np.ndarray, out: np.ndarray):
+    """Add the DCT-I C[k] = h[0] + (-1)^k h[M] + 2 sum_{j=1}^{M-1} h[j] cos(pi j k / M)
+    of the M + 1 samples h (M even) into out, for k < out.size <= M + 1, working in
+    h's buffer (Numerical Recipes' cosft1).  h[0 .. M-1] becomes, pair by pair,
+    y[j] = (h[j] + h[M-j])/2 - sin(pi j / M) (h[j] - h[M-j]), and then the FFT
+    of y taken as M/2 complex points.  With Y the real FFT of y,
+    C[2k] = 2 Re Y[k], and the odd k follow from C[1] by the running sum
+    C[k + 2] = C[k] - 2 Im Y[(k + 1)/2];
+    C[1] = (h[0] - h[M]) + 2 sum_{j=1}^{M/2-1} (h[j] - h[M-j]) cos(pi j / M)."""
     M = h.size - 1
-    head, tail = h[:-1], h[:0:-1]  # h[j] and h[M - j], j = 0 .. M-1
-    odd = head - tail
-    angle = np.pi / M * np.arange(M)
-    Y = np.fft.rfft(0.5 * (head + tail) - np.sin(angle) * odd)
-    C = np.empty(M + 1)
-    C[0::2] = 2 * Y.real
-    C[1] = odd @ np.cos(angle)
-    C[3::2] = C[1] - 2 * np.cumsum(Y.imag[1:-1])
-    return C
+    c1 = h[0] - h[M]
+    h[0] = (h[0] + h[M]) / 2  # y[M/2] = h[M/2]
+    for lo in range(1, M // 2, TRANSFORM_BLOCK):
+        hi = min(lo + TRANSFORM_BLOCK, M // 2)
+        head, tail = h[lo:hi], h[M - lo:M - hi:-1]  # h[j] and h[M - j]
+        angle = np.pi / M * np.arange(lo, hi)
+        odd = head - tail
+        c1 += 2 * (odd @ np.cos(angle))
+        odd *= np.sin(angle)
+        head += tail
+        head /= 2
+        np.add(head, odd, out=tail)
+        head -= odd
+    Z = _fft_in_bands(h[:M].view(complex))
+    K = out.size
+    for lo in range(0, (K + 1) // 2, TRANSFORM_BLOCK):
+        hi = min(lo + TRANSFORM_BLOCK, (K + 1) // 2)
+        Y = _real_fft(Z, np.arange(lo, hi))
+        out[2 * lo:2 * hi:2] += 2 * Y.real
+        odd = c1 - 2 * np.cumsum(Y.imag)  # C[2k + 1], k = lo .. hi-1; Im Y[0] = 0
+        c1 = odd[-1]
+        out[2 * lo + 1:2 * hi:2] += odd[:(K - 2 * lo) // 2]
 
 
-def _dct2(g: np.ndarray) -> np.ndarray:
-    """DCT-II of the M samples g (M even): S[k] = sum_j g[j] cos(pi (2j + 1) k / (2M)),
-    k = 0 .. M, from one M-point real FFT (Makhoul, IEEE TASSP 28(1), 1980).
-    The FFT V of g's even entries followed by its odd ones reversed gives
-    S[k] = Re(w^k V[k]) and S[M - k] = -Im(w^k V[k]), w = exp(-i pi / (2M))."""
-    M = g.size
-    V = np.fft.rfft(np.concatenate([g[0::2], g[-1::-2]]))
-    V *= np.exp(-0.5j * np.pi / M * np.arange(M // 2 + 1))
-    S = np.empty(M + 1)
-    S[:M // 2 + 1] = V.real
-    S[M // 2:][::-1] = -V.imag
-    return S
+def _add_refinement(v: np.ndarray, out: np.ndarray):
+    """Add 2 S[k] into out, k < out.size <= M, for the DCT-II
+    S[k] = sum_j g[j] cos(pi (2j + 1) k / (2M)) of M samples g (M even), given as
+    v in Makhoul's order, g's even entries and then its odd ones reversed; works in
+    v's buffer.  C[k] + 2 S[k] is the DCT-I of the half-grid at half the step, whose
+    odd points are g (Makhoul, IEEE TASSP 28(1), 1980): with V the real FFT of v,
+    taken as M/2 complex points, S[k] = Re(w^k V[k]) and S[M - k] = -Im(w^k V[k]),
+    w = exp(-i pi / (2M))."""
+    M, K = v.size, out.size
+    Z = _fft_in_bands(v.view(complex))
+    for lo in range(0, min(K, M // 2 + 1), TRANSFORM_BLOCK):
+        k = np.arange(lo, min(lo + TRANSFORM_BLOCK, K, M // 2 + 1))
+        W = _real_fft(Z, k) * np.exp(-0.5j * (np.pi / M * k))
+        out[k] += 2 * W.real
+        mirror = (k > M - K) & (k < M // 2)
+        out[M - k[mirror]] -= 2 * W.imag[mirror]
+
+
+def _half_grid(M: int, dx: float) -> np.ndarray:
+    """The points j dx, j = 0 .. M, scaled in place."""
+    x = np.arange(M + 1, dtype=float)
+    x *= dx
+    return x
+
+
+def _makhoul_points(M: int, dx: float) -> np.ndarray:
+    """The new points (2j + 1) dx, j < M (M even), in Makhoul's order: even j
+    ascending, then odd j descending."""
+    x = np.arange(M, dtype=float)
+    x[:M // 2] *= 4
+    x[:M // 2] += 1
+    x[M // 2:] *= -4
+    x[M // 2:] += 4 * M - 1
+    x *= dx
+    return x
 
 
 def _oracle_binned(spec: Spectrum, probe: ProbeConfig, mode: Bin,
@@ -397,16 +488,18 @@ def _oracle_binned(spec: Spectrum, probe: ProbeConfig, mode: Bin,
     |u| for the p grid's offsets u.  n starts at the smallest power of two
     (at least 4096) whose range pi n / (2X) covers 1.2 times the largest
     |u| on the p grid, so every level interpolates on the same u grid of
-    ceil(max |u| X / pi) + 2 points, built once.  The first level computes
-    C from one M-point real FFT of the half-grid.  Each refinement halves
-    dx: the old half-grid fills the even points of the new one, and the
-    envelope is evaluated only at the M new odd points, whose DCT-II S
-    refines the old values, C'[k] = C[k] + 2 S[k] and
-    C'[2M - k] = C[k] - 2 S[k], again from one M-point real FFT; only the
-    first identity is needed on the u grid.  No transform is longer than
-    the largest half-grid, so a bin job at first n = 2^19 (oracle-verify's)
-    grows its process's peak RSS by about 18 MiB, against 51 MiB for a
-    2^20-point FFT of the mirrored sequence at its second level.
+    K = ceil(max |u| X / pi) + 2 points, and only C[k < K] is formed.  The
+    first level computes C from one FFT of the half-grid taken as M/2
+    complex points.  Each refinement halves dx: the old half-grid fills the
+    even points of the new one, and the envelope is evaluated only at the M
+    new odd points, whose DCT-II S refines the old values,
+    C'[k] = C[k] + 2 S[k], again from one FFT of M/2 complex points.  So a
+    level holds one buffer, into which the envelope, the transform's input
+    and its FFT are written in turn.  The FFT runs band by band
+    (``_fft_in_bands``), and everything else over blocks of TRANSFORM_BLOCK
+    points.  A bin job at first n = 2^19 (oracle-verify's) grows its
+    process's peak RSS by about 6 MiB: the 2 MiB buffer, the 1.2 MiB of
+    K sums, and blocks and bands.
     """
     X = 1e5
     u = np.abs(_line_offsets(spec, probe, p_grid))
@@ -414,23 +507,29 @@ def _oracle_binned(spec: Spectrum, probe: ProbeConfig, mode: Bin,
     n = 2 ** int(np.ceil(np.log2(max(4096.0, 2 * X * u_max * 1.2 / np.pi))))
     M = n // 2
     dx = X / M
-    u_grid = np.pi / X * np.arange(int(np.ceil(u.max() * X / np.pi)) + 2)
+    cosine_sum = np.zeros(int(np.ceil(u.max() * X / np.pi)) + 2)
+
+    def density(amp: np.ndarray) -> np.ndarray:
+        # the u grid lives only here, so no level's transform holds it
+        u_grid = np.pi / X * np.arange(amp.size)
+        total = np.zeros_like(p_grid)
+        for pop, u_line in zip(spec.populations, u):
+            a = np.interp(u_line, u_grid, amp)
+            total += pop * a * a / (2 * np.pi)
+        return total
+
     prev = None
     for level in range(4):
         if level == 0:
-            cosine_sum = _dct1(_envelope(mode, dx * np.arange(M + 1)))[:u_grid.size]
+            _add_dct1(_envelope(mode, _half_grid(M, dx)), cosine_sum)
         else:
             dx /= 2
-            cosine_sum += 2 * _dct2(_envelope(mode, dx * (2 * np.arange(M) + 1)))[:u_grid.size]
+            _add_refinement(_envelope(mode, _makhoul_points(M, dx)), cosine_sum)
             M *= 2
-        amp = dx * cosine_sum
-        density = np.zeros_like(p_grid)
-        for pop, u_line in zip(spec.populations, u):
-            a = np.interp(u_line, u_grid, amp)
-            density += pop * a * a / (2 * np.pi)
-        if prev is not None and np.max(np.abs(density - prev)) < 1e-6:
-            return density
-        prev = density
+        current = density(dx * cosine_sum)
+        if prev is not None and np.max(np.abs(current - prev)) < 1e-6:
+            return current
+        prev = current
     raise ConvergenceError("oracle quadrature grid refinement exhausted")
 
 
@@ -447,9 +546,19 @@ def distribution_numeric_oracle(state: SystemState, H: HermitianOperator,
     grid holds every point of the level before, so a level evaluates the
     envelope only at its new points, in one call.  Ideal mode is handled
     with a strongly squeezed surrogate (delta states have no quadrature
-    representation).
+    representation).  ``p_grid`` is a scalar, taken as one point, or a 1-D
+    array.
+
+    The bin path's memory and time grow with max|u| X, where u = p - p0 +
+    g tau E runs over the grid and the lines, and X = 1e5 is that path's
+    window: its first half-grid holds M + 1 points, M the smallest power of
+    two (at least 2048) not below 1.2 X (max|u| + 1)/pi, and each refinement
+    doubles it.
     """
     p_grid = np.asarray(p_grid, dtype=float)
+    if p_grid.ndim > 1:
+        raise ValueError(f"p_grid must be a scalar or 1-D, got shape {p_grid.shape}")
+    p_grid = p_grid.reshape(-1)  # a scalar is one point
     if p_grid.size == 0 or not np.all(np.isfinite(p_grid)):
         raise ValueError("p_grid must be finite and nonempty")
     spec = spectrum_of(state, H)

@@ -244,33 +244,34 @@ def detect_peaks(hist: Histogram, probe: ProbeConfig,
     # cuts are positions in ``hist.bins``; line k is bins cuts[k]:cuts[k + 1].
     # Adjacent bins are never cut, as rounding lifts half their gaps above bin_width
     apart = (np.diff(hist.bins) > 1) & (np.diff(centers) > gap)
-    gap_cuts = [0, *(np.flatnonzero(apart) + 1).tolist(), len(hist.bins)]
-    cuts = [0]
-    for a, b in zip(gap_cuts[:-1], gap_cuts[1:]):
-        if b - a >= 3:
-            cuts += _valley_cuts(hist, a, b, smooth_bins).tolist()
-        cuts.append(b)
+    gap_cuts = np.concatenate(([0], np.flatnonzero(apart) + 1, [len(hist.bins)]))
+    # valley cuts lie strictly inside their cluster, so sorting merges them in place
+    cuts = np.sort(np.concatenate([gap_cuts] + [
+        _valley_cuts(hist, gap_cuts[i], gap_cuts[i + 1], smooth_bins)
+        for i in np.flatnonzero(np.diff(gap_cuts) >= 3)]))
 
-    lines = []
-    residual = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        # empty if no bin lies between two valley cuts: mass 0
-        count = int(hist.counts[a:b].sum())
-        mass = count / n
-        if mass < min_mass:
-            residual += mass
-            continue
-        # np.average(centers[a:b], weights=counts[a:b]) to the bit, as its float sum
-        # of the counts is exact, without its per-call checks
-        centroid = float((centers[a:b] * hist.counts[a:b]).sum() / count)
-        lines.append((centroid, mass, count))
-    if not lines:
+    a, b = cuts[:-1], cuts[1:]
+    # exact integer sums; a run between coincident valley cuts holds no bin, where
+    # reduceat would give the bin at a
+    counts = np.where(b > a, np.add.reduceat(hist.counts, a), 0)
+    masses = counts / n
+    dropped = masses < min_mass
+    # the dropped masses summed in line order, one float addition at a time
+    residual = float(np.cumsum(masses[dropped])[-1]) if dropped.any() else 0.0
+    keep = np.flatnonzero(~dropped)
+    if not keep.size:
         raise ValueError("no cluster above the mass threshold")
+    a, b, counts = a[keep], b[keep], counts[keep]
+    # np.average(centers[a:b], weights=counts[a:b]) to the bit, as its float sum of
+    # the counts is exact, without its per-call checks: one bin's sum is its one term
+    centroids = centers[a] * hist.counts[a] / counts
+    for i in np.flatnonzero(b - a > 1):
+        lo, hi = a[i], b[i]
+        centroids[i] = (centers[lo:hi] * hist.counts[lo:hi]).sum() / counts[i]
 
     # lines run up in p, and the p -> E relation reverses the ordering
-    centroids, masses, counts = zip(*reversed(lines))
-    return Spectrum(map_p_to_E(np.array(centroids), probe), masses,
-                    counts=counts, residual_mass=residual)
+    return Spectrum(map_p_to_E(centroids[::-1], probe), masses[keep][::-1],
+                    counts=counts[::-1], residual_mass=residual)
 
 
 def reconstruct_record(record: MeasurementRecord, probe: ProbeConfig,

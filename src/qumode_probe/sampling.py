@@ -7,12 +7,12 @@ and independent of how the draws are split into chunks:
 ``sample_measurements(..., start=s)`` draws j in [s, s + n) without
 generating the draws before s.
 
-A squeezed draw costs about 0.23 us, most of it the inverse normal CDF
-(a numpy port of Cephes ``ndtri``), against 0.07 us for a bin probe's
+A squeezed draw costs about 0.13 us, 0.06 us of it the inverse normal CDF
+(a numpy port of Cephes ``ndtri``), against 0.075 us for a bin probe's
 (2-core Xeon, 2**16-draw chunks).  ``MAX_SAMPLES`` (10**7) is the largest
 ``sampling.n`` the command line accepts; its record is 170 MB of text, and
 a fresh ``sample`` child that writes it for a squeezed probe takes about
-2.4 s there.
+1.8 s there.
 """
 
 from __future__ import annotations

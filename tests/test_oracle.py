@@ -228,6 +228,28 @@ def test_refinement_evaluates_half_grid_then_new_points(monkeypatch, mode, expec
     assert sizes == expected
 
 
+ORACLE_MODES = pytest.mark.parametrize("mode", [Squeezed(1.0), Ideal(), Bin(1.0)],
+                                       ids=["squeezed", "ideal", "bin"])
+
+
+@ORACLE_MODES
+def test_scalar_grid_is_one_point(mode):
+    h, state = coherent_superposition()
+    probe = ProbeConfig(0.0, 1.0, 1.0, mode)
+    p = -0.2 if isinstance(mode, Bin) else 1e-5  # inside a plateau; on the surrogate's line
+    scalar = distribution_numeric_oracle(state, h, probe, p)
+    assert scalar.shape == (1,)
+    assert np.array_equal(scalar, distribution_numeric_oracle(state, h, probe, [p]))
+
+
+@ORACLE_MODES
+def test_grid_of_more_than_one_dimension_is_refused(mode):
+    h, state = coherent_superposition()
+    probe = ProbeConfig(0.0, 1.0, 1.0, mode)
+    with pytest.raises(ValueError, match=r"scalar or 1-D, got shape \(2, 3\)"):
+        distribution_numeric_oracle(state, h, probe, np.zeros((2, 3)))
+
+
 def _equivalence_jobs():
     for seed in range(3):
         h, state = random_system(3, seed)
@@ -266,42 +288,113 @@ def relative_error(got, reference):
     return np.abs(got - reference).max() / np.abs(reference).max()
 
 
+def coefficient_counts(M):
+    """K below and above M/2, odd and even: the u grid reads the first K coefficients."""
+    return [M // 2 - 2, M // 2 - 1, M // 2 + 1, M // 2 + 2]
+
+
+# the default block, and a block of 3 that puts several block edges in every case
+BLOCKS = [probe_module.TRANSFORM_BLOCK, 3]
+
+
+def head_of(transform, buffer, K):
+    """The first K coefficients that ``transform`` adds into zeros, from a copy of buffer."""
+    out = np.zeros(K)
+    transform(buffer.copy(), out)
+    return out
+
+
+def makhoul_order(g):
+    return np.concatenate([g[0::2], g[-1::-2]])
+
+
+@pytest.mark.parametrize("bands", [1, 4, 8])
+@pytest.mark.parametrize("N", [4, 8, 512])
+def test_fft_in_bands_matches_fft(monkeypatch, N, bands):
+    monkeypatch.setattr(probe_module, "TRANSFORM_BLOCK", 3)
+    monkeypatch.setattr(probe_module, "FFT_BANDS", bands)
+    rng = np.random.default_rng(N + bands)
+    z = rng.normal(size=N) + 1j * rng.normal(size=N)
+    buffer = z.copy()
+    got = probe_module._fft_in_bands(buffer)
+    assert np.shares_memory(got, buffer) and got.shape == (np.gcd(bands, N), N // got.shape[0])
+    # got[r, q] is Z[B q + r]
+    assert relative_error(got.T.reshape(-1), np.fft.fft(z)) <= 1e-13
+
+
 @pytest.mark.parametrize("M", [8, 16, 1024])
-def test_dct1_matches_mirrored_fft_and_cosine_sum(M):
+def test_real_fft_from_half_length_fft_matches_rfft(M):
+    y = np.random.default_rng(M + 3).normal(size=M)
+    Z = probe_module._fft_in_bands(y.copy().view(complex))
+    k = np.arange(M // 2 + 1)
+    assert relative_error(probe_module._real_fft(Z, k), np.fft.rfft(y)) <= 1e-13
+
+
+def test_bin_envelope_written_in_place_keeps_its_bits():
+    mode = Bin(0.8)
+    x = np.concatenate([[0.0], np.random.default_rng(5).uniform(-1e5, 1e5, 3 * 2 ** 13 + 7)])
+    expected = np.where(x == 0, mode.L, 2 * np.sin(mode.L * x / 2) / np.where(x == 0, 1.0, x))
+    expected /= np.sqrt(2 * np.pi * mode.L)
+    got = _envelope(mode, x)
+    assert got is x
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("M", [8, 16, 1024])
+def test_dct1_matches_mirrored_fft_and_cosine_sum(monkeypatch, M):
     h = np.random.default_rng(M).normal(size=M + 1)
-    got = probe_module._dct1(h)
     mirrored = np.fft.rfft(np.concatenate([h, h[-2:0:-1]])).real
     j = np.arange(M + 1)
     weights = np.where((j == 0) | (j == M), 1.0, 2.0)
     direct = cosine_sum(M, weights * h, j, j, lambda j, k: j * k)
-    assert relative_error(got, mirrored) <= 1e-13
-    assert relative_error(got, direct) <= 1e-13
+    for block in BLOCKS:
+        monkeypatch.setattr(probe_module, "TRANSFORM_BLOCK", block)
+        for K in coefficient_counts(M):
+            got = head_of(probe_module._add_dct1, h, K)
+            assert relative_error(got, mirrored[:K]) <= 1e-13
+            assert relative_error(got, direct[:K]) <= 1e-13
 
 
 @pytest.mark.parametrize("M", [8, 16, 1024])
-def test_dct2_matches_cosine_sum(M):
+def test_dct2_matches_cosine_sum(monkeypatch, M):
     g = np.random.default_rng(M + 1).normal(size=M)
-    direct = cosine_sum(2 * M, g, np.arange(M + 1), np.arange(M), lambda j, k: (2 * j + 1) * k)
-    assert relative_error(probe_module._dct2(g), direct) <= 1e-13
+    direct = cosine_sum(2 * M, g, np.arange(M), np.arange(M), lambda j, k: (2 * j + 1) * k)
+    for block in BLOCKS:
+        monkeypatch.setattr(probe_module, "TRANSFORM_BLOCK", block)
+        for K in coefficient_counts(M):
+            # the refinement adds 2 S[k]
+            got = head_of(probe_module._add_refinement, makhoul_order(g), K) / 2
+            assert relative_error(got, direct[:K]) <= 1e-13
 
 
 @pytest.mark.parametrize("M", [8, 16, 1024])
-def test_refinement_identity_gives_dct1_of_interleaved_half_grid(M):
+def test_refinement_identity_gives_dct1_of_interleaved_half_grid(monkeypatch, M):
     rng = np.random.default_rng(M + 2)
     h, new = rng.normal(size=M + 1), rng.normal(size=M)
     finer = np.empty(2 * M + 1)
     finer[0::2], finer[1::2] = h, new
-    C, S = probe_module._dct1(h), probe_module._dct2(new)
-    # C'[k] = C[k] + 2 S[k] and C'[2M - k] = C[k] - 2 S[k], k = 0 .. M
-    refined = np.concatenate([C + 2 * S, (C - 2 * S)[-2::-1]])
-    assert relative_error(refined, probe_module._dct1(finer)) <= 1e-13
+    mirrored = np.fft.rfft(np.concatenate([finer, finer[-2:0:-1]])).real
+    for block in BLOCKS:
+        monkeypatch.setattr(probe_module, "TRANSFORM_BLOCK", block)
+        for K in coefficient_counts(M):
+            # C'[k] = C[k] + 2 S[k], k < K
+            refined = head_of(probe_module._add_dct1, h, K)
+            probe_module._add_refinement(makhoul_order(new), refined)
+            assert relative_error(refined, mirrored[:K]) <= 1e-13
 
 
-BIN_ORACLE_CHILD = """
+def test_makhoul_points_are_the_new_points_in_makhoul_order():
+    M, dx = 16, 0.3
+    assert np.array_equal(probe_module._makhoul_points(M, dx),
+                          makhoul_order(dx * (2 * np.arange(M) + 1)))
+
+
+ORACLE_CHILD = """
+import sys
 import numpy as np
 from qumode_probe.models import dicke_interaction
 from qumode_probe.operators import thermal_state
-from qumode_probe.probe import Bin, ProbeConfig, distribution_numeric_oracle
+from qumode_probe.probe import Bin, ProbeConfig, Squeezed, distribution_numeric_oracle
 
 def vmhwm():
     with open("/proc/self/status") as status:
@@ -310,22 +403,40 @@ def vmhwm():
 H = dicke_interaction(4)
 state = thermal_state(H, 0.5)
 before = vmhwm()
-# max |u| = 5 on this grid sets n = 2^19, the bin job of the oracle-verify benchmark
-distribution_numeric_oracle(state, H, ProbeConfig(0.0, 1.0, 1.0, Bin(0.8)),
-                            np.linspace(-3.0, 3.0, 40))
+if sys.argv[1] == "bin":
+    # max |u| = 5 on this grid sets n = 2^19, the bin job of the oracle-verify benchmark
+    distribution_numeric_oracle(state, H, ProbeConfig(0.0, 1.0, 1.0, Bin(0.8)),
+                                np.linspace(-3.0, 3.0, 40))
+else:
+    # the first squeezed job of the oracle-verify benchmark
+    distribution_numeric_oracle(state, H, ProbeConfig(0.0, 1.0, 1.0, Squeezed(2.0)),
+                                np.linspace(-4.0, 4.0, 321))
 print(before, vmhwm())
 """
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
-def test_bin_oracle_peak_memory_growth():
-    """The bin oracle's transforms stay at half-grid length: at n = 2^19 the
-    child's VmHWM grows by under 24 MiB (a 2^20-point FFT of the mirrored
-    sequence grew it by 51 MiB)."""
+def oracle_child_growth_mib(kind):
+    """VmHWM growth, in MiB, of a fresh child across one oracle job."""
     src = os.path.dirname(os.path.dirname(qumode_probe.__file__))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", BIN_ORACLE_CHILD], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", ORACLE_CHILD, kind], env=env, check=True,
                          capture_output=True, text=True).stdout
     before, after = map(int, out.split())
-    assert (after - before) / 1024 < 24
+    return (after - before) / 1024
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_bin_oracle_peak_memory_growth():
+    """The bin oracle works in one half-grid buffer per level and runs its FFTs
+    band by band: at n = 2^19 the child's VmHWM grows by under 8 MiB (about 6;
+    8.3 with one whole-buffer FFT, 18 with separate arrays for every transform
+    stage, 51 for a 2^20-point FFT of the mirrored sequence)."""
+    assert oracle_child_growth_mib("bin") < 8
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_squeezed_oracle_peak_memory_growth():
+    """The squeezed oracle forms its cosine matrix in place: on 321 points the
+    child's VmHWM grows by under 5 MiB (about 3.6; 6.6 with the matrix held twice)."""
+    assert oracle_child_growth_mib("squeezed") < 5

@@ -18,15 +18,9 @@ Run:  python3 demos/quench_and_overlap.py
 
 import numpy as np
 
-from qumode_probe import (
-    HermitianOperator,
-    dicke_interaction,
-    ground_state_overlap,
-    linear_family,
-    quench_work,
-    sigma_x,
-    sigma_z,
-)
+from qumode_probe.models import dicke_interaction, linear_family
+from qumode_probe.operators import HermitianOperator, sigma_x, sigma_z
+from qumode_probe.thermo import ground_state_overlap, quench_work
 
 # --- 1. sudden quench ------------------------------------------------------
 print("Quench sigma_z -> sigma_x at beta = 1:")

@@ -13,17 +13,11 @@ Run:  python3 demos/spectroscopy.py
 
 import numpy as np
 
-from qumode_probe import (
-    ProbeConfig,
-    Squeezed,
-    distribution_for,
-    rabi_interaction,
-    reconstruct_record,
-    resolution_params,
-    sample_measurements,
-    spectrum_of,
-    thermal_state,
-)
+from qumode_probe.models import rabi_interaction
+from qumode_probe.operators import spectrum_of, thermal_state
+from qumode_probe.probe import ProbeConfig, Squeezed, distribution_for
+from qumode_probe.reconstruct import reconstruct_record, resolution_params
+from qumode_probe.sampling import sample_measurements
 
 # --- the system: three sigma_x sites, thermal at beta = 0.5 ----------------
 H = rabi_interaction(3)

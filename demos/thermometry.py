@@ -13,20 +13,11 @@ Run:  python3 demos/thermometry.py
 
 import numpy as np
 
-from qumode_probe import (
-    HermitianOperator,
-    ProbeConfig,
-    Spectrum,
-    Squeezed,
-    distribution_for,
-    estimate_beta,
-    recover_degeneracies,
-    reconstruct_record,
-    sample_measurements,
-    spectrum_of,
-    thermal_state,
-    thermo_report,
-)
+from qumode_probe.operators import HermitianOperator, Spectrum, spectrum_of, thermal_state
+from qumode_probe.probe import ProbeConfig, Squeezed, distribution_for
+from qumode_probe.reconstruct import reconstruct_record
+from qumode_probe.sampling import sample_measurements
+from qumode_probe.thermo import estimate_beta, recover_degeneracies, thermo_report
 
 beta_true = 0.9
 H = HermitianOperator(np.diag([0.0, 0.7, 1.1, 1.1, 3.0]))

@@ -76,12 +76,6 @@ class Histogram:
         return self.origin + self.width * k
 
     @property
-    def bin_width(self) -> float:
-        """Width of the lowest occupied bin, edge to edge."""
-        k = self.bins[0]
-        return float(self.edge(k + 1) - self.edge(k))
-
-    @property
     def centers(self) -> np.ndarray:
         return 0.5 * (self.edge(self.bins) + self.edge(self.bins + 1))
 
@@ -218,7 +212,7 @@ def detect_peaks(hist: Histogram, probe: ProbeConfig,
 
     A line is the run of occupied bins between two consecutive cuts.
     Gap cuts fall where occupied bins that are not adjacent lie more than
-    ``max(bin_width, 3 * sigma_p)`` apart, so sparse tail counts cannot
+    ``max(hist.width, 3 * sigma_p)`` apart, so sparse tail counts cannot
     bridge well-separated lines.  Valley cuts split each cluster between
     gap cuts at its significant valleys (``_valley_cuts``), so
     overlapping-but-distinct lines separate; a cluster of fewer than three
@@ -238,11 +232,11 @@ def detect_peaks(hist: Histogram, probe: ProbeConfig,
     if not 0 < min_mass < 1:
         raise ValueError("min_mass must be in (0, 1)")
 
-    gap = max(hist.bin_width, 3.0 * probe.momentum_std())
-    smooth_bins = max(1, int(round(probe.momentum_std() / hist.bin_width)))
+    gap = max(hist.width, 3.0 * probe.momentum_std())
+    smooth_bins = max(1, int(round(probe.momentum_std() / hist.width)))
     centers = hist.centers
     # cuts are positions in ``hist.bins``; line k is bins cuts[k]:cuts[k + 1].
-    # Adjacent bins are never cut, as rounding lifts half their gaps above bin_width
+    # Adjacent bins are never cut, as rounding lifts half their gaps above the width
     apart = (np.diff(hist.bins) > 1) & (np.diff(centers) > gap)
     gap_cuts = np.concatenate(([0], np.flatnonzero(apart) + 1, [len(hist.bins)]))
     # valley cuts lie strictly inside their cluster, so sorting merges them in place

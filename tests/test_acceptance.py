@@ -34,13 +34,8 @@ from qumode_probe.operators import (
     spectrum_of,
     thermal_state,
 )
-from qumode_probe.probe import (
-    Bin,
-    ProbeConfig,
-    Squeezed,
-    distribution_for,
-    distribution_numeric_oracle,
-)
+from qumode_probe.oracle import distribution_numeric_oracle
+from qumode_probe.probe import Bin, ProbeConfig, Squeezed, distribution_for
 from qumode_probe.reconstruct import reconstruct_record, resolution_params
 from qumode_probe.sampling import MeasurementRecord, sample_measurements
 from qumode_probe.serialize import record_to_text

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import qumode_probe
-from qumode_probe import probe as probe_module
+from qumode_probe import oracle as oracle_module
 from qumode_probe.operators import (
     ConvergenceError,
     HermitianOperator,
@@ -14,17 +14,10 @@ from qumode_probe.operators import (
     spectrum_of,
     thermal_state,
 )
-from qumode_probe.probe import (
-    IDEAL_SURROGATE_SQUEEZING,
-    Bin,
-    Ideal,
-    ProbeConfig,
-    Squeezed,
-    distribution_for,
-    distribution_numeric_oracle,
-)
+from qumode_probe.oracle import IDEAL_SURROGATE_SQUEEZING, distribution_numeric_oracle
+from qumode_probe.probe import Bin, Ideal, ProbeConfig, Squeezed, distribution_for
 
-_envelope = probe_module._envelope
+_envelope = oracle_module._envelope
 
 
 def full_grid_squeezed(spec, probe, mode, p_grid):
@@ -165,7 +158,7 @@ def test_squeezed_matches_closed_form_at_high_squeezing(seed):
 def test_unsettled_envelope_exhausts_refinement(monkeypatch, mode):
     h, state = random_system(2, 4)
     probe = ProbeConfig(0.0, 1.0, 1.0, mode)
-    envelope = probe_module._envelope
+    envelope = oracle_module._envelope
     calls = []
 
     def drifting(mode, x):
@@ -173,7 +166,7 @@ def test_unsettled_envelope_exhausts_refinement(monkeypatch, mode):
         calls.append(x.size)
         return envelope(mode, x) * (1 + 1e-3 * len(calls))
 
-    monkeypatch.setattr(probe_module, "_envelope", drifting)
+    monkeypatch.setattr(oracle_module, "_envelope", drifting)
     point = -spectrum_of(state, h).lines[0].E  # p0 = 0, g tau = 1
     with pytest.raises(ConvergenceError, match="refinement exhausted"):
         distribution_numeric_oracle(state, h, probe, np.linspace(point - 1e-4, point + 1e-4, 5))
@@ -220,7 +213,7 @@ def test_refinement_evaluates_half_grid_then_new_points(monkeypatch, mode, expec
         sizes.append(x.size)
         return _envelope(mode, x)
 
-    monkeypatch.setattr(probe_module, "_envelope", recording)
+    monkeypatch.setattr(oracle_module, "_envelope", recording)
     grid = np.linspace(-1.0, 0.0, 41)  # spans both lines, p = -E
     if isinstance(mode, Ideal):
         grid = np.concatenate([np.linspace(p - 6e-4, p + 6e-4, 21) for p in (-1.0, 0.0)])
@@ -294,7 +287,7 @@ def coefficient_counts(M):
 
 
 # the default block, and a block of 3 that puts several block edges in every case
-BLOCKS = [probe_module.TRANSFORM_BLOCK, 3]
+BLOCKS = [oracle_module.TRANSFORM_BLOCK, 3]
 
 
 def head_of(transform, buffer, K):
@@ -311,12 +304,12 @@ def makhoul_order(g):
 @pytest.mark.parametrize("bands", [1, 4, 8])
 @pytest.mark.parametrize("N", [4, 8, 512])
 def test_fft_in_bands_matches_fft(monkeypatch, N, bands):
-    monkeypatch.setattr(probe_module, "TRANSFORM_BLOCK", 3)
-    monkeypatch.setattr(probe_module, "FFT_BANDS", bands)
+    monkeypatch.setattr(oracle_module, "TRANSFORM_BLOCK", 3)
+    monkeypatch.setattr(oracle_module, "FFT_BANDS", bands)
     rng = np.random.default_rng(N + bands)
     z = rng.normal(size=N) + 1j * rng.normal(size=N)
     buffer = z.copy()
-    got = probe_module._fft_in_bands(buffer)
+    got = oracle_module._fft_in_bands(buffer)
     assert np.shares_memory(got, buffer) and got.shape == (np.gcd(bands, N), N // got.shape[0])
     # got[r, q] is Z[B q + r]
     assert relative_error(got.T.reshape(-1), np.fft.fft(z)) <= 1e-13
@@ -325,9 +318,9 @@ def test_fft_in_bands_matches_fft(monkeypatch, N, bands):
 @pytest.mark.parametrize("M", [8, 16, 1024])
 def test_real_fft_from_half_length_fft_matches_rfft(M):
     y = np.random.default_rng(M + 3).normal(size=M)
-    Z = probe_module._fft_in_bands(y.copy().view(complex))
+    Z = oracle_module._fft_in_bands(y.copy().view(complex))
     k = np.arange(M // 2 + 1)
-    assert relative_error(probe_module._real_fft(Z, k), np.fft.rfft(y)) <= 1e-13
+    assert relative_error(oracle_module._real_fft(Z, k), np.fft.rfft(y)) <= 1e-13
 
 
 def test_bin_envelope_written_in_place_keeps_its_bits():
@@ -348,9 +341,9 @@ def test_dct1_matches_mirrored_fft_and_cosine_sum(monkeypatch, M):
     weights = np.where((j == 0) | (j == M), 1.0, 2.0)
     direct = cosine_sum(M, weights * h, j, j, lambda j, k: j * k)
     for block in BLOCKS:
-        monkeypatch.setattr(probe_module, "TRANSFORM_BLOCK", block)
+        monkeypatch.setattr(oracle_module, "TRANSFORM_BLOCK", block)
         for K in coefficient_counts(M):
-            got = head_of(probe_module._add_dct1, h, K)
+            got = head_of(oracle_module._add_dct1, h, K)
             assert relative_error(got, mirrored[:K]) <= 1e-13
             assert relative_error(got, direct[:K]) <= 1e-13
 
@@ -360,10 +353,10 @@ def test_dct2_matches_cosine_sum(monkeypatch, M):
     g = np.random.default_rng(M + 1).normal(size=M)
     direct = cosine_sum(2 * M, g, np.arange(M), np.arange(M), lambda j, k: (2 * j + 1) * k)
     for block in BLOCKS:
-        monkeypatch.setattr(probe_module, "TRANSFORM_BLOCK", block)
+        monkeypatch.setattr(oracle_module, "TRANSFORM_BLOCK", block)
         for K in coefficient_counts(M):
             # the refinement adds 2 S[k]
-            got = head_of(probe_module._add_refinement, makhoul_order(g), K) / 2
+            got = head_of(oracle_module._add_refinement, makhoul_order(g), K) / 2
             assert relative_error(got, direct[:K]) <= 1e-13
 
 
@@ -375,17 +368,17 @@ def test_refinement_identity_gives_dct1_of_interleaved_half_grid(monkeypatch, M)
     finer[0::2], finer[1::2] = h, new
     mirrored = np.fft.rfft(np.concatenate([finer, finer[-2:0:-1]])).real
     for block in BLOCKS:
-        monkeypatch.setattr(probe_module, "TRANSFORM_BLOCK", block)
+        monkeypatch.setattr(oracle_module, "TRANSFORM_BLOCK", block)
         for K in coefficient_counts(M):
             # C'[k] = C[k] + 2 S[k], k < K
-            refined = head_of(probe_module._add_dct1, h, K)
-            probe_module._add_refinement(makhoul_order(new), refined)
+            refined = head_of(oracle_module._add_dct1, h, K)
+            oracle_module._add_refinement(makhoul_order(new), refined)
             assert relative_error(refined, mirrored[:K]) <= 1e-13
 
 
 def test_makhoul_points_are_the_new_points_in_makhoul_order():
     M, dx = 16, 0.3
-    assert np.array_equal(probe_module._makhoul_points(M, dx),
+    assert np.array_equal(oracle_module._makhoul_points(M, dx),
                           makhoul_order(dx * (2 * np.arange(M) + 1)))
 
 
@@ -394,7 +387,8 @@ import sys
 import numpy as np
 from qumode_probe.models import dicke_interaction
 from qumode_probe.operators import thermal_state
-from qumode_probe.probe import Bin, ProbeConfig, Squeezed, distribution_numeric_oracle
+from qumode_probe.oracle import distribution_numeric_oracle
+from qumode_probe.probe import Bin, ProbeConfig, Squeezed
 
 def vmhwm():
     with open("/proc/self/status") as status:

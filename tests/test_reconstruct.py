@@ -267,10 +267,12 @@ def split_cluster_reference(cluster, counts, smooth_bins):
 
 @dataclass(frozen=True)
 class DenseHistogram:
-    """Counts of every bin from the lowest occupied one to the highest, and their
-    edges: the layout that ``detect_peaks_reference`` reads."""
+    """Counts of every bin from the lowest occupied one to the highest, their
+    edges and the width they were cut at: the layout that
+    ``detect_peaks_reference`` reads."""
     counts: np.ndarray
     edges: np.ndarray
+    width: float
 
     @classmethod
     def of(cls, hist):
@@ -278,15 +280,11 @@ class DenseHistogram:
         ks = lo + np.arange(hist.bins[-1] - lo + 2 if len(hist.bins) else 1)
         counts = np.zeros(len(ks) - 1, dtype=np.intp)
         counts[(hist.bins - lo).astype(int)] = hist.counts
-        return cls(counts, hist.edge(ks))
+        return cls(counts, hist.edge(ks), hist.width)
 
     @property
     def n(self):
         return int(self.counts.sum())
-
-    @property
-    def bin_width(self):
-        return float(self.edges[1] - self.edges[0])
 
     @property
     def centers(self):
@@ -305,7 +303,7 @@ def detect_peaks_reference(hist, probe, min_mass=None):
                              "it needs n > 10")
     if not 0 < min_mass < 1:
         raise ValueError("min_mass must be in (0, 1)")
-    gap = max(hist.bin_width, 3.0 * probe.momentum_std())
+    gap = max(hist.width, 3.0 * probe.momentum_std())
     occupied = np.nonzero(hist.counts)[0]
     centers = hist.centers
     clusters = [[occupied[0]]]
@@ -314,7 +312,7 @@ def detect_peaks_reference(hist, probe, min_mass=None):
             clusters.append([i])
         else:
             clusters[-1].append(i)
-    smooth_bins = max(1, int(round(probe.momentum_std() / hist.bin_width)))
+    smooth_bins = max(1, int(round(probe.momentum_std() / hist.width)))
     clusters = [part for cluster in clusters
                 for part in split_cluster_reference(cluster, hist.counts, smooth_bins)]
     lines = []
@@ -386,8 +384,8 @@ def detect_peaks_loop(hist, probe, min_mass=None):
                              "it needs n > 10")
     if not 0 < min_mass < 1:
         raise ValueError("min_mass must be in (0, 1)")
-    gap = max(hist.bin_width, 3.0 * probe.momentum_std())
-    smooth_bins = max(1, int(round(probe.momentum_std() / hist.bin_width)))
+    gap = max(hist.width, 3.0 * probe.momentum_std())
+    smooth_bins = max(1, int(round(probe.momentum_std() / hist.width)))
     centers = hist.centers
     apart = (np.diff(hist.bins) > 1) & (np.diff(centers) > gap)
     gap_cuts = [0, *(np.flatnonzero(apart) + 1).tolist(), len(hist.bins)]

@@ -7,7 +7,9 @@ momentum profile.  The probe mode is that profile, the kernel of one
 ``Bin(L)`` (a finite momentum bin) a uniform window of width L, and
 ``Squeezed(s)`` (a finitely squeezed Gaussian) a normal of std
 1/(sqrt(2)*s).  Each mode carries its kernel's std, support half-width,
-CDF, inverse CDF and density.
+inverse CDF and density.  Finite detector bins are a property of the
+draw: a mixture with ``detector_bin`` w > 0 reads each draw into the bin
+[k*w, (k+1)*w) that holds it, at a uniform place within that bin.
 
 The quadrature oracle that checks these closed forms lives in ``oracle``,
 which no command imports.
@@ -15,19 +17,13 @@ which no command imports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import ClassVar, Union
 
 import numpy as np
 
 from .operators import Spectrum
-
-# bins one cluster's smoothing window or detector binning may span, occupied or not,
-# and binning may visit
-MAX_BINS = 2 ** 24
-# bins of one line that detector binning builds edges and kernel CDFs for at a time
-BINNING_BLOCK = 2 ** 16
 
 # Cephes ndtri, the inverse normal CDF (S. L. Moshier, Methods and Programs for
 # Mathematical Functions, 1989), ported with its coefficients, branch points and
@@ -116,11 +112,6 @@ class Ideal:
     half_width: ClassVar[float] = 0.0
 
     @staticmethod
-    def cdf(x) -> np.ndarray:
-        """P(offset < x): a line on a detector bin edge lands in the bin above."""
-        return (np.asarray(x) > 0).astype(float)
-
-    @staticmethod
     def inverse_cdf(u) -> np.ndarray:
         return np.zeros_like(u)
 
@@ -147,9 +138,6 @@ class Bin:
     def half_width(self) -> float:
         return self.L / 2
 
-    def cdf(self, x) -> np.ndarray:
-        return np.clip(np.asarray(x) / self.L + 0.5, 0.0, 1.0)
-
     def inverse_cdf(self, u) -> np.ndarray:
         return self.L * (u - 0.5)
 
@@ -174,10 +162,6 @@ class Squeezed:
     @property
     def half_width(self) -> float:
         return 10 * self.std  # the mass beyond 10 std is below 1e-23
-
-    def cdf(self, x) -> np.ndarray:
-        from scipy.special import ndtr  # lazy: scipy.special is most of a CLI call's start-up
-        return ndtr(np.asarray(x) / self.std)
 
     def inverse_cdf(self, u) -> np.ndarray:
         return self.std * _ndtri(u)
@@ -216,7 +200,8 @@ class ProbeConfig:
 
 @dataclass(frozen=True, eq=False)
 class LineMixture:
-    """Mass ``weights[n]`` at ``points[n]``, each line spread by ``mode``'s kernel.
+    """Mass ``weights[n]`` at ``points[n]``, each line spread by ``mode``'s kernel,
+    and each draw read into a detector bin of width ``detector_bin`` when it is > 0.
 
     The arrays are read-only copies; lines keep the order they were given
     in and may share a position.
@@ -225,16 +210,22 @@ class LineMixture:
     points: np.ndarray
     weights: np.ndarray
     mode: ProbeMode
+    detector_bin: float = 0.0
 
     def __post_init__(self):
         points = np.array(self.points, dtype=float)
         weights = np.array(self.weights, dtype=float)
         if points.ndim != 1 or not points.size or points.shape != weights.shape:
             raise ValueError("points and weights must be non-empty 1-D arrays of one length")
-        # draws stay within half_width of their line, so none overflows
-        if not np.isfinite(np.abs(points).max() + self.mode.half_width):
+        if not 0 <= self.detector_bin < np.inf:
+            raise ValueError(f"detector bin width must be finite and >= 0, "
+                             f"got {self.detector_bin!r}")
+        # draws stay within half_width of their line, and binned ones within one bin more,
+        # so none overflows
+        if not np.isfinite(np.abs(points).max() + self.mode.half_width + self.detector_bin):
             raise ValueError(f"line positions widened by the kernel's half-width "
-                             f"{float(self.mode.half_width)!r} must be finite")
+                             f"{float(self.mode.half_width)!r} and the detector bin "
+                             f"{float(self.detector_bin)!r} must be finite")
         if not (weights >= 0).all():
             raise ValueError("line weights must be nonnegative")
         total = weights.sum()
@@ -253,7 +244,10 @@ class LineMixture:
         return cumulative
 
     def density(self, p) -> np.ndarray:
-        """Probability density at ``p``; a delta kernel has none."""
+        """Probability density at ``p``; a delta kernel and a detector-binned
+        mixture have none."""
+        if self.detector_bin > 0:
+            raise ValueError("a detector-binned mixture has no density")
         p = np.asarray(p, dtype=float)
         return sum(m * self.mode.density(p - x) for x, m in zip(self.points, self.weights))
 
@@ -287,47 +281,19 @@ def bin_index(x, width: float, origin: float, what: str) -> np.ndarray:
 
 
 def apply_detector_binning(dist: LineMixture, bin_width: float) -> LineMixture:
-    """Integrate a distribution over detector bins of the given width.
+    """``dist`` with each draw read into detector bins [k*w, (k+1)*w) of width w.
 
-    Bins are half-open [k*w, (k+1)*w).  A line's mass in a bin is the
-    difference of its kernel's CDF at the bin's edges, taken over the bins
-    the line reaches only, BINNING_BLOCK bins at a time, so no per-line
-    array outgrows a block.  The result holds one line per
-    bin that receives mass, at the bin centre with a uniform kernel of
-    width w.  A span over MAX_BINS bins, or lines that reach more than
-    MAX_BINS bins in all, are rejected before any array of that length is
-    allocated: near 2**24 bins in all, binning takes 0.1 to 0.5 s over 64
-    to 1024 lines and about 0.6 s on one line (2-core Xeon).
+    The binned law is the image of the continuous one under p -> floor(p/w),
+    with a uniform place within the bin (Devroye, Non-Uniform Random Variate
+    Generation, 1986, ch. I): ``sample_measurements`` draws p as for ``dist``
+    and then bins it, so no per-bin array is built.  A line on a bin edge
+    lands in the bin above.
     """
     if not bin_width > 0:
         raise ValueError("bin width must be positive")
-    w = bin_width
-    reach = dist.mode.half_width
-    # each line's first and last bin, with one bin of margin against rounding
-    first = bin_index(dist.points - reach, w, 0.0, "line supports") - 1
-    last = bin_index(dist.points + reach, w, 0.0, "line supports") + 1
-    k_lo = first.min()
-    span = last.max() - k_lo + 1
-    work = (last - first + 1).sum()
-    if not max(span, work) <= MAX_BINS:
-        raise ValueError(f"binning at width {w!r} spans {span:.6g} bins and visits {work:.6g} "
-                         f"over its {len(first)} lines, over the cap of {MAX_BINS}")
-    first, last = (first - k_lo).astype(int), (last - k_lo).astype(int)
-    masses = np.zeros(int(span))
-    # an edge beyond the float64 range is +-inf, where every kernel's CDF is 0 or 1
-    with np.errstate(over="ignore"):
-        for p, m, a, b in zip(dist.points, dist.weights, first, last):
-            # blocks of bins [lo, hi) share their edge at hi; every step is elementwise
-            for lo in range(a, b + 1, BINNING_BLOCK):
-                hi = min(lo + BINNING_BLOCK, b + 1)
-                edges = w * (k_lo + np.arange(lo, hi + 1))
-                masses[lo:hi] += m * np.diff(dist.mode.cdf(edges - p))
-
-    total = masses.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"binned mass {total} lost more than 1e-9")
-    keep = np.flatnonzero(masses > 0)
-    return LineMixture(w * (k_lo + keep + 0.5), masses[keep] / total, Bin(w))
+    for support in (dist.points - dist.mode.half_width, dist.points + dist.mode.half_width):
+        bin_index(support, bin_width, 0.0, "line supports")
+    return replace(dist, detector_bin=bin_width)
 
 
 def __getattr__(name: str):

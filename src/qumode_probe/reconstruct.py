@@ -16,8 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import Spectrum
-from .probe import MAX_BINS, Bin, ProbeConfig, Squeezed, bin_index, map_p_to_E
+from .probe import Bin, ProbeConfig, Squeezed, bin_index, map_p_to_E
 from .sampling import MeasurementRecord
+
+# bins one cluster's smoothing window may span, occupied or not
+MAX_BINS = 2 ** 24
 
 
 @dataclass(frozen=True)

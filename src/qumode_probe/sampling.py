@@ -2,8 +2,11 @@
 
 Draw j consumes uniforms 2j and 2j+1 of a Philox stream keyed by the
 seed: the first picks one line of a ``LineMixture``, the second places
-the draw within that line's kernel.  A record is therefore reproducible
-and independent of how the draws are split into chunks:
+the draw within that line's kernel.  A mixture with detector bins reads
+each draw into its bin and places it there by uniform j of a second
+Philox stream, with the same key and a counter that starts at 2**192, so
+records without detector bins keep every bit.  A record is therefore
+reproducible and independent of how the draws are split into chunks:
 ``sample_measurements(..., start=s)`` draws j in [s, s + n) without
 generating the draws before s.
 
@@ -60,6 +63,16 @@ def _uniform_pairs(seed: int, start: int, count: int) -> tuple[np.ndarray, np.nd
     return u[0::2], u[1::2]
 
 
+def _bin_uniforms(seed: int, start: int, count: int) -> np.ndarray:
+    """Uniform j of the bin stream, whose counter starts at 2**192, for draws j in
+    [start, start+count); ``start`` must be a multiple of 4."""
+    if start % 4:
+        raise ValueError("a detector-binned partition start must be a multiple of 4")
+    bitgen = np.random.Philox(key=seed, counter=[0, 0, 0, 1])
+    bitgen.advance(start // 4)
+    return np.random.Generator(bitgen).random(count)
+
+
 def sample_measurements(dist: LineMixture, n: int, seed: int,
                         detector_bin: float = 0.0, start: int = 0) -> MeasurementRecord:
     """Draw n i.i.d. momentum outcomes, draws j in [start, start + n) of the stream.
@@ -67,14 +80,23 @@ def sample_measurements(dist: LineMixture, n: int, seed: int,
     Composition (Devroye, Non-Uniform Random Variate Generation, 1986,
     II.4): uniform 2j picks a line by its weight, ties at the cumulative
     edges going to the lower line, and uniform 2j+1 goes through that
-    line's kernel's inverse CDF.  Deterministic in (dist, n, seed, start);
-    ``start`` must be even, and consecutive calls that tile [0, N)
-    concatenate to the single call with n = N.
+    line's kernel's inverse CDF.  When ``dist.detector_bin`` w > 0, the draw p
+    becomes (floor(p/w) + v)*w for the bin stream's uniform v.  Deterministic
+    in (dist, n, seed, start); ``start`` must be even, a multiple of 4 when
+    binned, and consecutive calls that tile [0, N) concatenate to the single
+    call with n = N.  ``detector_bin``, the record's provenance, must be
+    ``dist.detector_bin``.
     """
     if n < 1:
         raise ValueError("need at least one sample")
+    w = dist.detector_bin
+    if detector_bin != w:
+        raise ValueError(f"record detector_bin {detector_bin!r} differs from the "
+                         f"mixture's {w!r}")
     u_line, u_kernel = _uniform_pairs(seed, start, n)
     idx = np.searchsorted(dist.cumulative_weights, u_line, side="left")
     idx = np.minimum(idx, len(dist.weights) - 1)
-    return MeasurementRecord(samples=dist.points[idx] + dist.mode.inverse_cdf(u_kernel),
-                             seed=seed, detector_bin=detector_bin)
+    samples = dist.points[idx] + dist.mode.inverse_cdf(u_kernel)
+    if w > 0:
+        samples = (np.floor(samples / w) + _bin_uniforms(seed, start, n)) * w
+    return MeasurementRecord(samples=samples, seed=seed, detector_bin=detector_bin)

@@ -862,9 +862,9 @@ print(json.dumps(loaded))
 """
 
 
-def test_cli_calls_leave_scipy_unloaded_unless_a_squeezed_probe_is_detector_binned(tmp_path):
-    """Only detector-binning a squeezed probe needs scipy (``scipy.special.ndtr``);
-    sampling one loads no scipy module."""
+def test_cli_calls_load_no_scipy_module(tmp_path):
+    """No command needs scipy, detector-binning a squeezed probe included: scipy
+    is a test dependency only."""
     two_lines = {"system": {"diagonal": [0.0, 1.0]}, "state": {"thermal_beta": 1.0},
                  "sampling": {"n": 20_000, "seed": 3}, "thermo": {"beta_grid": [1.0]}}
     bin_probe = dict(two_lines, probe={"p0": 0.0, "g": 1.0, "tau": 1.0,
@@ -889,7 +889,7 @@ def test_cli_calls_leave_scipy_unloaded_unless_a_squeezed_probe_is_detector_binn
         ("quench", quench, []),
         ("overlap", overlap, []),
         ("sample-squeezed", squeezed, []),
-        ("sample-squeezed-binned", squeezed_binned, []),  # last: the modules stay loaded
+        ("sample-squeezed-binned", squeezed_binned, []),
     ]
     argvs = []
     for name, config, extra in steps:
@@ -903,9 +903,7 @@ def test_cli_calls_leave_scipy_unloaded_unless_a_squeezed_probe_is_detector_binn
                          env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     loaded = json.loads(out.stdout)
-    binned_modules = loaded.pop("sample-squeezed-binned")
-    assert loaded == {name: [] for name in loaded}
-    assert "scipy.special" in binned_modules
+    assert loaded == {name: [] for name in ["import", *(step[0] for step in steps)]}
 
 
 SQUEEZED_PAIR = {"system": {"diagonal": [0.0, 1.0]}, "state": {"thermal_beta": 1.0},
@@ -1088,8 +1086,8 @@ class TestPinnedReports:
             id="record-heavy"),
         pytest.param("many-lines", {
             "spectrum": "155e58d547e81b32eea44471f478c993b56cc6d7bba8e5d24f8e1b58dc3adc0d",
-            "sample": "db5826da5f15c9a7c4e7b49d885bbc97fd36eb8a967c2f29e9af7a87fd0a254e",
-            "reconstruct": "6d4e0dd735d2b708e988474bafdd57c0d3a95094b21e2ecc5e47f3caf77f3699",
+            "sample": "ed3befec78739466da03f37f10e3d5d3be2a8fe761b6f672ec810415748bf47f",
+            "reconstruct": "6a946b5369146c347ebaed25b5295e8849697b630f5f8e7de20f022f7e9359f1",
             "thermo": "41510a6bc20a7f30d7b6498f170a40462167aed867736dfd5065f485a3e023de"},
             id="many-lines"),
     ])
@@ -1237,11 +1235,6 @@ class TestBoundedChildren:
         pytest.param("thermo", dict(QUBIT, thermo={"beta_grid": {"num": 1e11}}),
                      "thermo.beta_grid.num must be an integer from 1 to 100000",
                      id="beta-grid-num"),
-        pytest.param("sample", dict(QUBIT, probe={"p0": 0.0, "g": 1.0, "tau": 1.0,
-                                                  "mode": {"kind": "bin", "L": 0.1}},
-                                    sampling={"n": 10, "detector_bin": 1e-12}),
-                     "sampling.detector_bin: binning at width 1e-12 spans",
-                     id="detector-bin-span"),
         pytest.param("spectrum", {"system": {"model": "rabi", "n_sites": 1e12}},
                      "exceeds cap 1024", id="rabi-n-sites"),
         pytest.param("spectrum", {"system": {"diagonal": [0.0] * 30_000}},
@@ -1256,6 +1249,32 @@ class TestBoundedChildren:
         assert "MemoryError" not in err
         assert code == EXIT_CONFIG, err
         assert message in err
+
+    @pytest.mark.parametrize("config", [
+        pytest.param(dict(QUBIT, probe={"p0": 0.0, "g": 1.0, "tau": 1.0,
+                                        "mode": {"kind": "bin", "L": 0.1}},
+                          sampling={"n": 10, "detector_bin": 1e-12}),
+                     id="detector-bin-span"),
+        # 1024 lines, each reaching 10**7 bins
+        pytest.param({"system": {"diagonal": np.linspace(0.0, 1.0, DIMENSION_CAP).tolist()},
+                      "state": {"maximally_mixed": True},
+                      "probe": {"mode": {"kind": "bin", "L": 1000.0}},
+                      "sampling": {"n": 10, "detector_bin": 1e-4}},
+                     id="detector-bin-work"),
+        # one line reaching 1.66e7 bins, read 2**16 draws at a time
+        pytest.param({"system": {"diagonal": [0.0]},
+                      "probe": {"mode": {"kind": "bin", "L": 1660.0}},
+                      "sampling": {"n": 2 ** 16, "detector_bin": 1e-4}},
+                     id="detector-bin-one-line"),
+    ])
+    def test_detector_binning_is_bounded(self, tmp_path, config):
+        """Binning reads each draw into its bin and builds no per-bin array, so the
+        number of bins the lines reach sets no array's size."""
+        argv = ["sample", "--config", write_config(tmp_path, config),
+                "--out", str(tmp_path / "out.txt")]
+        code, err, rss = cli_child(tmp_path, argv, address_space=self.ADDRESS_SPACE)
+        assert code == 0, err
+        assert rss < 100, rss
 
     def test_far_outlier_record_reconstructs(self, tmp_path):
         """The histogram holds its two occupied bins, not the 10**15 bins between them."""
@@ -1319,20 +1338,6 @@ class TestBoundedChildren:
                 peaks[command].append(rss)
         # the 2**22 record is 68 MiB of text holding 32 MiB of samples
         assert all(abs(b - a) < 8 for a, b in peaks.values()), peaks
-
-
-def test_detector_binning_work_is_capped(tmp_path):
-    """1024 lines, each reaching 10**7 bins of width 1e-4, lie in one span under the
-    cap, but took about 4 minutes to bin line by line, past ``fresh_cli``'s 120 s
-    limit.  The bins all lines reach are capped too, so the child exits 2 at once."""
-    config = {"system": {"diagonal": np.linspace(0.0, 1.0, DIMENSION_CAP).tolist()},
-              "state": {"maximally_mixed": True},
-              "probe": {"mode": {"kind": "bin", "L": 1000.0}},
-              "sampling": {"n": 10, "detector_bin": 1e-4}}
-    child = fresh_cli(tmp_path, "sample", config)
-    assert (child.returncode, child.stderr) == (EXIT_CONFIG, (
-        "config error: sampling.detector_bin: binning at width 0.0001 spans 1.001e+07 bins "
-        "and visits 1.024e+10 over its 1024 lines, over the cap of 16777216\n"))
 
 
 FUZZ_CONFIG = dict(SQUEEZED_PAIR, sampling={"n": 2 * SAMPLE_CHUNK + 37, "seed": 3},

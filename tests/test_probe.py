@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
+from scipy.stats import chi2, kstest
 
 from qumode_probe.operators import (
     HermitianOperator,
@@ -17,7 +18,6 @@ from qumode_probe.operators import (
     thermal_state,
 )
 from qumode_probe.probe import (
-    BINNING_BLOCK,
     Bin,
     Ideal,
     LineMixture,
@@ -99,8 +99,9 @@ class TestIdealDistribution:
         dist = distribution_for(spec, ProbeConfig(0.25, 1.0, 1e-13, Ideal()))
         # both lines sit within 1e-13 of p = 0.25; draws and binning see one point
         assert np.abs(sample_measurements(dist, 1000, seed=2).samples - 0.25).max() <= 1e-12
-        binned = apply_detector_binning(dist, 0.5)
-        assert binned.weights.tolist() == pytest.approx([1.0])
+        binned = sample_measurements(apply_detector_binning(dist, 0.5), 1000, seed=2,
+                                     detector_bin=0.5).samples
+        assert ((0.0 <= binned) & (binned < 0.5)).all()
 
 
 class TestBinnedDistribution:
@@ -161,7 +162,6 @@ class TestSqueezedDistribution:
         # 99.99% of each component's mass within 5e-4 of the ideal point
         halfwidth = 5e-4
         z = halfwidth / (1.0 / (np.sqrt(2) * s))
-        from scipy.special import ndtr
         assert 2 * ndtr(z) - 1 > 0.9999
 
     @settings(max_examples=30, deadline=None)
@@ -253,54 +253,141 @@ def line(position, mode):
     return LineMixture([position], [1.0], mode)
 
 
+def kernel_cdf(mode, x) -> np.ndarray:
+    """P(offset < x) for a line's kernel: a line on a detector bin edge lands in
+    the bin above."""
+    x = np.asarray(x)
+    if mode.kind == "ideal":
+        return (x > 0).astype(float)
+    if mode.kind == "bin":
+        return np.clip(x / mode.L + 0.5, 0.0, 1.0)
+    return ndtr(x / mode.std)
+
+
+def exact_bin_masses(dist: LineMixture, w: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every bin k = floor(p/w) that the lines reach, with its exact mass: per line,
+    the differences of the kernel's CDF at the bin edges k*w."""
+    reach = dist.mode.half_width
+    # each line's first and last bin, with one bin of margin against rounding
+    first = np.floor((dist.points - reach) / w) - 1
+    last = np.floor((dist.points + reach) / w) + 1
+    k_lo = first.min()
+    masses = np.zeros(int(last.max() - k_lo) + 1)
+    for p, m, a, b in zip(dist.points, dist.weights, first, last):
+        edges = w * np.arange(a, b + 2)
+        masses[int(a - k_lo):int(b - k_lo) + 1] += m * np.diff(kernel_cdf(dist.mode, edges - p))
+    return k_lo + np.arange(len(masses)), masses
+
+
+def binned_draws(dist: LineMixture, w: float, n: int, seed: int, start: int = 0) -> np.ndarray:
+    return sample_measurements(apply_detector_binning(dist, w), n, seed, detector_bin=w,
+                               start=start).samples
+
+
+KERNELS = [pytest.param(Bin(0.05), id="bin"), pytest.param(Squeezed(20.0), id="squeezed"),
+           pytest.param(Ideal(), id="ideal")]
+
+
 class TestDetectorBinning:
     def test_point_mass_single_bin(self):
         binned = apply_detector_binning(line(0.37, Ideal()), 0.5)
-        assert binned.weights.tolist() == pytest.approx([1.0])
-        assert binned.points[0] == pytest.approx(0.25)
-        assert binned.mode == Bin(0.5)
+        assert (binned.points.tolist(), binned.mode, binned.detector_bin) == ([0.37], Ideal(), 0.5)
+        draws = sample_measurements(binned, 1000, seed=1, detector_bin=0.5).samples
+        assert ((0.0 <= draws) & (draws < 0.5)).all()
 
     def test_point_on_edge_goes_up(self):
-        binned = apply_detector_binning(line(0.5, Ideal()), 0.5)
-        assert binned.points[0] == pytest.approx(0.75)
+        """A line on the edge k*w lands in bin k, [k*w, (k+1)*w)."""
+        for k in (-3, 0, 1, 7):
+            draws = binned_draws(line(k * 0.5, Ideal()), 0.5, 1000, seed=1)
+            assert ((k * 0.5 <= draws) & (draws < (k + 1) * 0.5)).all()
+            assert np.array_equal(np.unique(np.floor(draws / 0.5)), [k])
 
     def test_narrow_gaussian_concentrates(self):
-        binned = apply_detector_binning(line(1.25, Squeezed(1 / (0.001 * np.sqrt(2)))), 0.5)
-        assert binned.weights.max() >= 0.999
+        draws = binned_draws(line(1.25, Squeezed(1 / (0.001 * np.sqrt(2)))), 0.5, 10_000, seed=3)
+        assert np.mean((1.0 <= draws) & (draws < 1.5)) >= 0.999
 
     def test_gaussian_matches_erf_differences(self):
-        import math
+        """The reference masses themselves, against math.erf at each bin's edges."""
         sd = 0.5
-        binned = apply_detector_binning(line(0.2, Squeezed(1 / (sd * np.sqrt(2)))), sd)
-        for c, m in zip(binned.points, binned.weights):
-            lo, hi = c - sd / 2, c + sd / 2
+        bins, masses = exact_bin_masses(line(0.2, Squeezed(1 / (sd * np.sqrt(2)))), sd)
+        for k, m in zip(bins, masses):
+            lo, hi = k * sd, (k + 1) * sd
             expected = 0.5 * (math.erf((hi - 0.2) / (sd * math.sqrt(2)))
                               - math.erf((lo - 0.2) / (sd * math.sqrt(2))))
             assert m == pytest.approx(expected, abs=1e-9)
 
     def test_piecewise_uniform_split(self):
-        binned = apply_detector_binning(line(0.5, Bin(1.0)), 0.25)  # support [0, 1]
-        assert binned.weights.tolist() == pytest.approx([0.25] * 4)
+        dist = line(0.5, Bin(1.0))  # support [0, 1]
+        bins, masses = exact_bin_masses(dist, 0.25)
+        assert masses[masses > 0].tolist() == pytest.approx([0.25] * 4)
+        n = 40_000
+        counts = np.bincount(np.floor(binned_draws(dist, 0.25, n, seed=2) / 0.25).astype(int))
+        assert counts.size == 4
+        assert np.abs(counts - n / 4).max() < 5 * np.sqrt(n * 0.25 * 0.75)
 
     def test_rejects_bad_width(self):
-        with pytest.raises(ValueError):
-            apply_detector_binning(line(0.0, Ideal()), 0.0)
+        for width in (0.0, -0.5, np.nan):
+            with pytest.raises(ValueError, match="bin width must be positive"):
+                apply_detector_binning(line(0.0, Ideal()), width)
 
-    @pytest.mark.parametrize("mode", [Bin(1.0), Squeezed(1.0)], ids=["bin", "squeezed"])
-    def test_blocks_give_the_whole_line_masses(self, mode):
-        p = 0.2
-        width = 2 * mode.half_width / (3 * BINNING_BLOCK + 2)
-        binned = apply_detector_binning(line(p, mode), width)
-        # the whole line at once: every bin edge, its CDF and their differences
-        first = np.floor((p - mode.half_width) / width) - 1
-        last = np.floor((p + mode.half_width) / width) + 1
-        assert last - first + 1 > 3 * BINNING_BLOCK
-        masses = np.diff(mode.cdf(width * (first + np.arange(last - first + 2)) - p))
-        keep = np.flatnonzero(masses > 0)
-        np.testing.assert_array_equal(binned.weights.view(np.int64),
-                                      (masses[keep] / masses.sum()).view(np.int64))
-        np.testing.assert_array_equal(binned.points.view(np.int64),
-                                      (width * (first + keep + 0.5)).view(np.int64))
+    @pytest.mark.parametrize("width", [-0.5, np.nan, np.inf])
+    def test_mixture_rejects_bad_detector_bin(self, width):
+        with pytest.raises(ValueError, match="detector bin width must be finite and >= 0"):
+            LineMixture([0.0], [1.0], Ideal(), detector_bin=width)
+
+    def test_binned_mixture_has_no_density(self):
+        with pytest.raises(ValueError, match="no density"):
+            apply_detector_binning(line(0.0, Bin(1.0)), 0.25).density(0.1)
+
+    @pytest.mark.parametrize("mode", KERNELS)
+    def test_records_follow_the_exact_bin_masses(self, mode):
+        """Seeded chi-square of binned records against each bin's exact mass, over
+        64 lines of one kernel in [0, 1) at w = 0.01; bins expecting fewer than
+        5 draws share one cell."""
+        rng = np.random.default_rng(64)
+        weights = rng.random(64) + 0.5
+        dist = LineMixture(rng.random(64), weights / weights.sum(), mode)
+        w, n = 0.01, 2 ** 20
+        bins, masses = exact_bin_masses(dist, w)
+        observed = np.floor(binned_draws(dist, w, n, seed=5) / w)
+        assert bins[0] <= observed.min() and observed.max() <= bins[-1]
+        counts = np.bincount((observed - bins[0]).astype(int), minlength=len(bins))
+        expected = n * masses / masses.sum()
+        cells = expected >= 5
+        obs = np.append(counts[cells], counts[~cells].sum())
+        exp = np.append(expected[cells], expected[~cells].sum())
+        assert exp[-1] > 0 or obs[-1] == 0
+        obs, exp = obs[exp > 0], exp[exp > 0]
+        stat = ((obs - exp) ** 2 / exp).sum()
+        assert chi2.sf(stat, len(exp) - 1) > 1e-3, (stat, len(exp) - 1)
+
+    def test_place_within_bin_is_uniform(self):
+        """A wide Gaussian slopes across each bin; the binned draw's place does not."""
+        w = 0.5
+        draws = binned_draws(line(0.2, Squeezed(1 / (0.5 * np.sqrt(2)))), w, 2 ** 17, seed=6)
+        place = draws / w - np.floor(draws / w)
+        assert kstest(place, "uniform").pvalue > 1e-3
+        assert place.mean() == pytest.approx(0.5, abs=0.005)
+        assert place.var() == pytest.approx(1 / 12, abs=0.002)
+
+    @pytest.mark.parametrize("mode", KERNELS)
+    def test_bins_are_those_of_the_unbinned_draws(self, mode):
+        """Binning reads each draw into its bin: the unbinned record, draw for draw."""
+        dist = LineMixture([-0.3, 0.41], [0.25, 0.75], mode)
+        raw = sample_measurements(dist, 5000, seed=7).samples
+        assert np.array_equal(np.floor(binned_draws(dist, 0.01, 5000, seed=7) / 0.01),
+                              np.floor(raw / 0.01))
+
+    @pytest.mark.parametrize("mode", KERNELS)
+    def test_chunks_tile_the_single_draw(self, mode):
+        dist = LineMixture([-0.3, 0.41], [0.25, 0.75], mode)
+        whole = binned_draws(dist, 0.01, 10_001, seed=9)
+        for chunk in (4, 4_096, 5_000):
+            parts = [binned_draws(dist, 0.01, min(chunk, 10_001 - start), seed=9, start=start)
+                     for start in range(0, 10_001, chunk)]
+            assert np.array_equal(np.concatenate(parts), whole)
+        with pytest.raises(ValueError, match="start must be a multiple of 4"):
+            binned_draws(dist, 0.01, 10, seed=9, start=2)
 
 
 def test_gaussian_density_is_normalized_quadrature():

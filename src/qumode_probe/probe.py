@@ -8,8 +8,9 @@ momentum profile.  The probe mode is that profile, the kernel of one
 ``Squeezed(s)`` (a finitely squeezed Gaussian) a normal of std
 1/(sqrt(2)*s).  Each mode carries its kernel's std, support half-width,
 inverse CDF and density.  Finite detector bins are a property of the
-draw: a mixture with ``detector_bin`` w > 0 reads each draw into the bin
-[k*w, (k+1)*w) that holds it, at a uniform place within that bin.
+draw, not of the mixture: ``sampling.sample_measurements`` reads each draw
+into the bin [k*w, (k+1)*w) that holds it, at a uniform place within that
+bin.
 
 The quadrature oracle that checks these closed forms lives in ``oracle``,
 which no command imports.
@@ -17,7 +18,7 @@ which no command imports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar, Union
 
@@ -200,8 +201,7 @@ class ProbeConfig:
 
 @dataclass(frozen=True, eq=False)
 class LineMixture:
-    """Mass ``weights[n]`` at ``points[n]``, each line spread by ``mode``'s kernel,
-    and each draw read into a detector bin of width ``detector_bin`` when it is > 0.
+    """Mass ``weights[n]`` at ``points[n]``, each line spread by ``mode``'s kernel.
 
     The arrays are read-only copies; lines keep the order they were given
     in and may share a position.
@@ -210,22 +210,16 @@ class LineMixture:
     points: np.ndarray
     weights: np.ndarray
     mode: ProbeMode
-    detector_bin: float = 0.0
 
     def __post_init__(self):
         points = np.array(self.points, dtype=float)
         weights = np.array(self.weights, dtype=float)
         if points.ndim != 1 or not points.size or points.shape != weights.shape:
             raise ValueError("points and weights must be non-empty 1-D arrays of one length")
-        if not 0 <= self.detector_bin < np.inf:
-            raise ValueError(f"detector bin width must be finite and >= 0, "
-                             f"got {self.detector_bin!r}")
-        # draws stay within half_width of their line, and binned ones within one bin more,
-        # so none overflows
-        if not np.isfinite(np.abs(points).max() + self.mode.half_width + self.detector_bin):
+        # draws stay within half_width of their line, so none overflows
+        if not np.isfinite(np.abs(points).max() + self.mode.half_width):
             raise ValueError(f"line positions widened by the kernel's half-width "
-                             f"{float(self.mode.half_width)!r} and the detector bin "
-                             f"{float(self.detector_bin)!r} must be finite")
+                             f"{float(self.mode.half_width)!r} must be finite")
         if not (weights >= 0).all():
             raise ValueError("line weights must be nonnegative")
         total = weights.sum()
@@ -244,10 +238,7 @@ class LineMixture:
         return cumulative
 
     def density(self, p) -> np.ndarray:
-        """Probability density at ``p``; a delta kernel and a detector-binned
-        mixture have none."""
-        if self.detector_bin > 0:
-            raise ValueError("a detector-binned mixture has no density")
+        """Probability density at ``p``; a delta kernel has none."""
         p = np.asarray(p, dtype=float)
         return sum(m * self.mode.density(p - x) for x, m in zip(self.points, self.weights))
 
@@ -281,19 +272,20 @@ def bin_index(x, width: float, origin: float, what: str) -> np.ndarray:
 
 
 def apply_detector_binning(dist: LineMixture, bin_width: float) -> LineMixture:
-    """``dist`` with each draw read into detector bins [k*w, (k+1)*w) of width w.
+    """``dist`` itself, once its draws are checked to fit detector bins of width w.
 
-    The binned law is the image of the continuous one under p -> floor(p/w),
-    with a uniform place within the bin (Devroye, Non-Uniform Random Variate
-    Generation, 1986, ch. I): ``sample_measurements`` draws p as for ``dist``
-    and then bins it, so no per-bin array is built.  A line on a bin edge
-    lands in the bin above.
+    ``sample_measurements(..., detector_bin=w)`` reads each draw p into the bin
+    [k*w, (k+1)*w) with k = floor(p/w), at a uniform place within it: the image
+    of the continuous law under the quantizer (Devroye, Non-Uniform Random
+    Variate Generation, 1986, ch. I), so no per-bin array is built.  A line on
+    a bin edge lands in the bin above.  This checks, in O(lines), that w > 0
+    and that no line's support reaches a bin 2**53 or more from 0.
     """
     if not bin_width > 0:
         raise ValueError("bin width must be positive")
     for support in (dist.points - dist.mode.half_width, dist.points + dist.mode.half_width):
         bin_index(support, bin_width, 0.0, "line supports")
-    return replace(dist, detector_bin=bin_width)
+    return dist
 
 
 def __getattr__(name: str):

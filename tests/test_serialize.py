@@ -5,14 +5,7 @@ import pytest
 
 from qumode_probe.config import MATRIX
 from qumode_probe.operators import HermitianOperator, Spectrum, SystemState, thermal_state
-from qumode_probe.probe import (
-    Bin,
-    Ideal,
-    ProbeConfig,
-    Squeezed,
-    apply_detector_binning,
-    distribution_for,
-)
+from qumode_probe.probe import Bin, Ideal, ProbeConfig, Squeezed, distribution_for
 from qumode_probe.sampling import MeasurementRecord, sample_measurements
 from qumode_probe.serialize import (
     probe_from_dict,
@@ -75,8 +68,8 @@ class TestRecordRoundTrip:
     def test_samples_and_metadata_survive(self):
         spec = Spectrum.from_lines([(0.0, 0.5, 1), (1.0, 0.5, 1)])
         probe = ProbeConfig(0.5, 1.0, 3.0, Squeezed(4.0))
-        dist = apply_detector_binning(distribution_for(spec, probe), 0.01)
-        rec = sample_measurements(dist, 200, seed=17, detector_bin=0.01)
+        rec = sample_measurements(distribution_for(spec, probe), 200, seed=17,
+                                  detector_bin=0.01)
         back, back_probe = record_from_text(record_to_text(rec, probe))
         assert np.array_equal(back.samples, rec.samples)
         assert back.seed == 17

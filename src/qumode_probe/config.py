@@ -172,8 +172,11 @@ def _ascending(grid: dict, path: str) -> None:
 
 def _matrix(literal: dict) -> np.ndarray:
     """The complex matrix of a checked literal; operators store a real one as float64."""
-    # a C-ordered (n, 2) float array is n complex numbers in memory
-    return np.array(literal["entries"], dtype=float).view(complex).reshape(literal["dim"], -1)
+    # dim**2 [re, im] pairs in a row are dim**2 complex numbers in memory; the table
+    # checked their types first, as fromiter would take True and "1" for numbers
+    dim = literal["dim"]
+    pairs = np.fromiter(chain.from_iterable(literal["entries"]), float, count=2 * dim ** 2)
+    return pairs.view(complex).reshape(dim, dim)
 
 
 # {dim, entries}: dim**2 [re, im] pairs, row-major

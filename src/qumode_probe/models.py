@@ -1,8 +1,7 @@
-"""Ready-made interaction operators and experimentally motivated regimes."""
+"""Ready-made interaction operators."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,35 +23,6 @@ def dicke_interaction(n_atoms: int) -> HermitianOperator:
     if n_atoms < 1:
         raise ValueError("need at least one atom")
     return spin_x(n_atoms)
-
-
-@dataclass(frozen=True)
-class RegimePreset:
-    name: str
-    g_tau: float
-    note: str
-
-
-def regime_presets() -> list[RegimePreset]:
-    """Coupling-time products reported for current experimental platforms."""
-    return [
-        RegimePreset("circuit_qed", 200.0,
-                     "superconducting qubit + nanomechanical resonator, "
-                     "protocol run for the resonator lifetime"),
-        RegimePreset("cavity_qed", 40.0,
-                     "atom + cavity field, protocol run for the cavity lifetime"),
-        RegimePreset("dicke_cold_atoms_lower", 1e-3,
-                     "atomic ensemble in an optical cavity, lower bound"),
-        RegimePreset("dicke_cold_atoms_upper", 1e-2,
-                     "atomic ensemble in an optical cavity, upper bound"),
-    ]
-
-
-def preset_by_name(name: str) -> RegimePreset:
-    for preset in regime_presets():
-        if preset.name == name:
-            return preset
-    raise KeyError(f"unknown regime preset {name!r}")
 
 
 def linear_family(base: HermitianOperator,

@@ -139,9 +139,6 @@ class HermitianOperator:
             self._eig = EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
         return self._eig
 
-    def spectral_norm(self) -> float:
-        return float(np.max(np.abs(self.eig().eigenvalues), initial=0.0))
-
 
 class SystemState:
     """Density matrix of the probed system.
@@ -334,15 +331,28 @@ def thermal_state(H: HermitianOperator, beta: float) -> SystemState:
     return SystemState._in_eigenbasis(H, weights)
 
 
+def _resolution(values: np.ndarray, merge_tol: float) -> float:
+    """The widest gap between the ascending eigenvalues ``values`` of a d×d
+    operator that still counts as equality: max(merge_tol, 4·d·ε·max|λ|).
+
+    LAPACK's eigenvalues carry errors of order p(d)·ε·‖H‖₂ (LAPACK Users'
+    Guide, 3rd ed., §4.7).  Seeded rotations of diag(0, 0, 1, 2) and
+    diag(−2, 0, 0, 2), shifted or scaled by 10^7 … 10^12, split their exactly
+    equal pair by up to 6.44·ε·max|λ|, which 4·d = 16 covers 2.5 times over.
+    """
+    largest = max(-values[0], values[-1])
+    return max(merge_tol, 4 * len(values) * np.finfo(float).eps * float(largest))
+
+
 def spectrum_of(state: SystemState, H: HermitianOperator,
                 merge_tol: float = DEGENERACY_MERGE_TOL) -> Spectrum:
     """Spectral lines of H with populations taken from ``state``.
 
-    Eigenvalues within ``merge_tol`` of the first eigenvalue of their
-    group are reported as one degenerate line at their mean, carrying the
-    summed population, so no line spans more than ``merge_tol``.  The
-    lines fill the arrays of a :class:`Spectrum`, g counting the
-    eigenvalues of each.
+    Eigenvalues within the resolution bound, max(``merge_tol``, 4·d·ε·max|λ|),
+    of the first eigenvalue of their group are reported as one degenerate
+    line at their mean, carrying the summed population, so no line spans
+    more than the bound.  The lines fill the arrays of a :class:`Spectrum`,
+    g counting the eigenvalues of each.
     """
     if state.dim != H.dim:
         raise ValueError(f"dimension mismatch: state {state.dim} vs operator {H.dim}")
@@ -358,10 +368,11 @@ def spectrum_of(state: SystemState, H: HermitianOperator,
         populations = np.clip(populations, 0.0, None)
         populations /= populations.sum()
 
+    tol = _resolution(dec.eigenvalues, merge_tol)
     values = dec.eigenvalues.tolist()
     starts = [0]  # the first eigenvalue of each line
     for j in range(1, len(values)):
-        if values[j] - values[starts[-1]] > merge_tol:
+        if values[j] - values[starts[-1]] > tol:
             starts.append(j)
     g = np.diff(starts, append=len(values))
     E, P = dec.eigenvalues[starts], populations[starts]
@@ -372,24 +383,13 @@ def spectrum_of(state: SystemState, H: HermitianOperator,
             E[k] = values.mean()
         if not np.isfinite(E[k]):
             # the sum overflowed near the float64 maximum; the offsets
-            # from the first value are at most merge_tol, so their sum cannot
+            # from the first value are at most tol, so their sum cannot
             E[k] = values[0] + (values - values[0]).mean()
     return Spectrum(E, P, g)
 
 
-def commutator_norm(A: HermitianOperator, B: HermitianOperator) -> float:
-    """Spectral norm of the commutator AB - BA."""
-    if A.dim != B.dim:
-        raise ValueError(f"dimension mismatch: {A.dim} vs {B.dim}")
-    comm = A.entries @ B.entries - B.entries @ A.entries
-    return float(np.linalg.norm(comm, ord=2))
-
-
-def evenly_spaced_spectrum(n_lines: int, spacing: float = 1.0, e0: float = 0.0,
-                           seed: int | None = None,
-                           populations=None) -> Spectrum:
-    """Equally spaced lines with given or seeded-random populations."""
-    if populations is None:
-        populations = np.random.default_rng(seed).random(n_lines)
-    populations = np.asarray(populations, dtype=float)
-    return Spectrum(e0 + np.arange(n_lines) * spacing, populations / populations.sum())
+def evenly_spaced_spectrum(n_lines: int, spacing: float = 1.0,
+                           seed: int | None = None) -> Spectrum:
+    """Equally spaced lines from 0 with seeded-random populations."""
+    populations = np.random.default_rng(seed).random(n_lines)
+    return Spectrum(np.arange(n_lines) * spacing, populations / populations.sum())

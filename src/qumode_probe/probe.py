@@ -243,12 +243,6 @@ class LineMixture:
         return sum(m * self.mode.density(p - x) for x, m in zip(self.points, self.weights))
 
 
-def dephasing_function(spec: Spectrum, g: float, dx: float, t: float) -> complex:
-    """System-traced coherence factor sum_n P_n exp(-i g dx E_n t)."""
-    phases = np.exp(-1j * g * dx * t * spec.energies)
-    return complex(np.sum(spec.populations * phases))
-
-
 def distribution_for(spec: Spectrum, probe: ProbeConfig) -> LineMixture:
     """Closed-form measurement distribution: mass P_n at p0 - g E_n tau per line,
     in spectrum order, spread by the probe mode's kernel."""

@@ -54,11 +54,11 @@ def resolution_params(probe: ProbeConfig) -> ResolutionParams:
     return ResolutionParams(infinite_resolution=True)
 
 
-def required_samples(sigma_E: float, P_n: float, scale: float = 1.0) -> int:
-    """Measurement budget to pin one line: ceil(scale / (sigma_E^2 P_n))."""
+def required_samples(sigma_E: float, P_n: float) -> int:
+    """Measurement budget to pin one line: ceil(1 / (sigma_E^2 P_n))."""
     if sigma_E <= 0 or not 0 < P_n <= 1:
         raise ValueError("sigma_E must be positive and P_n in (0, 1]")
-    return int(np.ceil(scale / (sigma_E ** 2 * P_n)))
+    return int(np.ceil(1.0 / (sigma_E ** 2 * P_n)))
 
 
 @dataclass(frozen=True, eq=False)

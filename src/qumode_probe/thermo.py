@@ -17,7 +17,7 @@ from .operators import (
     HermitianOperator,
     SpectralLine,
     Spectrum,
-    commutator_norm,
+    _resolution,
     spectrum_of,
     thermal_state,
 )
@@ -227,7 +227,8 @@ def ground_state_overlap(H_a: HermitianOperator, H_b: HermitianOperator) -> floa
     second circuit is its ground line).  That population is
     tr(P_b |g_a><g_a|) = |<g_a|g_b>|^2, so the read-out is the inner
     product of the two ground eigenvectors.  A ground state whose gap is at
-    most ``DEGENERACY_MERGE_TOL`` is degenerate, as ``spectrum_of`` merges it.
+    most the resolution bound, max(``DEGENERACY_MERGE_TOL``, 4·d·ε·max|λ|),
+    is degenerate, as ``spectrum_of`` merges it.
     """
     if H_a.dim != H_b.dim:
         raise ValueError(f"dimension mismatch: {H_a.dim} vs {H_b.dim}")
@@ -235,43 +236,11 @@ def ground_state_overlap(H_a: HermitianOperator, H_b: HermitianOperator) -> floa
     def ground_vector(H: HermitianOperator) -> np.ndarray:
         dec = H.eig()
         vals = dec.eigenvalues
-        if H.dim > 1 and vals[1] - vals[0] <= DEGENERACY_MERGE_TOL:
-            raise DegenerateGroundStateError(
-                f"ground-state gap {vals[1] - vals[0]:.3g} below tolerance")
+        bound = _resolution(vals, DEGENERACY_MERGE_TOL)
+        if H.dim > 1 and vals[1] - vals[0] <= bound:
+            raise DegenerateGroundStateError(f"ground-state gap {vals[1] - vals[0]:.3g} "
+                                             f"is within the resolution bound {bound:.3g}")
         return dec.eigenvectors[:, 0]
 
     a, b = ground_vector(H_a), ground_vector(H_b)
     return float(abs(np.vdot(a, b)) ** 2)
-
-
-@dataclass(frozen=True)
-class ValidityReport:
-    passed: bool
-    commuting: bool
-    coupling_ratio: float
-    bare_evolution: float
-    ratio_required: float
-    eps_required: float
-
-
-def validity_check(H0_bare: HermitianOperator, H_int: HermitianOperator,
-                   g: float, tau: float,
-                   ratio: float = 100.0, eps: float = 0.01) -> ValidityReport:
-    """Check the fast-interaction and short-time conditions.
-
-    Commuting bare and interaction Hamiltonians are exempt; otherwise
-    require g ||H_int|| >= ratio * ||H0|| and ||H0|| tau <= eps.
-    """
-    if g <= 0 or tau <= 0:
-        raise ValueError("g and tau must be positive")
-    norm0 = H0_bare.spectral_norm()
-    norm_int = H_int.spectral_norm()
-    comm = commutator_norm(H0_bare, H_int)
-    commuting = comm <= 1e-10 * max(1.0, norm0 * norm_int)
-    coupling_ratio = g * norm_int / norm0 if norm0 > 0 else float("inf")
-    bare_evolution = norm0 * tau
-    passed = commuting or (coupling_ratio >= ratio and bare_evolution <= eps)
-    return ValidityReport(passed=passed, commuting=commuting,
-                          coupling_ratio=float(coupling_ratio),
-                          bare_evolution=float(bare_evolution),
-                          ratio_required=ratio, eps_required=eps)

@@ -511,7 +511,7 @@ class TestExitCodes:
             code, _ = run(tmp_path, "overlap", config)
             assert code == 4
             assert capsys.readouterr().err == (
-                "contract violation: ground-state gap 0 below tolerance\n")
+                "contract violation: ground-state gap 0 is within the resolution bound 1e-08\n")
 
     def test_non_finite_system_matrix(self, tmp_path, capsys):
         config = {"system": {"diagonal": [0.0, float("nan")]}}

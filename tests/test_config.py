@@ -172,6 +172,16 @@ def test_quench_walks_its_matrix_literal_once(tmp_path, monkeypatch):
     assert walks == [system2["matrix"]["entries"]]
 
 
+def test_matrix_literal_has_the_bits_of_np_array():
+    """The pairs convert in one ``np.fromiter`` to the bits ``np.array`` gives,
+    for a complex pair and for integers above 2**53, which float64 rounds."""
+    entries = [[2 ** 53 + 1, 0.0], [0.5, -0.25], [0.5, 0.25], [-(2 ** 70) - 3, 1e-300]]
+    matrix = MATRIX.check({"dim": 2, "entries": entries})
+    expected = np.array(entries, dtype=float).view(complex).reshape(2, 2)
+    assert matrix.dtype == complex and matrix.shape == (2, 2)
+    assert matrix.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("g_tau", [1e-200, 1e200])
 def test_g_tau_beyond_float64_exits_2_before_any_work(tmp_path, monkeypatch, g_tau):
     """g and tau are each fine, but their product under- or overflows float64."""

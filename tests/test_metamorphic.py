@@ -5,14 +5,17 @@ testing", HKUST-CS98-01, 1998; Segura et al., IEEE TSE 42(9), 2016)."""
 import json
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qumode_probe.cli import main
-from qumode_probe.operators import Spectrum
+from qumode_probe.models import rabi_interaction
+from qumode_probe.operators import HermitianOperator, Spectrum, spectrum_of, thermal_state
 from qumode_probe.probe import ProbeConfig, Squeezed, distribution_for
 from qumode_probe.reconstruct import reconstruct_record
 from qumode_probe.sampling import MeasurementRecord, sample_measurements
+from qumode_probe.thermo import DegenerateGroundStateError, ground_state_overlap
 
 # twelve levels, the fourth and the ninth equal: one degenerate pair
 LEVELS = [0.0, 0.37, 0.81, 1.24, 1.66, 2.03, 2.49, 2.87, 1.24, 3.35, 3.72, 4.18]
@@ -85,3 +88,40 @@ def test_far_outlier_leaves_every_other_line_unchanged(energies, weights, s, see
     with_far = reconstruct_record(far, probe, bin_width=bin_width, min_mass=min_mass)
     assert with_far.energies.tobytes() == lines.energies.tobytes()
     assert np.array_equal(with_far.counts, lines.counts)
+
+
+def shifted_or_scaled(matrix, seed, exponent, scaled):
+    """Q·matrix·Qᵀ for a seeded orthogonal Q, then scaled by c = 10**exponent
+    or shifted by c·I."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal(matrix.shape))
+    rotated = q @ matrix @ q.T
+    c = 10.0 ** exponent
+    return c * rotated if scaled else rotated + c * np.eye(len(matrix))
+
+
+# shifts and scales of 1e8 … 1e12, where LAPACK splits an exactly equal pair
+# by more than the default merge_tol of 1e-8
+RESOLUTION = dict(seed=st.integers(0, 2 ** 32 - 1), exponent=st.integers(8, 12),
+                  scaled=st.booleans())
+
+
+@settings(max_examples=30, deadline=None)
+@given(**RESOLUTION)
+def test_shift_and_scale_keep_the_degeneracies(seed, exponent, scaled):
+    """Rabi on two sites, E = -2, 0, 0, 2, keeps g = 1, 2, 1 under a rotation
+    and a shift or scale by c."""
+    h = shifted_or_scaled(rabi_interaction(2).entries, seed, exponent, scaled)
+    H = HermitianOperator(h)
+    assert spectrum_of(thermal_state(H, 0.0), H).degeneracies.tolist() == [1, 2, 1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(**RESOLUTION)
+def test_shift_and_scale_keep_a_degenerate_ground_state_degenerate(seed, exponent, scaled):
+    """Q·diag(0, 0, 1, 2)·Qᵀ, shifted or scaled by c, has a degenerate ground
+    state however LAPACK splits it, so the overlap protocol refuses it."""
+    H_a = HermitianOperator(shifted_or_scaled(np.diag([0.0, 0.0, 1.0, 2.0]), seed,
+                                              exponent, scaled))
+    H_b = HermitianOperator(np.diag([0.0, 1.0, 2.0, 3.0]))
+    with pytest.raises(DegenerateGroundStateError, match="within the resolution bound"):
+        ground_state_overlap(H_a, H_b)

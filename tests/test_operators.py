@@ -13,7 +13,6 @@ from qumode_probe.operators import (
     HermitianOperator,
     Spectrum,
     SystemState,
-    commutator_norm,
     evenly_spaced_spectrum,
     sigma_x,
     sigma_z,
@@ -229,22 +228,6 @@ class TestSpectrumOf:
         assert spec.energies.tolist() == [0.0, 1e308]
         assert spec.degeneracies.tolist() == [1, 2]
         assert np.allclose(spec.populations, [1 / 3, 2 / 3])
-
-
-class TestCommutatorNorm:
-    def test_self_commutes(self):
-        h = random_hermitian(4, 1)
-        assert commutator_norm(h, h) == 0.0
-
-    def test_proportional_commute(self):
-        assert commutator_norm(sigma_x(), HermitianOperator(3 * sigma_x().entries)) == 0.0
-
-    def test_pauli_pair(self):
-        assert np.isclose(commutator_norm(sigma_x(), sigma_z()), 2.0, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            commutator_norm(sigma_x(), random_hermitian(3, 0))
 
 
 class TestStorageDtype:
@@ -469,7 +452,6 @@ class TestDiagonalDecomposition:
         h = HermitianOperator(np.diag([3.0, 1.0, 1.0, 0.0]))
         for state in (thermal_state(h, 0.5), mixed):
             assert [line.g for line in spectrum_of(state, h).lines] == [1, 2, 1]
-        assert h.spectral_norm() == 3.0
 
 
 def tied_diagonal(seed: int, d: int = 48) -> np.ndarray:

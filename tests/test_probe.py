@@ -26,7 +26,6 @@ from qumode_probe.probe import (
     _log,
     _ndtri,
     apply_detector_binning,
-    dephasing_function,
     distribution_for,
     map_p_to_E,
 )
@@ -48,29 +47,6 @@ def spectra(draw):
     pops = rng.random(n)
     pops /= pops.sum()
     return Spectrum.from_lines((e, p, 1) for e, p in zip(energies, pops))
-
-
-class TestDephasing:
-    def test_zero_separation(self):
-        spec = evenly_spaced_spectrum(4, seed=0)
-        assert dephasing_function(spec, 1.0, 0.0, 1.0) == pytest.approx(1.0)
-
-    def test_single_line_pure_phase(self):
-        spec = Spectrum.from_lines([(2.0, 1.0, 1)])
-        val = dephasing_function(spec, 1.5, 0.3, 2.0)
-        assert val == pytest.approx(np.exp(-1j * 1.5 * 0.3 * 2.0 * 2.0))
-        assert abs(val) == pytest.approx(1.0)
-
-    def test_symmetric_pair_is_cosine(self):
-        spec = Spectrum.from_lines([(-1.0, 0.5, 1), (1.0, 0.5, 1)])
-        for dx in (0.1, 0.7, 2.0):
-            assert dephasing_function(spec, 1.3, dx, 0.9) == pytest.approx(
-                np.cos(1.3 * dx * 0.9))
-
-    @settings(max_examples=30, deadline=None)
-    @given(spec=spectra(), dx=st.floats(-5, 5), t=st.floats(0.01, 5))
-    def test_modulus_bounded(self, spec, dx, t):
-        assert abs(dephasing_function(spec, 1.0, dx, t)) <= 1.0 + 1e-12
 
 
 class TestIdealDistribution:

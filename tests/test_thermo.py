@@ -30,7 +30,6 @@ from qumode_probe.thermo import (
     quench_work,
     recover_degeneracies,
     thermo_report,
-    validity_check,
 )
 
 
@@ -366,28 +365,6 @@ def two_stage_overlap(H_a, H_b):
     rho = proj_a @ (np.eye(d) / d) @ proj_a
     rho = rho / np.trace(rho).real
     return float(np.trace(proj_b @ rho).real)
-
-
-class TestValidityCheck:
-    def test_commuting_exemption(self):
-        h = random_hermitian(3, 7)
-        h2 = HermitianOperator(3.0 * h.entries)
-        rep = validity_check(h, h2, g=1.0, tau=100.0)
-        assert rep.passed and rep.commuting
-
-    def test_slow_protocol_fails(self):
-        rep = validity_check(sigma_z(), sigma_x(), g=1000.0, tau=0.5)
-        assert not rep.passed
-        assert rep.bare_evolution == pytest.approx(0.5)
-
-    def test_fast_strong_coupling_passes(self):
-        rep = validity_check(sigma_z(), sigma_x(), g=200.0, tau=0.005)
-        assert rep.passed and not rep.commuting
-        assert rep.coupling_ratio == pytest.approx(200.0)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            validity_check(sigma_z(), sigma_x(), g=0.0, tau=1.0)
 
 
 def test_thermo_report_grids_consistent():

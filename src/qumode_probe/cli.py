@@ -29,15 +29,16 @@ from .operators import (
     thermal_state,
 )
 from .probe import apply_detector_binning, distribution_for
-from .sampling import sample_measurements
+from .sampling import sample_chunks
 from .serialize import read_header, read_record, record_body, record_header
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_CONTRACT = 4
 
-# draws per streamed record chunk; even, so every chunk starts on a Philox block
-SAMPLE_CHUNK = 2 ** 16
+# draws per streamed record chunk; a multiple of 4, so every chunk starts on a
+# Philox block of the line and kernel stream, and of the bin stream when binned
+SAMPLE_CHUNK = 2 ** 15
 
 
 def _needed(config: dict, section: str, command: str) -> dict:
@@ -98,7 +99,7 @@ def cmd_spectrum(config: dict, fmt: str, record_path) -> str:
 
 
 def cmd_sample(config: dict, fmt: str, record_path):
-    """The record as an iterator of text pieces, drawn SAMPLE_CHUNK draws at a time."""
+    """The record as an iterator of bytes pieces, drawn SAMPLE_CHUNK draws at a time."""
     probe = config["probe"]
     n, seed, detector_bin = (config["sampling"][key] for key in ("n", "seed", "detector_bin"))
     dist = distribution_for(_exact_lines(config, "sample"), probe)
@@ -111,10 +112,11 @@ def cmd_sample(config: dict, fmt: str, record_path):
 
 
 def _record_pieces(header: str, dist, n: int, seed: int, detector_bin: float):
-    yield header
-    for start in range(0, n, SAMPLE_CHUNK):
-        yield record_body(sample_measurements(dist, min(SAMPLE_CHUNK, n - start), seed,
-                                              detector_bin=detector_bin, start=start).samples)
+    yield header.encode()
+    # every chunk's bits go through one array, as its draws go through one workspace
+    bits = np.empty(min(n, SAMPLE_CHUNK), ">f8")
+    for record in sample_chunks(dist, n, seed, detector_bin, chunk=SAMPLE_CHUNK):
+        yield from record_body(record.samples, bits)
 
 
 def _reconstruction(config: dict, record_path: str | None):
@@ -233,19 +235,22 @@ def _load_config(path: str) -> dict:
 
 
 def _write_output(path: str | None, pieces) -> None:
-    """Write text pieces to ``path``, or to stdout; each is dropped once written."""
+    """Write bytes pieces to ``path``, or to stdout, with no newline translation;
+    each is dropped once written."""
     if path is None:
-        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines(pieces)
+        sys.stdout.buffer.flush()
         return
     try:
-        with open(path, "w") as fh:
+        with open(path, "wb") as fh:
             fh.writelines(pieces)
     except OSError as exc:
         raise ConfigError(f"cannot write output {path}: {exc}") from exc
 
 
 # each command takes the checked config, the output format and the --record path,
-# or None; it returns a string, or text pieces for ``sample``
+# or None; it returns a string, or bytes pieces for ``sample``
 COMMANDS = {"spectrum": cmd_spectrum, "sample": cmd_sample, "reconstruct": cmd_reconstruct,
             "thermo": cmd_thermo, "quench": cmd_quench, "overlap": cmd_overlap,
             "sweep": cmd_sweep}
@@ -275,8 +280,9 @@ def main(argv=None) -> int:
         output = COMMANDS[args.command](checked, args.format, args.record)
         # every output opens with the config as given, so it can be rerun from its
         # header; no name holds the header, so it is freed once written
-        _write_output(args.out, chain(["# config=" + json.dumps(config, sort_keys=True) + "\n"],
-                                      [output] if isinstance(output, str) else output))
+        _write_output(args.out, chain(
+            [("# config=" + json.dumps(config, sort_keys=True) + "\n").encode()],
+            [output.encode()] if isinstance(output, str) else output))
     except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -71,10 +71,13 @@ def _is_diagonal(a: np.ndarray) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class EigenDecomposition:
-    """Ascending eigenvalues and the unitary of column eigenvectors."""
+    """Ascending eigenvalues, the unitary of column eigenvectors, and ``error``, a
+    bound on how far each eigenvalue may lie from the exact one: 0 for an exact
+    decomposition."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    error: float = 0.0
 
 
 class HermitianOperator:
@@ -90,9 +93,10 @@ class HermitianOperator:
     construction with no eigensolve. Its Hermiticity check reads only
     the diagonal, which must be real within the Hermiticity tolerance.
     Its eigenvalues are the diagonal in the order of a stable
-    ``argsort``, and its eigenvectors the matching permutation matrix,
-    in ``entries``' dtype. Any other matrix is decomposed by LAPACK on
-    the first call to :meth:`eig`.
+    ``argsort``, exact, and its eigenvectors the matching permutation
+    matrix, in ``entries``' dtype. Any other matrix is decomposed by
+    LAPACK on the first call to :meth:`eig`, and its eigenvalues carry
+    the error bound of :func:`_lapack_error`.
 
     The cache is populated at most once; share instances across threads
     only after calling :meth:`eig` (single-writer initialization).
@@ -136,7 +140,7 @@ class HermitianOperator:
             except np.linalg.LinAlgError as exc:
                 # LinAlgError is a ValueError; report it as a numerical failure
                 raise ConvergenceError(f"LAPACK eigensolver failed: {exc}") from exc
-            self._eig = EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
+            self._eig = EigenDecomposition(vals, vecs, _lapack_error(vals))
         return self._eig
 
 
@@ -331,9 +335,9 @@ def thermal_state(H: HermitianOperator, beta: float) -> SystemState:
     return SystemState._in_eigenbasis(H, weights)
 
 
-def _resolution(values: np.ndarray, merge_tol: float) -> float:
-    """The widest gap between the ascending eigenvalues ``values`` of a d×d
-    operator that still counts as equality: max(merge_tol, 4·d·ε·max|λ|).
+def _lapack_error(values: np.ndarray) -> float:
+    """4·d·ε·max|λ|, the error bound taken for the ascending eigenvalues ``values``
+    that LAPACK computed for a d×d operator.
 
     LAPACK's eigenvalues carry errors of order p(d)·ε·‖H‖₂ (LAPACK Users'
     Guide, 3rd ed., §4.7).  Seeded rotations of diag(0, 0, 1, 2) and
@@ -341,17 +345,24 @@ def _resolution(values: np.ndarray, merge_tol: float) -> float:
     equal pair by up to 6.44·ε·max|λ|, which 4·d = 16 covers 2.5 times over.
     """
     largest = max(-values[0], values[-1])
-    return max(merge_tol, 4 * len(values) * np.finfo(float).eps * float(largest))
+    return 4 * len(values) * np.finfo(float).eps * float(largest)
+
+
+def _resolution(dec: EigenDecomposition, merge_tol: float) -> float:
+    """The widest gap between the eigenvalues of ``dec`` that still counts as
+    equality: max(merge_tol, the decomposition's error bound)."""
+    return max(merge_tol, dec.error)
 
 
 def spectrum_of(state: SystemState, H: HermitianOperator,
                 merge_tol: float = DEGENERACY_MERGE_TOL) -> Spectrum:
     """Spectral lines of H with populations taken from ``state``.
 
-    Eigenvalues within the resolution bound, max(``merge_tol``, 4·d·ε·max|λ|),
-    of the first eigenvalue of their group are reported as one degenerate
-    line at their mean, carrying the summed population, so no line spans
-    more than the bound.  The lines fill the arrays of a :class:`Spectrum`,
+    Eigenvalues within the resolution bound, max(``merge_tol``, the error bound
+    of H's eigenvalues), of the first eigenvalue of their group are reported as
+    one degenerate line at their mean, carrying the summed population, so no
+    line spans more than the bound.  A diagonal H's eigenvalues are exact, so
+    its levels merge only within ``merge_tol``; LAPACK's carry 4·d·ε·max|λ|.  The lines fill the arrays of a :class:`Spectrum`,
     g counting the eigenvalues of each.
     """
     if state.dim != H.dim:
@@ -368,7 +379,7 @@ def spectrum_of(state: SystemState, H: HermitianOperator,
         populations = np.clip(populations, 0.0, None)
         populations /= populations.sum()
 
-    tol = _resolution(dec.eigenvalues, merge_tol)
+    tol = _resolution(dec, merge_tol)
     values = dec.eigenvalues.tolist()
     starts = [0]  # the first eigenvalue of each line
     for j in range(1, len(values)):

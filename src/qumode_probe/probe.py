@@ -7,10 +7,11 @@ momentum profile.  The probe mode is that profile, the kernel of one
 ``Bin(L)`` (a finite momentum bin) a uniform window of width L, and
 ``Squeezed(s)`` (a finitely squeezed Gaussian) a normal of std
 1/(sqrt(2)*s).  Each mode carries its kernel's std, support half-width,
-inverse CDF and density.  Finite detector bins are a property of the
-draw, not of the mixture: ``sampling.sample_measurements`` reads each draw
-into the bin [k*w, (k+1)*w) that holds it, at a uniform place within that
-bin.
+inverse CDF and density; the inverse CDF writes into a given array and
+takes its scratch arrays from a ``Workspace``.  Finite detector bins are
+a property of the draw, not of the mixture: ``sampling.sample_measurements``
+reads each draw into the bin [k*w, (k+1)*w) that holds it, at a uniform
+place within that bin.
 
 The quadrature oracle that checks these closed forms lives in ``oracle``,
 which no command imports.
@@ -53,49 +54,100 @@ _Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.3770209948908133027
        2.89247864745380683936e-6, 6.79019408009981274425e-9)
 
 
-def _rational(x: np.ndarray, P: tuple, Q: tuple) -> np.ndarray:
+class Workspace:
+    """Named scratch arrays, each allocated at the first size asked for it and
+    reused while no larger size is asked, so a loop over chunks of one size
+    allocates its working arrays once."""
+
+    def __init__(self):
+        self._arrays = {}
+
+    def __call__(self, name: str, n: int, dtype=float) -> np.ndarray:
+        """The first ``n`` entries of the array ``name``, of ``dtype``."""
+        a = self._arrays.get(name)
+        if a is None or len(a) < n:
+            a = self._arrays[name] = np.empty(n, dtype)
+        return a[:n]
+
+
+def _rational(x: np.ndarray, P: tuple, Q: tuple, p=None, q=None) -> np.ndarray:
     """x * P(x) / Q(x) in Cephes's order: Horner from the leading coefficient,
-    Q monic with its leading 1 not stored, and the product before the quotient."""
-    p = np.full_like(x, P[0])
-    q = x + Q[0]
+    Q monic with its leading 1 not stored, and the product before the quotient.
+    ``p`` and ``q``, arrays of x's length that overlap no input, hold the two
+    polynomials; the result is left in ``p``."""
+    p = np.empty_like(x) if p is None else p
+    q = np.empty_like(x) if q is None else q
+    p.fill(P[0])
+    np.add(x, Q[0], out=q)
     for c in P[1:]:
         p *= x
         p += c
     for c in Q[1:]:
         q *= x
         q += c
-    return x * p / q
+    p *= x
+    p /= q
+    return p
 
 
-def _log(y: np.ndarray) -> np.ndarray:
-    """libm's log, bit for bit.  numpy's SIMD log, which it takes on contiguous
-    input, differs from libm in the last bits on some inputs; on a reversed
-    view numpy calls libm's log element by element."""
-    return np.log(y[::-1])[::-1]
+def _log(y: np.ndarray, out=None) -> np.ndarray:
+    """libm's log of ``y``, bit for bit, in y's order: a reversed view of ``out``
+    when it is given.  numpy's SIMD log, which it takes when input and output
+    run the same way in memory, differs from libm in the last bits on some
+    inputs.  Reading y reversed into a forward ``out`` makes numpy call libm's
+    log element by element, so y must not itself be a reversed view."""
+    return np.log(y[::-1], out=out)[::-1]
 
 
-def _ndtri(u) -> np.ndarray:
+def _ndtri(u, out=None, work=None) -> np.ndarray:
     """Inverse standard normal CDF, bit for bit Cephes's ndtri: -inf at 0, inf
-    at 1, nan outside [0, 1]."""
+    at 1, nan outside [0, 1].  A 1-D ``u`` may take ``out`` for the result and
+    a ``Workspace`` for the scratch arrays; the central rational and both tails
+    then allocate no array of u's length."""
     u = np.asarray(u, dtype=float)
     flat = u.reshape(-1)
-    upper = flat > 1.0 - _EXP_M2
-    y = np.where(upper, 1.0 - flat, flat)  # the upper tail folded onto the lower, as Cephes does
+    n = flat.size
+    work = Workspace() if work is None else work
+    x = np.empty(n) if out is None else out
+    upper = np.greater(flat, 1.0 - _EXP_M2, out=work("upper", n, bool))
+    # the upper tail folded onto the lower, as Cephes does
+    y = work("y", n)
+    np.copyto(y, flat)
+    np.subtract(1.0, flat, out=y, where=upper)
+    tail = np.greater(y, _EXP_M2, out=work("tail", n, bool))
+    np.logical_not(tail, out=tail)
+    m = np.count_nonzero(tail)
+    yt = np.compress(tail, y, out=work("tail_y", n)[:m])
+    flip = np.compress(tail, upper, out=work("tail_upper", n, bool)[:m])
     # the central rational everywhere (Q0 has no zero for (y - 1/2)^2 <= 1/4),
     # then the tails over it
-    c = y - 0.5
-    x = (c + c * _rational(c * c, _P0, _Q0)) * _SQRT_2PI
-    tail = np.flatnonzero(~(y > _EXP_M2))
-    y = y[tail]
-    t = np.where(y == 0, np.inf, np.nan)
-    inside = y > 0
-    r = np.sqrt(-2.0 * _log(y[inside]))
-    z = 1.0 / r
-    x1 = _rational(z, _P1, _Q1)
-    far = r >= 8.0
-    x1[far] = _rational(z[far], _P2, _Q2)
-    t[inside] = r - _log(r) / r - x1
-    x[tail] = np.where(upper[tail], t, -t)
+    c = np.subtract(y, 0.5, out=work("c", n))
+    q = work("q", n)
+    _rational(np.multiply(c, c, out=y), _P0, _Q0, p=x, q=q)
+    x *= c
+    x += c
+    x *= _SQRT_2PI
+    if m:
+        zeros = None if yt.all() else np.flatnonzero(yt == 0)  # u at 0 or 1
+        # r = sqrt(-2 log y) and t = r - log(r)/r - x1; y = 0 and y < 0 or nan
+        # (u outside [0, 1]) run through as inf and nan, then y = 0 gives inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.multiply(_log(yt, y[:m]), -2.0, out=c[:m])
+            np.sqrt(r, out=r)
+            z = np.divide(1.0, r, out=y[:m])
+            x1 = _rational(z, _P1, _Q1, p=yt, q=q[:m])
+            if r.max() >= 8.0:  # far tails, y < exp(-32)
+                far = r >= 8.0
+                x1[far] = _rational(z[far], _P2, _Q2)
+            log_r = _log(r, y[:m])
+            log_r /= r
+            t = np.subtract(r, log_r, out=r)
+            t -= x1
+        if zeros is not None:
+            t[zeros] = np.inf
+        np.logical_not(flip, out=flip)
+        np.negative(t, out=t, where=flip)
+        np.place(x, tail, t)
     return x.reshape(u.shape)
 
 
@@ -113,8 +165,9 @@ class Ideal:
     half_width: ClassVar[float] = 0.0
 
     @staticmethod
-    def inverse_cdf(u) -> np.ndarray:
-        return np.zeros_like(u)
+    def inverse_cdf(u, out, work) -> np.ndarray:
+        out.fill(0.0)
+        return out
 
     @staticmethod
     def density(x):
@@ -139,8 +192,10 @@ class Bin:
     def half_width(self) -> float:
         return self.L / 2
 
-    def inverse_cdf(self, u) -> np.ndarray:
-        return self.L * (u - 0.5)
+    def inverse_cdf(self, u, out, work) -> np.ndarray:
+        np.subtract(u, 0.5, out=out)
+        out *= self.L
+        return out
 
     def density(self, x) -> np.ndarray:
         return np.where(np.abs(x) <= self.L / 2, 1.0 / self.L, 0.0)
@@ -164,8 +219,10 @@ class Squeezed:
     def half_width(self) -> float:
         return 10 * self.std  # the mass beyond 10 std is below 1e-23
 
-    def inverse_cdf(self, u) -> np.ndarray:
-        return self.std * _ndtri(u)
+    def inverse_cdf(self, u, out, work) -> np.ndarray:
+        _ndtri(u, out, work)
+        out *= self.std
+        return out
 
     def density(self, x) -> np.ndarray:
         sd = self.std
@@ -237,6 +294,22 @@ class LineMixture:
         cumulative.flags.writeable = False
         return cumulative
 
+    @cached_property
+    def line_guide(self) -> tuple[np.ndarray, np.ndarray]:
+        """(guide, edges), read-only, built on first read, for the indexed search
+        of Chen and Asau (1974; Devroye, Non-Uniform Random Variate Generation,
+        1986, III.2.4).  ``edges`` is ``cumulative_weights`` with its last entry
+        raised to inf, so no search passes the last line.  ``guide`` has K
+        entries, K the least power of two >= the number of lines, so u*K is
+        exact; guide[k] is the first line whose edge reaches k/K, where the
+        search for any u in [k/K, (k+1)/K) starts."""
+        edges = self.cumulative_weights.copy()
+        edges[-1] = np.inf
+        K = 1 << (len(edges) - 1).bit_length()
+        guide = np.searchsorted(edges, np.arange(K) / K, side="left")
+        edges.flags.writeable = guide.flags.writeable = False
+        return guide, edges
+
     def density(self, p) -> np.ndarray:
         """Probability density at ``p``; a delta kernel has none."""
         p = np.asarray(p, dtype=float)
@@ -254,12 +327,15 @@ def map_p_to_E(p, probe: ProbeConfig):
     return (probe.p0 - np.asarray(p, dtype=float)) / probe.g_tau
 
 
-def bin_index(x, width: float, origin: float, what: str) -> np.ndarray:
-    """floor((x - origin) / width) as floats: the index k of the bin [origin + k*width,
-    origin + (k+1)*width) that holds each x.  Past 2**53 a float64 index no longer
-    names one bin, so ``what``, the x, may not lie that far from the origin."""
-    idx = np.floor((x - origin) / width)
-    if not np.abs(idx).max() < 2 ** 53:
+def bin_index(x, width: float, origin: float, what: str, out=None) -> np.ndarray:
+    """floor((x - origin) / width) as floats, in ``out`` when given: the index k of
+    the bin [origin + k*width, origin + (k+1)*width) that holds each x.  Past 2**53
+    a float64 index no longer names one bin, so ``what``, the x, may not lie that
+    far from the origin."""
+    idx = np.subtract(x, origin, out=out)
+    idx /= width
+    np.floor(idx, out=idx)
+    if not (idx.max() < 2 ** 53 and idx.min() > -2 ** 53):
         raise ValueError(f"{what} lie over 2**53 bins of width {float(width)!r} "
                          f"from the bin origin {float(origin)!r}")
     return idx

@@ -5,9 +5,14 @@ A record is a `# key=value` header ending in ``# columns=p_bits``,
 followed by one line per sample, the 16 hex digits of the sample's
 float64 bits (see ``record_body``).  The writers are deterministic
 (sorted keys, repr floats) so identical inputs produce byte-identical
-files.  ``read_header`` reads the leading ``#`` lines of a record or
-report, and ``read_record`` then reads a record's body one block of
-lines at a time, so its memory does not grow with the record.
+files.  ``record_body`` gives a chunk's lines as ASCII bytes, through a
+bits array the writer may pass for every chunk, for a file opened in
+binary mode, so no newline is translated.  ``read_header`` reads the
+leading ``#`` lines of a record or report, and ``read_record`` then
+reads a record's body one block of lines at a time into one buffer,
+allocated once, and decodes each block into one array, so its memory
+does not grow with the record; per block it allocates only the block's
+text as a str and the bytes ``bytes.fromhex`` decodes from it.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ def probe_from_dict(payload) -> ProbeConfig:
 
 
 _LINE = 17  # 16 hex digits and "\n"
-_HEX_DIGITS = b"0123456789abcdef"
 _DECODE_LINES = 2 ** 16  # lines read and decoded per block (1.1 MB of text)
 _BAD_BODY = "record body must be lines of 16 hex digits"
 _REDRAW = ("only '# columns=p_bits' records are read; redraw this one from its own "
@@ -53,35 +57,55 @@ def record_header(seed: int, detector_bin: float, probe: ProbeConfig | None = No
     return "\n".join(lines) + "\n"
 
 
-def record_body(samples: np.ndarray) -> str:
-    """One line per sample: the 16 lowercase hex digits of its float64 bits, big-endian."""
-    if len(samples) == 0:
-        return ""
-    return np.asarray(samples, dtype=">f8").tobytes().hex("\n", 8) + "\n"
+def record_body(samples: np.ndarray, bits: np.ndarray | None = None) -> Iterator[bytes]:
+    """One line per sample, as ASCII bytes pieces: the 16 lowercase hex digits of
+    its float64 bits, big-endian.  ``bits``, a big-endian float64 array at least
+    as long as ``samples``, takes the bits, so a writer that passes the same one
+    for every chunk allocates only each chunk's text."""
+    if len(samples):
+        bits = np.empty(len(samples), ">f8") if bits is None else bits[:len(samples)]
+        np.copyto(bits, samples)
+        yield binascii.b2a_hex(bits, b"\n", 8)
+        yield b"\n"
 
 
 def record_to_text(record: MeasurementRecord, probe: ProbeConfig | None = None) -> str:
-    return record_header(record.seed, record.detector_bin, probe) + record_body(record.samples)
+    body = b"".join(record_body(record.samples)).decode("ascii")
+    return record_header(record.seed, record.detector_bin, probe) + body
 
 
-def _decode_block(raw: bytes) -> np.ndarray:
-    """The samples of ``raw``, whole ``p_bits`` body lines, checked finite."""
-    n, partial = divmod(len(raw), _LINE)
-    lines = np.frombuffer(raw, dtype=np.uint8, count=n * _LINE).reshape(n, _LINE)
-    digits = lines[:, :-1].tobytes()
-    # unhexlify would also read uppercase digits, which record_body never writes
-    if partial or (lines[:, -1] != ord("\n")).any() or digits.translate(None, _HEX_DIGITS):
+def _decode_block(block: memoryview, newlines: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The samples of ``block``, whole ``p_bits`` body lines, checked finite and
+    decoded into ``out``; ``newlines`` is the last column of the lines."""
+    n, partial = divmod(len(block), _LINE)
+    if partial or (newlines[:n] != ord("\n")).any():
         raise ValueError(_BAD_BODY)
-    samples = np.frombuffer(binascii.unhexlify(digits), dtype=">f8").astype(float)
+    try:
+        text = str(block, "ascii")
+        bits = bytes.fromhex(text)
+    except ValueError:
+        raise ValueError(_BAD_BODY) from None
+    # with every newline in place, fromhex skips no digit column only if it holds
+    # no whitespace; it also reads uppercase digits, which record_body never writes
+    if len(bits) != 8 * n or any(digit in text for digit in "ABCDEF"):
+        raise ValueError(_BAD_BODY)
+    samples = out[:n]
+    np.copyto(samples, np.frombuffer(bits, dtype=">f8"))
     if not np.isfinite(samples).all():
         raise ValueError("record has non-finite samples")
     return samples
 
 
 def _body_blocks(fh):
-    """Decode the ``p_bits`` body that ``fh`` is at, _DECODE_LINES lines per block."""
-    while raw := fh.read(_LINE * _DECODE_LINES):
-        yield _decode_block(raw)
+    """Decode the ``p_bits`` body that ``fh`` is at, _DECODE_LINES lines per block,
+    each read into one buffer and decoded into one array, which the next
+    block overwrites."""
+    raw = bytearray(_LINE * _DECODE_LINES)
+    newlines = np.frombuffer(raw, dtype=np.uint8).reshape(_DECODE_LINES, _LINE)[:, -1]
+    samples = np.empty(_DECODE_LINES)
+    view = memoryview(raw)
+    while size := fh.readinto(view):
+        yield _decode_block(view[:size], newlines, samples)
 
 
 def _header_value(meta: dict, key: str, parse, default):
@@ -111,7 +135,8 @@ def read_record(fh) -> tuple[MeasurementRecord, ProbeConfig | None, Iterator[np.
     The leading ``#`` lines are the header, which must hold ``# columns=p_bits``.
     Returns the header as a record without samples, the embedded probe, and
     the body's samples as an iterator of arrays of at most _DECODE_LINES
-    samples, which reads the file as it goes.
+    samples, which reads the file as it goes.  Each array is overwritten by
+    the next, so a caller that keeps one copies it.
     """
     meta = read_header(fh)
     columns = meta.get("columns")
@@ -132,4 +157,5 @@ def record_from_text(text: str) -> tuple[MeasurementRecord, ProbeConfig | None]:
     """Record and embedded probe from ``record_to_text`` output."""
     raw = io.BufferedReader(io.BytesIO(text.encode("utf-8", "surrogateescape")))
     header, probe, blocks = read_record(raw)
-    return replace(header, samples=np.concatenate([header.samples, *blocks])), probe
+    samples = np.concatenate([header.samples, *map(np.copy, blocks)])
+    return replace(header, samples=samples), probe

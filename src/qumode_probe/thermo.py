@@ -227,8 +227,9 @@ def ground_state_overlap(H_a: HermitianOperator, H_b: HermitianOperator) -> floa
     second circuit is its ground line).  That population is
     tr(P_b |g_a><g_a|) = |<g_a|g_b>|^2, so the read-out is the inner
     product of the two ground eigenvectors.  A ground state whose gap is at
-    most the resolution bound, max(``DEGENERACY_MERGE_TOL``, 4·d·ε·max|λ|),
-    is degenerate, as ``spectrum_of`` merges it.
+    most the resolution bound, max(``DEGENERACY_MERGE_TOL``, the error bound of
+    its eigenvalues: 0 for a diagonal, 4·d·ε·max|λ| from LAPACK), is
+    degenerate, as ``spectrum_of`` merges it.
     """
     if H_a.dim != H_b.dim:
         raise ValueError(f"dimension mismatch: {H_a.dim} vs {H_b.dim}")
@@ -236,7 +237,7 @@ def ground_state_overlap(H_a: HermitianOperator, H_b: HermitianOperator) -> floa
     def ground_vector(H: HermitianOperator) -> np.ndarray:
         dec = H.eig()
         vals = dec.eigenvalues
-        bound = _resolution(vals, DEGENERACY_MERGE_TOL)
+        bound = _resolution(dec, DEGENERACY_MERGE_TOL)
         if H.dim > 1 and vals[1] - vals[0] <= bound:
             raise DegenerateGroundStateError(f"ground-state gap {vals[1] - vals[0]:.3g} "
                                              f"is within the resolution bound {bound:.3g}")

@@ -11,7 +11,8 @@ from qumode_probe.probe import (
     Squeezed,
     distribution_for,
 )
-from qumode_probe.sampling import MeasurementRecord, sample_measurements
+from qumode_probe.probe import Workspace
+from qumode_probe.sampling import MeasurementRecord, _pick_lines, sample_measurements
 
 
 def two_peak_mixture():
@@ -136,3 +137,45 @@ def test_odd_start_rejected():
 def test_record_rejects_bad_detector_bin(width):
     with pytest.raises(ValueError, match="detector bin width must be nonnegative"):
         MeasurementRecord(samples=np.array([0.0]), seed=0, detector_bin=width)
+
+
+def pick_weights(L):
+    """Weights of L lines: uniform, thermal, all mass on one line, zero-weight lines,
+    many tiny lines in one guide bucket, and seeded ones whose running sum ends
+    below and above 1 by rounding."""
+    cases = {"uniform": np.full(L, 1 / L),
+             "thermal": np.exp(-0.7 * np.arange(L)),
+             "one-line": np.eye(1, L, L // 2)[0],
+             "zero-lines": np.arange(L) % 3 == 1 if L > 1 else np.ones(1),
+             "tiny-lines": np.r_[0.5, np.full(L - 2, 1e-12), 0.5][:L] if L > 1 else np.ones(1)}
+    cases = {name: w / w.sum() for name, w in cases.items()}
+    rng = np.random.default_rng(L)
+    for name, below in (("sum-below-1", True), ("sum-above-1", False)):
+        for _ in range(1000):
+            w = rng.random(L)
+            w /= w.sum()
+            if (np.cumsum(w)[-1] < 1.0) == below and np.cumsum(w)[-1] != 1.0:
+                cases[name] = w
+                break
+    return cases
+
+
+@pytest.mark.parametrize("L", [1, 2, 5, 101, 1024])
+def test_line_pick_is_clamped_searchsorted(L):
+    """The guide-table pick returns min(searchsorted(cw, u, "left"), L - 1) bit for
+    bit: at 0, at every cumulative edge and its neighbours, at 1 - 2**-53, and on
+    4096 seeded uniforms, so both the whole-array and the few-left steps run."""
+    cases = pick_weights(L)
+    if L > 2:
+        assert {"sum-below-1", "sum-above-1"} <= cases.keys()
+    for name, weights in cases.items():
+        dist = LineMixture(np.arange(L, dtype=float), weights, Ideal())
+        cw = dist.cumulative_weights
+        K = len(dist.line_guide[0])
+        edges = np.concatenate([cw, np.arange(K) / K])
+        u = np.concatenate([[0.0, 1 - 2.0 ** -53], np.nextafter(edges, 0.0), edges,
+                            np.nextafter(edges, 1.0),
+                            np.random.default_rng(L).random(4096)])
+        u = u[(u >= 0) & (u < 1)]
+        expected = np.minimum(np.searchsorted(cw, u, side="left"), L - 1)
+        assert _pick_lines(dist, u, Workspace()).tolist() == expected.tolist(), name

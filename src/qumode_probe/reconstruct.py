@@ -10,7 +10,8 @@ binned probe.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import operator
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,8 @@ from .sampling import MeasurementRecord
 
 # bins one cluster's smoothing window may span, occupied or not
 MAX_BINS = 2 ** 24
+# clusters ending in one window of this many bins are laid out together
+BATCH_BINS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -113,100 +116,96 @@ def histogram_blocks(blocks: Iterable[np.ndarray], bin_width: float,
     return Histogram(bins, counts.astype(np.intp), bin_width, origin)
 
 
-def _prominent_peaks(x: np.ndarray, min_prominence: float) -> np.ndarray:
-    """Indices of local maxima of ``x`` whose prominence is >= ``min_prominence``.
-
-    Same indices as SciPy's ``find_peaks(x, prominence=min_prominence)``:
-    a flat top reports its middle sample (rounded left), a top touching
-    either border is no peak, and a peak's prominence is its height above
-    the higher of its two bases, each base being the lowest sample between
-    the peak and the nearest strictly higher sample (or the border).
-
-    The scan works on runs of equal values.  The nearest strictly higher
-    sample beside a peak always lies on the slope of a higher peak (or of
-    the border run), so a monotonic stack over the peaks alone, fed the
-    minima of the valleys between neighbouring peaks, finds both bases in
-    time linear in ``len(x)``.
-    """
-    x = np.asarray(x, dtype=float)
-    if len(x) < 3:
-        return np.empty(0, dtype=np.intp)
-    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
-    vals = x[starts]
-    # neighbouring runs differ, so a run not rising to the next one falls
-    rises = vals[1:] > vals[:-1]
-    # run 0, then every peak run: the bounds of the valleys between them
-    bounds = np.flatnonzero(np.concatenate(([True], rises[:-1] & ~rises[1:])))
-    if len(bounds) == 1:
-        return np.empty(0, dtype=np.intp)
-    # valleys[i] is the minimum between peak i - 1 and peak i, the outer
-    # two reaching the borders; a peak never lowers its own valley
-    valleys = np.minimum.reduceat(vals, bounds).tolist()
-    runs = bounds[1:].tolist()
-    heights = vals[bounds[1:]].tolist()
-    left = _bases(heights, valleys[:-1])
-    right = _bases(heights[::-1], valleys[:0:-1])[::-1]
-    # a peak run is never the last run, so the next run's start ends it
-    s = starts.tolist()
-    return np.array([(s[r] + s[r + 1] - 1) // 2
-                     for r, h, a, b in zip(runs, heights, left, right)
-                     if h - max(a, b) >= min_prominence], dtype=np.intp)
-
-
-def _bases(heights: list[float], valleys: list[float]) -> list[float]:
-    """Lowest value between each peak and the nearest strictly higher one before it.
-
-    ``valleys[i]`` is the minimum between peak i and peak i - 1 (or the
-    border).  Each stack entry carries its height and the minimum between
-    it and the entry below, so every peak is pushed and popped at most once.
-    """
+def _bases(heights: list[float], valleys: list[float], lower: Callable) -> list[float]:
+    """Lowest value between each peak and the nearest earlier peak that is not
+    ``lower`` than it, or the start; ``valleys[i]`` is the minimum between peaks
+    i - 1 and i.  A monotonic stack: every peak is pushed and popped at most once."""
     bases = []
     stack: list[tuple[float, float]] = []
     for h, low in zip(heights, valleys):
-        while stack and stack[-1][0] <= h:
-            popped = stack.pop()[1]
-            if popped < low:
-                low = popped
+        while stack and lower(stack[-1][0], h):
+            low = min(low, stack.pop()[1])
         bases.append(low)
         stack.append((h, low))
     return bases
 
 
-def _moving_average(segment: np.ndarray, w: int) -> np.ndarray:
-    """``np.convolve(segment, np.ones(w) / w, "same")`` of an integer ``segment``,
-    as window sums over [i - w//2, i + (w-1)//2] from one cumulative sum: linear
-    time whatever ``w``, and equal sums give exactly equal means."""
-    zeros = np.zeros(w // 2 + 1, dtype=segment.dtype)
-    s = np.cumsum(np.concatenate((zeros, segment, zeros[:(w - 1) // 2])))
-    return (s[w:] - s[:-w]) / w
+def _valleys(x: np.ndarray, starts: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Positions in ``x`` of the first minimum between each two neighbouring peaks of
+    a cluster whose prominences reach the cluster's threshold.
 
-
-def _valley_cuts(hist: Histogram, a: int, b: int, smooth_bins: int) -> np.ndarray:
-    """Positions in ``hist.bins`` at which the cluster of occupied bins a..b-1
-    splits at significant valleys; a bin on a cut stays left of it.
-
-    The cluster's counts, laid out over its whole span with its empty bins as
-    zeros, are smoothed over roughly one momentum spread and scanned for local
-    maxima whose prominence exceeds both the Poisson noise floor and 2% of
-    the cluster peak; the lowest bin between each two surviving maxima is a
-    cut.  Lines that overlap too heavily show no significant valley and stay
-    merged.  A span over ``MAX_BINS`` bins is refused before it is laid out.
+    Cluster c follows a run of +inf from ``starts[c]``, the first at 0.  A peak has
+    x[i] > x[i-1] and x[i] >= x[i+1]; its prominence is its height above the higher
+    of its bases, the lowest samples between it and the nearest higher peak on each
+    side or the border.  By the elder rule of persistence, of two equal peaks the
+    earlier (lower p, higher E) counts as higher.  A top at a border has prominence 0.
     """
-    offsets = hist.bins[a:b] - hist.bins[a]
-    span = offsets[-1] + 1
-    if not span <= MAX_BINS:
-        raise ValueError(f"a cluster of the histogram spans {span:.6g} bins of width "
-                         f"{float(hist.width)!r} from p = {float(hist.edge(hist.bins[a]))!r}, "
+    rise = x[1:] > x[:-1]
+    peaks = np.flatnonzero(rise[:-1] & ~rise[1:] & (x[1:-1] < np.inf)) + 1
+    bounds = np.sort(np.concatenate((starts, peaks)))
+    cluster = np.searchsorted(starts, bounds, side="right") - 1
+    mins = np.minimum.reduceat(x, bounds)
+    # only a cluster of two peaks or more has a valley: its start and those peaks
+    i = np.flatnonzero((np.bincount(cluster) > 2)[cluster])
+    heights = x[bounds[i]]
+    left = _bases(heights.tolist(), mins[i - 1].tolist(), operator.lt)
+    right = _bases(heights[::-1].tolist(), mins[i[::-1]].tolist(), operator.le)[::-1]
+    # a start's prominence is +inf: it stays a border
+    i = i[heights - np.maximum(left, right) >= thresholds[cluster[i]]]
+    # the first minimum of each run from a kept peak to the next, with no border in it
+    bounds = np.union1d(starts, bounds[i])
+    mins = np.minimum.reduceat(x, bounds)
+    at_min = np.flatnonzero(x == np.repeat(mins, np.diff(bounds, append=len(x))))
+    first = at_min[np.searchsorted(at_min, bounds[:-1])]
+    return first[(x[bounds[:-1]] < np.inf) & (x[bounds[1:]] < np.inf)]
+
+
+def _valley_cuts(hist: Histogram, gap_cuts: np.ndarray, smooth_bins: int) -> np.ndarray:
+    """Positions in ``hist.bins`` at which the clusters between ``gap_cuts`` split at
+    significant valleys (``_valleys``); a bin on a cut stays left of it.
+
+    Each cluster of three or more occupied bins is laid out over its span, empty bins
+    as zeros, after w = min(smooth_bins, span) separators, all in one array whose
+    integer cumulative sum gives the window sums over [i - w//2, i + (w-1)//2]:
+    divided by w, the counts smoothed over about one momentum spread.  A peak must
+    stand out by the Poisson noise floor plus 2% of its cluster's top.  ``MAX_BINS``
+    caps each cluster's span before any layout.  The clusters that end in one window
+    of ``BATCH_BINS`` bins are laid out together, so memory follows the widest one.
+    """
+    many = np.flatnonzero(np.diff(gap_cuts) >= 3)
+    a, b = gap_cuts[many], gap_cuts[many + 1]
+    spans = hist.bins[b - 1] - hist.bins[a] + 1
+    if (spans > MAX_BINS).any():
+        k = np.argmax(spans > MAX_BINS)
+        raise ValueError(f"a cluster of the histogram spans {spans[k]:.6g} bins of width "
+                         f"{float(hist.width)!r} from p = {float(hist.edge(hist.bins[a[k]]))!r}, "
                          f"over the cap of {MAX_BINS}")
-    window = np.zeros(int(span), dtype=np.intp)
-    window[offsets.astype(np.intp)] = hist.counts[a:b]
-    w = min(smooth_bins, len(window))
-    smooth = _moving_average(window, w)
-    top = smooth.max()
-    prominence = 5.0 * np.sqrt(top / w) + 0.02 * top
-    peaks = _prominent_peaks(smooth, prominence).tolist()
-    valleys = [i + int(np.argmin(smooth[i:j + 1])) for i, j in zip(peaks[:-1], peaks[1:])]
-    return a + np.searchsorted(offsets, valleys, side="right")
+    spans = spans.astype(np.intp)
+    batch = np.cumsum(spans) // BATCH_BINS  # the window of BATCH_BINS bins each ends in
+    cuts = []
+    for i in np.split(np.arange(len(spans)), np.flatnonzero(np.diff(batch)) + 1):
+        first, span, n = hist.bins[a[i]], spans[i], b[i] - a[i]
+        w = np.minimum(smooth_bins, span)
+        runs = np.column_stack((w, span)).ravel()  # each cluster's separators, then its span
+        run_starts = np.cumsum(runs) - runs
+        starts = run_starts[::2]
+        # bin j of cluster c at starts[c] + w//2 + 1 + j, so that the window sum
+        # ending at starts[c] + w + j is the one centred on bin j; j is exact, as
+        # both bins lie within 2**53 of the origin, and starts[c] - first[c] may not be
+        k = np.arange(n.sum()) + np.repeat(a[i] + n - np.cumsum(n), n)
+        sums = np.zeros(runs.sum(), dtype=np.intp)
+        sums[(hist.bins[k] - np.repeat(first, n)).astype(np.intp)
+             + np.repeat(starts + w // 2 + 1, n)] = hist.counts[k]
+        np.cumsum(sums, out=sums)
+        width = np.repeat(w, span + w)
+        # a separator's window may wrap round; separators are +inf
+        x = (sums - sums[np.arange(len(sums)) - width]) / width
+        x[np.repeat(np.tile([True, False], len(w)), runs)] = np.inf
+        top = np.maximum.reduceat(x, run_starts)[1::2]
+        q = _valleys(x, starts, 5.0 * np.sqrt(top / w) + 0.02 * top)
+        c = np.searchsorted(starts, q, side="right") - 1
+        cuts.append(np.searchsorted(hist.bins, first[c] + (q - starts[c] - w[c]), side="right"))
+    return np.concatenate(cuts)
 
 
 def detect_peaks(hist: Histogram, probe: ProbeConfig,
@@ -243,9 +242,7 @@ def detect_peaks(hist: Histogram, probe: ProbeConfig,
     apart = (np.diff(hist.bins) > 1) & (np.diff(centers) > gap)
     gap_cuts = np.concatenate(([0], np.flatnonzero(apart) + 1, [len(hist.bins)]))
     # valley cuts lie strictly inside their cluster, so sorting merges them in place
-    cuts = np.sort(np.concatenate([gap_cuts] + [
-        _valley_cuts(hist, gap_cuts[i], gap_cuts[i + 1], smooth_bins)
-        for i in np.flatnonzero(np.diff(gap_cuts) >= 3)]))
+    cuts = np.sort(np.concatenate((gap_cuts, _valley_cuts(hist, gap_cuts, smooth_bins))))
 
     a, b = cuts[:-1], cuts[1:]
     # exact integer sums; a run between coincident valley cuts holds no bin, where
@@ -259,12 +256,13 @@ def detect_peaks(hist: Histogram, probe: ProbeConfig,
     if not keep.size:
         raise ValueError("no cluster above the mass threshold")
     a, b, counts = a[keep], b[keep], counts[keep]
-    # np.average(centers[a:b], weights=counts[a:b]) to the bit, as its float sum of
-    # the counts is exact, without its per-call checks: one bin's sum is its one term
-    centroids = centers[a] * hist.counts[a] / counts
-    for i in np.flatnonzero(b - a > 1):
-        lo, hi = a[i], b[i]
-        centroids[i] = (centers[lo:hi] * hist.counts[lo:hi]).sum() / counts[i]
+    # np.average(centers[a:b], weights=counts[a:b]) to the bit, as its float sum of the
+    # counts is exact; a row sum over the lines of one length adds as each slice's sum
+    centroids = np.empty(len(a))
+    order = np.argsort(b - a, kind="stable")
+    for i in np.split(order, np.flatnonzero(np.diff((b - a)[order])) + 1):
+        rows = a[i, None] + np.arange(b[i[0]] - a[i[0]])
+        centroids[i] = (centers[rows] * hist.counts[rows]).sum(axis=1) / counts[i]
 
     # lines run up in p, and the p -> E relation reverses the ordering
     return Spectrum(map_p_to_E(centroids[::-1], probe), masses[keep][::-1],

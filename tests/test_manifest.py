@@ -1,7 +1,7 @@
-"""Every output of the benchmark workloads' chains at seeds 1-3, and of the README
-example's ``sample -> reconstruct -> thermo --record`` chain, pinned in
-``output_manifest.json``: each step's exit code, stderr and the SHA-256 of the file
-it wrote (null when it wrote none).
+"""Every output of the benchmark workloads' chains at seeds 1-3, of the README
+example's seven commands (``thermo`` both exact and from the record) and of the
+demos, pinned in ``output_manifest.json``: each step's exit code, stderr and the
+SHA-256 of the file it wrote (null when it wrote none), or of a demo's stdout.
 
 A change that moves an output rewrites the manifest, and that diff declares what
 moved.  To rewrite it from the tree on PYTHONPATH:
@@ -13,6 +13,7 @@ import contextlib
 import hashlib
 import io
 import json
+import runpy
 import sys
 import tempfile
 from pathlib import Path
@@ -24,6 +25,7 @@ from qumode_probe.cli import main
 from conftest import WORKLOADS
 
 MANIFEST = Path(__file__).with_name("output_manifest.json")
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 README_CONFIG = {
     "system": {"model": "rabi", "n_sites": 2},
@@ -40,6 +42,8 @@ def chains() -> dict[str, tuple[dict, list[str], bool]]:
            for name in ("eigen-dense", "record-heavy", "many-lines") for seed in (1, 2, 3)
            for inputs in [WORKLOADS.make_inputs(name, seed)]}
     out["readme"] = (README_CONFIG, ["sample", "reconstruct", "thermo"], True)
+    out["readme-exact"] = (README_CONFIG, ["spectrum", "thermo", "quench", "overlap", "sweep"],
+                           False)
     return out
 
 
@@ -63,13 +67,32 @@ def run_chain(work: Path, config: dict, steps: list[str], thermo_from_record: bo
     return outputs
 
 
+def run_demo(script: Path) -> dict:
+    """Run a demo script in this process, as ``python3 demos/<script>`` runs it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            runpy.run_path(str(script), run_name="__main__")
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return {"stdout": {"exit": code, "stderr": err.getvalue(), "sha256": digest}}
+
+
 @pytest.mark.parametrize("name", sorted(chains()))
 def test_chain_outputs(tmp_path, name):
     assert run_chain(tmp_path, *chains()[name]) == json.loads(MANIFEST.read_text())[name]
 
 
+@pytest.mark.parametrize("script", DEMOS, ids=[script.stem for script in DEMOS])
+def test_demo_stdout(script):
+    assert run_demo(script) == json.loads(MANIFEST.read_text())[f"demo-{script.stem}"]
+
+
 def test_manifest_lists_every_chain():
-    assert sorted(json.loads(MANIFEST.read_text())) == sorted(chains())
+    assert sorted(json.loads(MANIFEST.read_text())) == sorted(
+        [*chains(), *(f"demo-{script.stem}" for script in DEMOS)])
 
 
 if __name__ == "__main__":
@@ -77,4 +100,5 @@ if __name__ == "__main__":
         sys.exit(__doc__)
     with tempfile.TemporaryDirectory() as work:
         manifest = {name: run_chain(Path(work), *chain) for name, chain in sorted(chains().items())}
+    manifest.update({f"demo-{script.stem}": run_demo(script) for script in DEMOS})
     MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")

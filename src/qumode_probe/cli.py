@@ -36,8 +36,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_CONTRACT = 4
 
-# draws per streamed record chunk; a multiple of 4, so every chunk starts on a
-# Philox block of the line and kernel stream, and of the bin stream when binned
+# draws per streamed record chunk; it sizes the working arrays of a sample child
 SAMPLE_CHUNK = 2 ** 15
 
 

@@ -53,32 +53,6 @@ class MeasurementRecord:
         return len(self.samples)
 
 
-def _uniform_pairs(seed: int, start: int, count: int, out=None) -> tuple[np.ndarray, np.ndarray]:
-    """Uniforms (2j, 2j+1) for draws j in [start, start+count), drawn into the
-    first 2*count entries of ``out`` when given.
-
-    Philox advances in blocks of four doubles, so ``start`` must be even
-    (two uniforms per draw).
-    """
-    if start % 2:
-        raise ValueError("partition start must be even")
-    bitgen = np.random.Philox(key=seed)
-    bitgen.advance(start // 2)
-    u = np.empty(2 * count) if out is None else out[:2 * count]
-    np.random.Generator(bitgen).random(out=u)
-    return u[0::2], u[1::2]
-
-
-def _bin_uniforms(seed: int, start: int, count: int, out: np.ndarray) -> np.ndarray:
-    """Uniform j of the bin stream, whose counter starts at 2**192, for draws j in
-    [start, start+count), drawn into ``out``; ``start`` must be a multiple of 4."""
-    if start % 4:
-        raise ValueError("a detector-binned partition start must be a multiple of 4")
-    bitgen = np.random.Philox(key=seed, counter=[0, 0, 0, 1])
-    bitgen.advance(start // 4)
-    return np.random.Generator(bitgen).random(out=out)
-
-
 def _pick_lines(dist: LineMixture, u: np.ndarray, work: Workspace) -> np.ndarray:
     """The line of each uniform u in [0, 1): the first whose cumulative weight
     reaches u, else the last line, which is
@@ -110,18 +84,18 @@ def _pick_lines(dist: LineMixture, u: np.ndarray, work: Workspace) -> np.ndarray
     return line
 
 
-def _draw(dist: LineMixture, seed: int, detector_bin: float, start: int, count: int,
-          work: Workspace) -> MeasurementRecord:
-    """Draws j in [start, start + count), in arrays of ``work``."""
-    u_line, u_kernel = _uniform_pairs(seed, start, count, work("uniforms", 2 * count))
-    line = _pick_lines(dist, u_line, work)
-    samples = dist.mode.inverse_cdf(u_kernel, work("samples", count), work)
+def _draw(dist: LineMixture, pairs: np.random.Generator, bins: np.random.Generator | None,
+          detector_bin: float, count: int, work: Workspace) -> np.ndarray:
+    """The next ``count`` draws of the streams, in arrays of ``work``."""
+    u = pairs.random(out=work("uniforms", 2 * count))
+    line = _pick_lines(dist, u[0::2], work)
+    samples = dist.mode.inverse_cdf(u[1::2], work("samples", count), work)
     samples += np.take(dist.points, line, out=work("pick", count), mode="clip")
-    if detector_bin > 0:
+    if bins is not None:
         bin_index(samples, detector_bin, 0.0, "draws", out=samples)
-        samples += _bin_uniforms(seed, start, count, work("pick", count))
+        samples += bins.random(out=work("pick", count))
         samples *= detector_bin
-    return MeasurementRecord(samples=samples, seed=seed, detector_bin=detector_bin)
+    return samples
 
 
 def sample_chunks(dist: LineMixture, n: int, seed: int, detector_bin: float = 0.0,
@@ -130,17 +104,30 @@ def sample_chunks(dist: LineMixture, n: int, seed: int, detector_bin: float = 0.
     ``chunk`` draws (all n when None), the last one shorter when n is no
     multiple of it.
 
-    The working arrays are allocated once, sized to min(n, chunk), and each
-    record's samples are a view that the next record overwrites.  A chunk
-    starts where the one before ended, so ``chunk`` must be even, and a
-    multiple of 4 when binned, as ``start`` must.
+    Each Philox stream is advanced to ``start`` once and read on from there,
+    chunk after chunk.  The working arrays are allocated once, sized to
+    min(n, chunk), and each record's samples are a view that the next record
+    overwrites.
     """
     if n < 1:
         raise ValueError("need at least one sample")
+    if start % 2:
+        raise ValueError("partition start must be even")
+    if detector_bin > 0 and start % 4:
+        raise ValueError("a detector-binned partition start must be a multiple of 4")
+    pairs = np.random.Philox(key=seed)
+    pairs.advance(start // 2)  # a Philox block holds four uniforms: two draws here
+    pairs = np.random.Generator(pairs)
+    bins = None
+    if detector_bin > 0:
+        bins = np.random.Philox(key=seed, counter=[0, 0, 0, 1])
+        bins.advance(start // 4)  # and four draws here
+        bins = np.random.Generator(bins)
     chunk = n if chunk is None else chunk
     work = Workspace()
-    for first in range(start, start + n, chunk):
-        yield _draw(dist, seed, detector_bin, first, min(chunk, start + n - first), work)
+    for done in range(0, n, chunk):
+        samples = _draw(dist, pairs, bins, detector_bin, min(chunk, n - done), work)
+        yield MeasurementRecord(samples=samples, seed=seed, detector_bin=detector_bin)
 
 
 def sample_measurements(dist: LineMixture, n: int, seed: int,

@@ -42,8 +42,8 @@ def estimate_beta(line0: SpectralLine, line1: SpectralLine) -> float:
     """
     if line0.E == line1.E:
         raise ValueError("lines must have distinct energies")
-    if line0.P <= 0 or line1.P <= 0:
-        raise ValueError("line populations must be positive")
+    if line0.P <= 0 or line1.P <= 0:  # no finite beta empties a line
+        raise NonThermalSpectrumError("line populations must be positive")
     return float(np.log(line0.P * line1.g / (line1.P * line0.g))
                  / (line1.E - line0.E))
 

@@ -831,6 +831,18 @@ class TestExitCodes:
         code, _ = run(tmp_path, "thermo", config)
         assert code == 4
 
+    @pytest.mark.parametrize("system, state", [
+        ([0.0, 1.0, 2.0], {"ground_of": True}),
+        ([0.0, 800.0], {"thermal_beta": 1.0}),  # P1 = e^-800 is 0.0 in float64
+    ], ids=["ground-state", "underflow"])
+    def test_empty_line_is_a_contract_violation(self, tmp_path, capsys, system, state):
+        """A line of zero population is thermal at no finite beta: exit 4, not 2."""
+        code, text = run(tmp_path, "thermo", {"system": {"diagonal": system}, "state": state})
+        assert code == 4
+        assert text == ""
+        assert capsys.readouterr().err == (
+            "contract violation: line populations must be positive\n")
+
 
 def test_cli_import_leaves_scipy_signal_unloaded():
     """Every CLI call pays the package import; scipy.signal alone costs most of it."""

@@ -3,6 +3,7 @@ must leave given outputs unchanged (Chen, Cheung and Yiu, "Metamorphic
 testing", HKUST-CS98-01, 1998; Segura et al., IEEE TSE 42(9), 2016)."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,12 +11,26 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qumode_probe.cli import main
-from qumode_probe.models import rabi_interaction
-from qumode_probe.operators import HermitianOperator, Spectrum, spectrum_of, thermal_state
+from qumode_probe.models import dicke_interaction, rabi_interaction
+from qumode_probe.operators import (
+    HermitianOperator,
+    Spectrum,
+    _lapack_error,
+    spectrum_of,
+    thermal_state,
+)
 from qumode_probe.probe import ProbeConfig, Squeezed, distribution_for
 from qumode_probe.reconstruct import reconstruct_record
 from qumode_probe.sampling import MeasurementRecord, sample_measurements
-from qumode_probe.thermo import DegenerateGroundStateError, ground_state_overlap
+from qumode_probe.thermo import (
+    DegenerateGroundStateError,
+    _boltzmann,
+    default_beta_grid,
+    estimate_beta,
+    ground_state_overlap,
+    recover_degeneracies,
+    thermo_report,
+)
 
 # twelve levels, the fourth and the ninth equal: one degenerate pair
 LEVELS = [0.0, 0.37, 0.81, 1.24, 1.66, 2.03, 2.49, 2.87, 1.24, 3.35, 3.72, 4.18]
@@ -125,3 +140,114 @@ def test_shift_and_scale_keep_a_degenerate_ground_state_degenerate(seed, exponen
     H_b = HermitianOperator(np.diag([0.0, 1.0, 2.0, 3.0]))
     with pytest.raises(DegenerateGroundStateError, match="within the resolution bound"):
         ground_state_overlap(H_a, H_b)
+
+
+def exact_thermo(h, beta):
+    """Exact ``thermo`` on the matrix ``h`` at ``thermal_beta`` beta, as the CLI
+    runs it with its defaults: lines, beta-hat from lines 0 and 1, degeneracies
+    recovered from anchor 0 with g = 1, and Z, F, C, S on the default grid;
+    with U = <E> and each spectrum's LAPACK error bound."""
+    H = HermitianOperator(h)
+    spec = spectrum_of(thermal_state(H, beta), H)
+    beta_hat = estimate_beta(spec.lines[0], spec.lines[1])
+    spec = recover_degeneracies(replace(spec, degeneracies=np.ones(len(spec.energies), int)),
+                                beta_hat)
+    report = thermo_report(spec, beta_hat)
+    U = _boltzmann(spec.energies, spec.degeneracies, default_beta_grid())[2]
+    return dict(E=spec.energies, P=spec.populations, g=spec.degeneracies, beta_hat=beta_hat,
+                F=report.F_grid[:, 1], U=U, C=report.C_grid[:, 1], S=report.S_grid[:, 1],
+                error=_lapack_error(H.eig().eigenvalues))
+
+
+def assert_shift_moves_only_energies(h, c, beta=1.0):
+    """Exact ``thermo`` on H and on H + cI: E, F and U move by c; g, P, beta-hat,
+    C and S stay, each within a tolerance derived below.
+
+    Levels.  Each LAPACK eigenvalue lies within ``_lapack_error`` (delta_0 and
+    delta_c) of the exact one, and the exact spectrum of H + cI is that of H
+    plus c.  Forming H + cI rounds each diagonal entry by at most
+    u|h_ii + c| <= u*||H + cI||, u = eps/2, which moves no eigenvalue further
+    (Weyl), and u*||H + cI|| <= eps*max|E_c|.  So each level of H + cI is
+    within Delta = delta_0 + delta_c + eps*max|E_c| of the level of H plus c,
+    and a gap E_k - E_j moves by at most 2*Delta, plus eps times the spread W
+    of the levels for the two subtractions.
+
+    Rounding.  One Boltzmann-weighted sum, mean or log-sum over d lines of
+    values up to M in magnitude rounds by at most R(M) = (d + 4)*eps*M: d - 1
+    additions at u, an exp or log within 4 ulp (numpy's SIMD loops) and a
+    few products and divisions at u.  Both sides round, so each quantity
+    below takes 2R of its own magnitude.
+
+    Sensitivities, to first order in Delta (Delta**2 < 1e-14 here), for
+    Boltzmann weights p_j at beta, U = sum p_j E_j, sigma**2 = Var(E) and
+    C = beta**2 sigma**2, when every level moves by c plus at most Delta:
+    - E: Delta, and the rounding of E + c, at most u|E + c|.
+    - F = -log Z/beta: dF/dE_j = p_j, so Delta; its shift and log-sum
+      round on values up to max|E| + W + (1 + log d)/beta.
+    - U: dU/dE_j = p_j(1 - beta(E_j - U)), so Delta(1 + beta E|E - U|)
+      <= Delta(1 + sqrt(C)) by Cauchy-Schwarz.
+    - S = beta(U - F): dS/dE_j = -beta**2 p_j (E_j - U), so beta*Delta*sqrt(C);
+      U - F cancels c, so the rounding of both, times beta, adds in full.
+    - C: dVar/dE_j = p_j(2(E_j - U) - beta((E_j - U)**2 - Var)), so
+      |dC| <= 2*beta*Delta*(sqrt(C) + C).  Rounding each E_j - U by r, U's
+      rounding and the subtraction's, r = 2R(max|E|), moves Var by at most
+      2*r*sigma + r**2.
+    - P_k = exp(-beta*gap_k)/sum: log P_k moves by at most 2*beta times the
+      largest gap change, plus the rounding of its exp and its sum.
+    - beta-hat = log(P_0/P_1)/(E_1 - E_0): the relative changes of its
+      numerator and denominator, plus the rounding of the log and the
+      quotient.
+    - g: the same integers, since no gap nears the resolution bound.
+    """
+    eps, u = np.finfo(float).eps, np.finfo(float).eps / 2
+    a = exact_thermo(h, beta)
+    b = exact_thermo(h + c * np.eye(len(h)), beta)
+    d = len(h)
+
+    def R(M):
+        return (d + 4) * eps * M
+
+    top = np.abs(b["E"]).max()
+    delta = a["error"] + b["error"] + eps * top
+    W = a["E"][-1] - a["E"][0]
+    gap = 2 * delta + eps * W
+    betas = default_beta_grid()
+    C, sigma = a["C"], np.sqrt(a["C"]) / betas
+    F_size = top + W + (1 + np.log(d)) / betas
+
+    assert np.array_equal(b["g"], a["g"])
+    assert np.all(np.abs(b["E"] - (a["E"] + c)) <= delta + u * np.abs(a["E"] + c))
+    assert np.all(np.abs(b["F"] - (a["F"] + c)) <= delta + 2 * R(F_size) + u * np.abs(b["F"]))
+    assert np.all(np.abs(b["U"] - (a["U"] + c)) <= delta * (1 + np.sqrt(C)) + 2 * R(top)
+                  + u * np.abs(b["U"]))
+    assert np.all(np.abs(b["S"] - a["S"]) <= betas * delta * np.sqrt(C)
+                  + 2 * betas * (R(top) + R(F_size)) + 2 * R(np.abs(a["S"])))
+    r = 2 * R(top)
+    assert np.all(np.abs(b["C"] - a["C"]) <= 2 * betas * delta * (np.sqrt(C) + C)
+                  + 2 * betas ** 2 * (2 * r * sigma + r ** 2) + 2 * R(C))
+    log_P = 2 * beta * gap + 2 * R(1.0)
+    assert np.all(np.abs(np.log(b["P"]) - np.log(a["P"])) <= log_P)
+    ratio = np.log(a["P"][0] / a["P"][1])
+    G = a["E"][1] - a["E"][0]
+    beta_hat = (2 * log_P + 2 * eps) / abs(ratio) + (gap + eps * G) / G + 2 * eps
+    assert abs(b["beta_hat"] - a["beta_hat"]) <= beta_hat * abs(a["beta_hat"])
+
+
+@pytest.mark.parametrize("c", [1e3, -1e3, 1e6])
+def test_spectral_shift_of_dicke_100(c):
+    """Dicke J_x of 100 atoms, levels -50 ... 50, at thermal beta 1."""
+    assert_shift_moves_only_energies(dicke_interaction(100).entries, c)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), exponent=st.integers(-3, 6), sign=st.sampled_from([-1, 1]),
+       beta=st.sampled_from([0.3, 1.0, 3.0]))
+def test_spectral_shift_of_rotated_systems(seed, exponent, sign, beta):
+    """Q·diag(levels)·Qᵀ for seeded levels 0.2 to 1 apart and a seeded
+    orthogonal Q, made exactly symmetric, shifted by c = ±10**exponent."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 11))
+    levels = np.cumsum(rng.uniform(0.2, 1.0, d)) - d / 2
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    h = q @ np.diag(levels) @ q.T
+    assert_shift_moves_only_energies((h + h.T) / 2, sign * 10.0 ** exponent, beta)

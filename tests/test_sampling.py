@@ -12,7 +12,12 @@ from qumode_probe.probe import (
     distribution_for,
 )
 from qumode_probe.probe import Workspace
-from qumode_probe.sampling import MeasurementRecord, _pick_lines, sample_measurements
+from qumode_probe.sampling import (
+    MeasurementRecord,
+    _pick_lines,
+    sample_chunks,
+    sample_measurements,
+)
 
 
 def two_peak_mixture():
@@ -118,6 +123,33 @@ def test_chunks_from_start_tile_the_single_draw(chunk):
     parts = [sample_measurements(dist, min(chunk, 10_001 - start), seed=9, start=start)
              for start in range(0, 10_001, chunk)]
     assert np.array_equal(np.concatenate([p.samples for p in parts]), whole.samples)
+
+
+@pytest.mark.parametrize("start", [0, 8])
+@pytest.mark.parametrize("detector_bin", [0.0, 0.01], ids=["plain", "binned"])
+@pytest.mark.parametrize("chunk", [1, 3, 5, 4_097])
+def test_chunks_of_any_size_tile_the_single_draw(chunk, detector_bin, start):
+    """Each stream is read on across chunks, so no chunk boundary need fall
+    on a Philox block."""
+    dist = two_peak_mixture()
+    whole = sample_measurements(dist, 5_001, seed=9, detector_bin=detector_bin, start=start)
+    parts = [record.samples.copy()
+             for record in sample_chunks(dist, 5_001, 9, detector_bin, chunk, start)]
+    assert np.concatenate(parts).tobytes() == whole.samples.tobytes()
+
+
+def test_one_philox_per_stream_per_record(monkeypatch):
+    built = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(kwargs)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    records = sample_chunks(two_peak_mixture(), 10_000, 9, detector_bin=0.01, chunk=1_000)
+    assert sum(1 for _ in records) == 10
+    assert len(built) <= 2
 
 
 def test_cumulative_weights_are_summed_once():
